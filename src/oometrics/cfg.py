@@ -1,9 +1,10 @@
 """Control-flow graphs for method bodies.
 
 A graph has exactly one entry and one exit node; every node is reachable
-from the entry and the exit is reachable from every node.  Edges form a
-list, not a set: parallel edges are meaningful (each decision outcome is
-one edge, even when two outcomes land on the same node).
+from the entry and the exit is reachable from every node.  Construction
+checks these invariants, so every metric can trust any graph it is given.
+Edges form a list, not a set: parallel edges are meaningful (each decision
+outcome is one edge, even when two outcomes land on the same node).
 
 Node kinds: entry, exit, plain, decision, loop-head, switch-head,
 call-bearing, return, jump.  Every executable statement contributes one
@@ -42,6 +43,9 @@ class ControlFlowGraph:
     exit: int
     call_nodes: frozenset[int] = frozenset()
 
+    def __post_init__(self):
+        self.validate()
+
     @property
     def node_count(self) -> int:
         return len(self.kinds)
@@ -49,9 +53,6 @@ class ControlFlowGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def successors(self, nid: int) -> list[int]:
-        return [b for a, b in self.edges if a == nid]
 
     def validate(self) -> None:
         """Raise MalformedGraph unless the single-entry/single-exit invariants hold."""
@@ -100,15 +101,13 @@ class ControlFlowGraph:
             exit_ = kinds.index(EXIT)
         except ValueError as exc:
             raise MalformedGraph("entry/exit missing") from exc
-        g = cls(
+        return cls(
             kinds=kinds,
             edges=tuple((int(a), int(b)) for a, b in data["edges"]),
             entry=entry,
             exit=exit_,
             call_nodes=frozenset(i for i, k in enumerate(kinds) if k == CALL_BEARING),
         )
-        g.validate()
-        return g
 
 
 def _reachable(adj: dict[int, list[int]], start: int) -> set[int]:
@@ -515,12 +514,10 @@ def build_cfg(body: list) -> ControlFlowGraph:
     live.add(exit_)
     order = sorted(live)
     remap = {old: new for new, old in enumerate(order)}
-    g = ControlFlowGraph(
+    return ControlFlowGraph(
         kinds=tuple(b.kinds[old] for old in order),
         edges=tuple((remap[a], remap[c]) for a, c in b.edges if a in live and c in live),
         entry=remap[entry],
         exit=remap[exit_],
         call_nodes=frozenset(remap[n] for n in b.calls if n in live),
     )
-    g.validate()
-    return g

@@ -19,9 +19,6 @@ from .complexity import class_wmc
 from .errors import DegenerateSystem
 from .model import SystemModel
 
-#: class-level thresholds reported by the McCabe-style tooling
-CLASS_THRESHOLDS = {"CBO": 2, "WMC": 14, "RFC": 100, "DIT": 7, "NOC": 3}
-
 KIVIAT_ORDER = (
     "cl_comf", "cl_comm", "cl_data", "cl_data_publ", "cl_func", "cl_func_publ",
     "cl_line", "cl_stat", "cl_wmc", "cu_cdused", "cu_cdusers", "in_bases", "in_noc",

@@ -241,40 +241,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oometrics", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_paths=True):
-        if with_paths:
-            p.add_argument("paths", nargs="*", help="source files/directories or facts JSON files")
-        p.add_argument("--facts", help="facts-file JSON input")
-        p.add_argument("--config", help="config JSON (ranges, SIG bands, churn metrics)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", help="output directory (analyze) or file")
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("paths", nargs="*", help="source files/directories or facts JSON files")
+    inputs.add_argument("--facts", help="facts-file JSON input")
+    inputs.add_argument("--out", help="output directory (analyze) or file")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="config JSON (ranges, SIG bands, churn metrics)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("analyze", help="full quality report")
-    common(p)
+    p = sub.add_parser("analyze", parents=[inputs, config, fmt], help="full quality report")
     p.add_argument("--baseline", help="facts file for QMOOD property normalization")
     p.add_argument("--history", help="directory of versioned facts files")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("kiviat", help="Kiviat SVG for one class")
-    common(p)
+    p = sub.add_parser("kiviat", parents=[inputs, config], help="Kiviat SVG for one class")
     p.add_argument("--class-name", required=True, dest="class_name")
     p.set_defaults(func=cmd_kiviat)
 
-    p = sub.add_parser("scatter", help="per-method complexity scatter CSV")
-    common(p)
+    p = sub.add_parser("scatter", parents=[inputs], help="per-method complexity scatter CSV")
     p.set_defaults(func=cmd_scatter)
 
-    p = sub.add_parser("evolve", help="Yesterday's Weather over a history directory")
+    p = sub.add_parser("evolve", parents=[fmt], help="Yesterday's Weather over a history directory")
     p.add_argument("--history", required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("compare", help="churn comparison of two builds")
+    p = sub.add_parser("compare", parents=[config, fmt], help="churn comparison of two builds")
     p.add_argument("earlier", help="facts file of the earlier build")
     p.add_argument("later", help="facts file of the later build")
     p.add_argument("--baseline", required=True, help="facts file of the baseline build")
-    p.add_argument("--config", help="config JSON")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_compare)
 
     return parser

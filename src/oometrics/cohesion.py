@@ -3,10 +3,13 @@ Bieman-Kang TCC/LCC, and Jaccard similarity cohesion.
 
 All of them look at the same raw material: for each non-constructor
 method m of a class, I(m) is the set of attributes declared in that class
-which m accesses.  Static attributes count; inherited ones do not.
+which m accesses.  Static attributes count; inherited ones do not.  One
+pass over the method pairs (``class_cohesion``) yields every value.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import UndefinedMetric
 from .model import ClassInfo
@@ -61,6 +64,74 @@ class _UnionFind:
         return len({self.find(i) for i in range(len(self.parent))})
 
 
+def class_cohesion(info: ClassInfo) -> dict[str, int | float | UndefinedMetric]:
+    """Every cohesion value, keyed by its ClassMetricsRecord field, from one
+    pass over the method pairs.  An undefined value is the UndefinedMetric
+    that says why.
+
+    Pairs sharing an attribute count towards Q (LCOM-CK), TCC and the
+    Jaccard sum, and join one union-find: its components give LCOM-LH,
+    its component sizes give LCC, and adding intra-class call edges gives
+    LCOM-HM.
+    """
+    sets = [touched for _, touched in method_attribute_sets(info)]
+    m = len(sets)
+    a = len(info.attributes)
+    p = q = 0
+    similarity = 0.0  # pairs with no shared attribute add 0 to the Jaccard sum
+    uf = _UnionFind(m)
+    for i in range(m):
+        si = sets[i]
+        for j in range(i + 1, m):
+            shared = si & sets[j]
+            if shared:
+                q += 1
+                uf.union(i, j)
+                similarity += len(shared) / len(si | sets[j])
+            else:
+                p += 1
+    sizes = Counter(uf.find(i) for i in range(m))
+    lh = len(sizes)
+    connected = sum(n * (n - 1) // 2 for n in sizes.values())
+    for i, j in _call_pairs(info):
+        uf.union(i, j)
+    usage = sum(len(touched) for touched in sets)  # each own attribute's access count, summed
+
+    out: dict[str, int | float | UndefinedMetric] = {}
+    if m >= 1:
+        out.update(lcom_ck=max(p - q, 0), lcom_lh=lh, lcom_hm=uf.components())
+    else:
+        for variant in ("CK", "LH", "HM"):
+            out[f"lcom_{variant.lower()}"] = UndefinedMetric(f"LCOM-{variant}", "class has no methods")
+    if m >= 2:
+        pairs = m * (m - 1) // 2
+        out.update(tcc=q / pairs, lcc=connected / pairs, sim_cohesion=similarity / (m * (m - 1) / 2))
+    else:
+        out["tcc"] = out["lcc"] = UndefinedMetric("TCC/LCC", "needs at least 2 methods")
+        out["sim_cohesion"] = UndefinedMetric("similarity cohesion", "needs at least 2 methods")
+    if m < 2:
+        out["lcom_hs"] = UndefinedMetric("LCOM-HS", "needs at least 2 methods")
+    elif a < 1:
+        out["lcom_hs"] = UndefinedMetric("LCOM-HS", "needs at least 1 attribute")
+    else:
+        out["lcom_hs"] = (m - usage / a) / (m - 1)
+    if m >= 1 and a >= 1:
+        out["coh"] = usage / (m * a)
+    else:
+        out["coh"] = UndefinedMetric("Coh", "needs methods and attributes")
+    return out
+
+
+def _defined(values: dict[str, int | float | UndefinedMetric], name: str) -> int | float:
+    value = values[name]
+    if isinstance(value, UndefinedMetric):
+        raise value
+    return value
+
+
+_LCOM_FIELDS = {"CK": "lcom_ck", "LH": "lcom_lh", "HM": "lcom_hm", "HS": "lcom_hs"}
+
+
 def lcom(info: ClassInfo, variant: str = "CK") -> int | float:
     """Lack of cohesion of methods.
 
@@ -69,93 +140,24 @@ def lcom(info: ClassInfo, variant: str = "CK") -> int | float:
     HM: components over attribute-share plus intra-class call edges.
     HS: (m - mean attribute usage) / (m - 1), Henderson-Sellers form.
     """
-    sets = method_attribute_sets(info)
-    m = len(sets)
-    if variant in ("CK", "LH", "HM") and m < 1:
-        raise UndefinedMetric(f"LCOM-{variant}", "class has no methods")
-
-    if variant == "CK":
-        p = q = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                if sets[i][1] & sets[j][1]:
-                    q += 1
-                else:
-                    p += 1
-        return max(p - q, 0)
-
-    if variant in ("LH", "HM"):
-        uf = _UnionFind(m)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if sets[i][1] & sets[j][1]:
-                    uf.union(i, j)
-        if variant == "HM":
-            for i, j in _call_pairs(info):
-                uf.union(i, j)
-        return uf.components()
-
-    if variant == "HS":
-        a = len(info.attributes)
-        if m < 2:
-            raise UndefinedMetric("LCOM-HS", "needs at least 2 methods")
-        if a < 1:
-            raise UndefinedMetric("LCOM-HS", "needs at least 1 attribute")
-        usage = sum(_access_count(sets, attr.name) for attr in info.attributes)
-        return (m - usage / a) / (m - 1)
-
-    raise UndefinedMetric(f"LCOM-{variant}", "unknown variant")
-
-
-def _access_count(sets: list[tuple[str, frozenset[str]]], attr: str) -> int:
-    return sum(1 for _, touched in sets if attr in touched)
+    if variant not in _LCOM_FIELDS:
+        raise UndefinedMetric(f"LCOM-{variant}", "unknown variant")
+    return _defined(class_cohesion(info), _LCOM_FIELDS[variant])
 
 
 def coh(info: ClassInfo) -> float:
     """Briand et al.: sum of per-attribute access counts over m*a."""
-    sets = method_attribute_sets(info)
-    m = len(sets)
-    a = len(info.attributes)
-    if m < 1 or a < 1:
-        raise UndefinedMetric("Coh", "needs methods and attributes")
-    usage = sum(_access_count(sets, attr.name) for attr in info.attributes)
-    return usage / (m * a)
+    return _defined(class_cohesion(info), "coh")
 
 
 def tcc_lcc(info: ClassInfo) -> tuple[float, float]:
     """Tight/loose class cohesion: directly / transitively attribute-connected
     method pairs over all pairs."""
-    sets = method_attribute_sets(info)
-    m = len(sets)
-    if m < 2:
-        raise UndefinedMetric("TCC/LCC", "needs at least 2 methods")
-    total_pairs = m * (m - 1) // 2
-    direct = 0
-    uf = _UnionFind(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if sets[i][1] & sets[j][1]:
-                direct += 1
-                uf.union(i, j)
-    transitive = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if uf.find(i) == uf.find(j):
-                transitive += 1
-    return direct / total_pairs, transitive / total_pairs
+    values = class_cohesion(info)
+    return _defined(values, "tcc"), _defined(values, "lcc")
 
 
 def similarity_cohesion(info: ClassInfo) -> float:
     """Mean pairwise Jaccard similarity of attribute sets; disjoint-empty
     pairs contribute 0."""
-    sets = method_attribute_sets(info)
-    m = len(sets)
-    if m < 2:
-        raise UndefinedMetric("similarity cohesion", "needs at least 2 methods")
-    total = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            union = sets[i][1] | sets[j][1]
-            if union:
-                total += len(sets[i][1] & sets[j][1]) / len(union)
-    return total / (m * (m - 1) / 2)
+    return _defined(class_cohesion(info), "sim_cohesion")

@@ -19,7 +19,6 @@ from .model import ClassInfo
 
 CYCLOMATIC_THRESHOLD = 10
 ESSENTIAL_THRESHOLD = 4
-DESIGN_THRESHOLD = 7
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ _QUADRANTS = {
 
 
 def cyclomatic(g: ControlFlowGraph) -> int:
-    g.validate()
     return g.edge_count - g.node_count + 2
 
 
@@ -155,7 +153,6 @@ def _reduce_essential(g: ControlFlowGraph) -> _MultiGraph:
 
 def essential(g: ControlFlowGraph) -> int:
     """Collapse structured primes to fixpoint, return v of the residue."""
-    g.validate()
     return _reduce_essential(g).cyclomatic()
 
 
@@ -164,7 +161,6 @@ def module_design(g: ControlFlowGraph, call_nodes: set[int] | None = None) -> in
 
     ``call_nodes`` defaults to the graph's recorded call-bearing nodes.
     """
-    g.validate()
     calls = set(g.call_nodes) if call_nodes is None else set(call_nodes)
     if not calls <= set(range(g.node_count)):
         raise MalformedGraph("call_nodes outside graph")

@@ -12,7 +12,7 @@ A built model is immutable and safe to share between metric computations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cfg import ControlFlowGraph
 from .errors import DuplicateClass, InheritanceCycle, UnknownClass
@@ -63,7 +63,6 @@ class MethodInfo:
     accessed_attributes: tuple[tuple[str, str], ...] = ()  # (class, attribute)
     invocations: tuple[Invocation, ...] = ()
     cfg: ControlFlowGraph | None = None
-    is_inherited_copy: bool = False
     line_count: int | None = None
 
     @property
@@ -143,9 +142,8 @@ class SystemModel:
     reference resolution.
     """
 
-    def __init__(self, classes: dict[str, ClassInfo], baseline_id: str | None = None):
+    def __init__(self, classes: dict[str, ClassInfo]):
         self._classes = dict(classes)
-        self.baseline_id = baseline_id
         self._children: dict[str, tuple[str, ...]] = {}
         kids: dict[str, list[str]] = {name: [] for name in self._classes}
         for info in self._classes.values():
@@ -320,7 +318,7 @@ class SystemModel:
                     continue
                 if sig in own or sig in collected:
                     continue
-                collected[sig] = replace(m, is_inherited_copy=True)
+                collected[sig] = m
         return tuple(collected.values())
 
     def inherited_attributes(self, name: str) -> tuple[AttributeInfo, ...]:
@@ -371,7 +369,7 @@ class _Resolver:
         return ref
 
 
-def build_system_model(class_records, baseline_id: str | None = None) -> SystemModel:
+def build_system_model(class_records) -> SystemModel:
     """Assemble and resolve a SystemModel from facts-schema class records.
 
     Raises DuplicateClass for colliding names and InheritanceCycle when the
@@ -467,7 +465,7 @@ def build_system_model(class_records, baseline_id: str | None = None) -> SystemM
             classes[ext] = ClassInfo(name=ext, is_external=True)
 
     _check_acyclic(classes)
-    return SystemModel(classes, baseline_id=baseline_id)
+    return SystemModel(classes)
 
 
 def _check_acyclic(classes: dict[str, ClassInfo]) -> None:
@@ -545,8 +543,8 @@ def model_to_facts(model: SystemModel) -> dict:
     return {"classes": [class_to_record(c) for c in model.internal_classes]}
 
 
-def facts_to_model(doc: dict, baseline_id: str | None = None) -> SystemModel:
-    return build_system_model(doc.get("classes", []), baseline_id=baseline_id)
+def facts_to_model(doc: dict) -> SystemModel:
+    return build_system_model(doc.get("classes", []))
 
 
 def load_facts(path) -> dict:

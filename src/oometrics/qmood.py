@@ -17,8 +17,10 @@ to -0.99):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
+from .ck import ClassMetricsRecord
 from .errors import EmptyModel, MissingProperty, UnknownClass
 from .model import SystemModel
 
@@ -159,8 +161,19 @@ def _mean(values: list[float]) -> float | None:
 def property_vector(model: SystemModel, baseline: PropertyVector | None = None) -> PropertyVector:
     """Map system/class metrics onto the eleven design properties; divide
     componentwise by ``baseline`` when given (zero baseline -> None)."""
-    dsc, noh, ana = qmood_system_metrics(model)
     per_class = [qmood_class_metrics(model, c) for c in model.internal_class_names]
+    return design_properties(qmood_system_metrics(model), per_class, baseline)
+
+
+def design_properties(
+    system: tuple[int, int, float],
+    per_class: Sequence[ClassDesignMetrics | ClassMetricsRecord],
+    baseline: PropertyVector | None = None,
+) -> PropertyVector:
+    """``property_vector`` from metrics already computed: ``system`` is
+    (DSC, NOH, ANA), ``per_class`` has one entry per internal class (a
+    class record carries the same design-metric fields)."""
+    dsc, noh, ana = system
     raw = {
         "DesignSize": float(dsc),
         "Hierarchies": float(noh),

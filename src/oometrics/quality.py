@@ -257,11 +257,18 @@ class ToolConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config root must be an object")
         ranges = RangeTable.from_config(doc.get("ranges", {}))
-        churn = tuple(doc.get("churnMetrics", DEFAULT_CHURN_METRICS))
+        churn = doc.get("churnMetrics", list(DEFAULT_CHURN_METRICS))
+        if not isinstance(churn, list) or not churn:
+            raise ConfigError("churnMetrics must be a non-empty list of class mnemonics")
+        unknown = [m for m in churn if m not in KIVIAT_ORDER]
+        if unknown:
+            raise ConfigError(
+                f"churnMetrics: not class mnemonics: {unknown!r} (known: {', '.join(KIVIAT_ORDER)})"
+            )
         return cls(
             ranges=ranges,
             sig_bands=doc.get("sigBands", {}),
-            churn_metrics=churn,
+            churn_metrics=tuple(churn),
             qmood_baseline=doc.get("qmoodBaseline"),
             raw=doc,
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import cohesion, qmood
 from .ck import (
@@ -26,7 +26,7 @@ from .ck import (
     noc,
     rfc,
 )
-from .complexity import class_wmc, complexity_triple, quadrant
+from .complexity import complexity_triple, cyclomatic, essential, quadrant
 from .errors import DegenerateSystem, EmptyModel, MetricsError, UndefinedMetric, WrongAxisCount
 from .halstead import HalsteadCounts, merge_counts
 from .maintain import maintainability_index, sig_rating
@@ -45,28 +45,14 @@ def compute_class_record(model: SystemModel, name: str) -> ClassMetricsRecord:
         setattr(rec, mnemonic, value)
     rec.cbo = cbo(model, name)
     rec.rfc = rfc(model, name)
-    rec.wmc = class_wmc(info)
+    rec.wmc = rec.cl_wmc
     rec.dit = dit(model, name)
     rec.noc = noc(model, name)
     rec.mpc = mpc(model, name)
     rec.dac = dac(model, name)
 
-    for attr, fn in (
-        ("lcom_ck", lambda: cohesion.lcom(info, "CK")),
-        ("lcom_lh", lambda: cohesion.lcom(info, "LH")),
-        ("lcom_hm", lambda: cohesion.lcom(info, "HM")),
-        ("lcom_hs", lambda: cohesion.lcom(info, "HS")),
-        ("coh", lambda: cohesion.coh(info)),
-        ("sim_cohesion", lambda: cohesion.similarity_cohesion(info)),
-    ):
-        try:
-            setattr(rec, attr, fn())
-        except UndefinedMetric:
-            setattr(rec, attr, None)
-    try:
-        rec.tcc, rec.lcc = cohesion.tcc_lcc(info)
-    except UndefinedMetric:
-        rec.tcc = rec.lcc = None
+    for key, value in cohesion.class_cohesion(info).items():
+        setattr(rec, key, None if isinstance(value, UndefinedMetric) else value)
 
     qm = qmood.qmood_class_metrics(model, name)
     rec.dam, rec.dcc, rec.cam, rec.moa = qm.dam, qm.dcc, qm.cam, qm.moa
@@ -112,11 +98,13 @@ def compute_report(
     if not names:
         raise EmptyModel("nothing to report on")
 
+    records = []
     class_sections = []
     maintainability_cats: list[str] = []
     criteria_cats: dict[str, list[str]] = {k: [] for k in ("Analyzability", "Changeability", "Stability", "Testability")}
     for name in names:
         rec = compute_class_record(model, name)
+        records.append(rec)
         crits = all_criteria(ranges, rec)
         factor = maintainability(crits)
         maintainability_cats.append(factor)
@@ -145,7 +133,8 @@ def compute_report(
     baseline_vector = None
     if baseline_model is not None:
         baseline_vector = qmood.property_vector(baseline_model)
-    vector = qmood.property_vector(model, baseline=baseline_vector)
+    # each record carries its class's QMOOD design metrics
+    vector = qmood.design_properties((dsc, noh, ana), records, baseline=baseline_vector)
     system["qmood"]["properties"] = vector.as_dict()
     try:
         system["qmood"]["indices"] = qmood.quality_indices(vector).as_dict()
@@ -183,14 +172,7 @@ def _tool_version() -> str:
 
 
 def _record_dict(rec: ClassMetricsRecord) -> dict:
-    out = {}
-    for key in (
-        list(KIVIAT_ORDER)
-        + ["cbo", "rfc", "wmc", "dit", "noc", "mpc", "dac"]
-        + ["lcom_ck", "lcom_lh", "lcom_hm", "lcom_hs", "coh", "tcc", "lcc", "sim_cohesion"]
-        + ["dam", "dcc", "cam", "moa", "mfa", "nop", "cis", "nom"]
-    ):
-        out[key] = getattr(rec, key)
+    out = {f.name: getattr(rec, f.name) for f in fields(rec) if f.name not in ("name", "methods")}
     out["methods"] = [
         {"signature": s, "v": v, "ev": ev, "iv": iv, "quadrant": quadrant(v, ev).label}
         for s, v, ev, iv in rec.methods
@@ -209,8 +191,6 @@ def _system_mi(model: SystemModel, halstead_by_class: dict[str, HalsteadCounts] 
     methods = [m for c in model.internal_classes for m in c.member_functions if m.cfg is not None]
     if counts.volume <= 0 or loc <= 0 or not methods:
         return None
-    from .complexity import cyclomatic
-
     g = sum(cyclomatic(m.cfg) for m in methods) / len(methods)
     cm = 100.0 * comments / loc
     return {
@@ -381,8 +361,6 @@ def _csv(s: str) -> str:
 
 
 def scatter_rows_from_model(model: SystemModel) -> list[tuple[str, str, int, int]]:
-    from .complexity import cyclomatic, essential
-
     rows = []
     for c in model.internal_classes:
         for m in c.member_functions:

@@ -185,4 +185,3 @@ def test_inherited_methods_exclude_overrides_and_private():
     ])
     inherited = model.inherited_methods("Child")
     assert [m.name for m in inherited] == ["kept"]
-    assert all(m.is_inherited_copy for m in inherited)

@@ -236,6 +236,12 @@ def test_tool_config_load(tmp_path):
     assert cfg.churn_metrics == ("cl_stat", "cl_wmc")
 
 
+@pytest.mark.parametrize("churn", ["cl_stat", ["cbo"], ["cl_stat", "nosuch"], []])
+def test_tool_config_rejects_bad_churn_metrics(churn):
+    with pytest.raises(ConfigError):
+        ToolConfig.from_dict({"churnMetrics": churn})
+
+
 def test_tool_config_bad_json_reports_line(tmp_path):
     p = tmp_path / "config.json"
     p.write_text("{\n  broken\n}")

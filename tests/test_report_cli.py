@@ -1,13 +1,17 @@
 """Report assembly, chart emission, and the CLI surface."""
 
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from helpers import class_rec, lexical_analyzer_model, method_rec, cfg_with_v
+from helpers import class_rec, lexical_analyzer_model, method_rec, cfg_with_v, random_model
+from oometrics import cohesion, qmood
+from oometrics.cfg import ControlFlowGraph
 from oometrics.cli import main
 from oometrics.model import build_system_model, dump_facts, model_to_facts
 from oometrics.quality import RangeTable, ToolConfig
@@ -62,6 +66,27 @@ def test_report_has_versioned_schema_and_fingerprint():
     report = compute_report(_fixture_model(), config=ToolConfig())
     assert report["schemaVersion"] == 1
     assert len(report["configFingerprint"]) == 16
+
+
+def test_compute_report_derives_each_fact_once(monkeypatch):
+    model = random_model(random.Random(11), n_classes=12, max_attrs=4, p_inherit=0.5)
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(ControlFlowGraph, "validate")
+    count(qmood, "qmood_class_metrics")
+    count(cohesion, "method_attribute_sets")
+    compute_report(model)
+    n = len(model.internal_class_names)
+    assert calls == {"qmood_class_metrics": n, "method_attribute_sets": n}
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +238,18 @@ def test_cli_scatter(capsys):
     assert "quadrants:" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--format", "text"],
+    ["scatter", "--config", "c.json"],
+    ["kiviat", "--class-name", "X", "--format", "text"],
+])
+def test_cli_rejects_options_the_subcommand_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(FIXTURES / "metric_test")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def _write_history(tmp_path) -> Path:
     hist = tmp_path / "history"
     hist.mkdir()
@@ -279,6 +316,14 @@ def test_cli_compare(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] in ("later-more-complex", "earlier-more-complex", "neutral")
     assert doc["later"]["R"] > doc["earlier"]["R"]
+
+    config.write_text(json.dumps({"churnMetrics": ["cbo"]}))
+    rc = main([
+        "compare", str(early), str(late),
+        "--baseline", str(base), "--config", str(config),
+    ])
+    assert rc == 1
+    assert "churnMetrics" in capsys.readouterr().err
 
 
 def test_cli_entry_point_runs():
