@@ -151,8 +151,9 @@ def coupling_factor(model: SystemModel) -> float:
     numerator = 0
     desc_total = 0
     for c in names:
-        related = set(model.ancestors(c)) | model.descendants(c)
-        desc_total += len(model.descendants(c))
+        desc = model.descendants(c)
+        related = set(model.ancestors(c)) | desc
+        desc_total += len(desc)
         for d in _internal_used(model, c):
             if d != c and d not in related:
                 numerator += 1

@@ -237,8 +237,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit 2 is taken by partial reports."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="oometrics", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="oometrics", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     inputs = argparse.ArgumentParser(add_help=False)

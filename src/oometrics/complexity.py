@@ -50,105 +50,129 @@ def cyclomatic(g: ControlFlowGraph) -> int:
     return g.edge_count - g.node_count + 2
 
 
-class _MultiGraph:
-    """Mutable multigraph scratchpad for the reductions."""
+class _ReductionGraph:
+    """Mutable graph scratchpad for the reductions.
 
-    def __init__(self, g: ControlFlowGraph):
-        self.succ: dict[int, list[int]] = {i: [] for i in range(g.node_count)}
-        self.pred: dict[int, list[int]] = {i: [] for i in range(g.node_count)}
+    Self-loops and parallel edges are dropped on the way in, as the
+    reductions would drop them first anyway, and ``link`` never adds one.
+    ``edges`` is the running edge total, so removing a node costs O(its
+    degree) and v(G) of the residue is O(1).  ``frozen`` nodes are never
+    contracted away; a merge that keeps the other node moves the mark.
+    """
+
+    def __init__(self, g: ControlFlowGraph, frozen):
+        self.succ: dict[int, set[int]] = {i: set() for i in range(g.node_count)}
+        self.pred: dict[int, set[int]] = {i: set() for i in range(g.node_count)}
         for a, b in g.edges:
-            self.succ[a].append(b)
-            self.pred[b].append(a)
+            if a != b:
+                self.succ[a].add(b)
+                self.pred[b].add(a)
+        self.edges = sum(map(len, self.succ.values()))
         self.entry = g.entry
         self.exit = g.exit
-        self.kinds = g.kinds
-
-    @property
-    def nodes(self) -> list[int]:
-        return list(self.succ)
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.succ.values())
+        self.frozen = set(frozen)
 
     def cyclomatic(self) -> int:
-        return self.edge_count() - len(self.succ) + 2
+        return self.edges - len(self.succ) + 2
+
+    def link(self, a: int, b: int) -> None:
+        """Add a->b unless it is a self-loop or parallels an existing edge."""
+        if a != b and b not in self.succ[a]:
+            self.succ[a].add(b)
+            self.pred[b].add(a)
+            self.edges += 1
 
     def remove_node(self, n: int) -> None:
-        del self.succ[n]
-        del self.pred[n]
-        for v in self.succ.values():
-            while n in v:
-                v.remove(n)
-        for v in self.pred.values():
-            while n in v:
-                v.remove(n)
-
-    def add_edge(self, a: int, b: int) -> None:
-        self.succ[a].append(b)
-        self.pred[b].append(a)
-
-    def drop_self_loops(self) -> bool:
-        changed = False
-        for n, outs in self.succ.items():
-            while n in outs:
-                outs.remove(n)
-                self.pred[n].remove(n)
-                changed = True
-        return changed
-
-    def merge_parallel(self) -> bool:
-        changed = False
-        for n, outs in self.succ.items():
-            seen: set[int] = set()
-            dups = [t for t in outs if t in seen or seen.add(t)]
-            for t in dups:
-                outs.remove(t)
-                self.pred[t].remove(n)
-                changed = True
-        return changed
+        for t in self.succ[n]:
+            self.pred[t].remove(n)
+        for s in self.pred[n]:
+            self.succ[s].remove(n)
+        self.edges -= len(self.succ.pop(n)) + len(self.pred.pop(n))
 
 
-def _reduce_essential(g: ControlFlowGraph) -> _MultiGraph:
+def _sole(adj: set[int]) -> int | None:
+    """The only neighbour in an adjacency set, if there is one."""
+    return next(iter(adj)) if len(adj) == 1 else None
+
+
+def _reduce(mg: _ReductionGraph, sequences: bool) -> _ReductionGraph:
+    """Contract ``mg`` to a fixpoint with a worklist.
+
+    Sequence (when ``sequences``): the sole successor v of u, entered only
+    from u and neither the entry nor frozen, merges with u.  Arm: a node
+    other than entry, exit or a frozen one with one edge in and one edge out
+    is replaced by an edge.
+
+    Every node is visited once, then again only when a contraction changes
+    its edges.  An arm costs O(1).  A merge moves the smaller of u's
+    in-edges and v's out-edges onto the other node.  The merged node keeps
+    both sides, and one of them must drop to a single edge before it can
+    merge again, so the moves add up to O(edges) over the whole reduction.
+    """
+    frozen = mg.frozen
+    work = list(reversed(mg.succ))
+    queued = set(work)
+
+    def touch(n: int) -> None:
+        if n not in queued:
+            queued.add(n)
+            work.append(n)
+
+    def mergeable(u: int | None, v: int | None) -> bool:
+        return (
+            u is not None and v is not None and v != mg.entry and v not in frozen
+            and _sole(mg.succ[u]) == v and _sole(mg.pred[v]) == u
+        )
+
+    while work:
+        n = work.pop()
+        queued.discard(n)
+        if n not in mg.succ:
+            continue
+        if sequences:
+            # n as u, else n as v: a dropped self-loop may leave n one edge in
+            u, v = n, _sole(mg.succ[n])
+            if not mergeable(u, v):
+                u, v = _sole(mg.pred[n]), n
+            if mergeable(u, v):
+                if len(mg.pred[u]) < len(mg.succ[v]):
+                    # v takes u's place
+                    sources = list(mg.pred[u])
+                    if u == mg.entry:
+                        mg.entry = v
+                    if u == mg.exit:
+                        mg.exit = v
+                    if u in frozen:
+                        frozen.add(v)
+                    mg.remove_node(u)
+                    for s in sources:
+                        mg.link(s, v)
+                    touch(v)
+                else:
+                    targets = list(mg.succ[v])
+                    if v == mg.exit:
+                        mg.exit = u
+                    mg.remove_node(v)
+                    for t in targets:
+                        mg.link(u, t)
+                    touch(u)
+                continue
+        if n in (mg.entry, mg.exit) or n in frozen:
+            continue
+        p, t = _sole(mg.pred[n]), _sole(mg.succ[n])
+        if p is not None and t is not None:
+            mg.remove_node(n)
+            mg.link(p, t)
+            touch(p)
+            touch(t)
+    return mg
+
+
+def _reduce_essential(g: ControlFlowGraph) -> _ReductionGraph:
     """Collapse structured primes; nodes of kind ``return`` are never
     contracted, so a mid-method return survives as unstructured."""
-    mg = _MultiGraph(g)
-
-    def protected(n: int) -> bool:
-        return mg.kinds[n] == "return"
-
-    changed = True
-    while changed:
-        changed = mg.drop_self_loops() or mg.merge_parallel()
-        # sequence: sole successor v of u is entered only from u
-        for u in mg.nodes:
-            if u not in mg.succ:
-                continue
-            outs = mg.succ[u]
-            if len(outs) != 1:
-                continue
-            v = outs[0]
-            if v == u or v == mg.entry or len(mg.pred[v]) != 1 or protected(v):
-                continue
-            targets = list(mg.succ[v])
-            if v == mg.exit:
-                mg.exit = u
-            mg.remove_node(v)
-            for t in targets:
-                if t != v:
-                    mg.add_edge(u, t)
-            changed = True
-        # arm: straight-line node between a branch and a rejoin point
-        for a in mg.nodes:
-            if a not in mg.succ or a in (mg.entry, mg.exit) or protected(a):
-                continue
-            if len(mg.pred[a]) == 1 and len(mg.succ[a]) == 1:
-                p, t = mg.pred[a][0], mg.succ[a][0]
-                if p == a or t == a:
-                    continue
-                mg.remove_node(a)
-                mg.add_edge(p, t)
-                changed = True
-    return mg
+    returns = {n for n, kind in enumerate(g.kinds) if kind == "return"}
+    return _reduce(_ReductionGraph(g, returns), sequences=True)
 
 
 def essential(g: ControlFlowGraph) -> int:
@@ -166,21 +190,7 @@ def module_design(g: ControlFlowGraph, call_nodes: set[int] | None = None) -> in
         raise MalformedGraph("call_nodes outside graph")
     if not calls:
         return 1
-    mg = _MultiGraph(g)
-    changed = True
-    while changed:
-        changed = mg.drop_self_loops() or mg.merge_parallel()
-        for n in mg.nodes:
-            if n not in mg.succ or n in (mg.entry, mg.exit) or n in calls:
-                continue
-            if len(mg.pred[n]) == 1 and len(mg.succ[n]) == 1:
-                p, t = mg.pred[n][0], mg.succ[n][0]
-                if p == n or t == n:
-                    continue
-                mg.remove_node(n)
-                mg.add_edge(p, t)
-                changed = True
-    return mg.cyclomatic()
+    return _reduce(_ReductionGraph(g, calls), sequences=False).cyclomatic()
 
 
 def complexity_triple(g: ControlFlowGraph, call_nodes: set[int] | None = None) -> ComplexityTriple:

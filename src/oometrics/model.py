@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cfg import ControlFlowGraph
 from .errors import DuplicateClass, InheritanceCycle, UnknownClass
@@ -101,9 +102,10 @@ class ClassInfo:
         if len(attr_names) != len(set(attr_names)):
             raise ValueError(f"{self.name}: duplicate attribute name")
 
-    @property
+    @cached_property
     def regular_methods(self) -> tuple[MethodInfo, ...]:
-        """Declared methods without constructors and initializer blocks."""
+        """Declared methods without constructors and initializer blocks
+        (kept after the first read: ancestor scans ask for it per descendant)."""
         return tuple(m for m in self.methods if not m.is_constructor and not m.is_initializer)
 
     @property
@@ -152,6 +154,8 @@ class SystemModel:
                     kids[sup].append(info.name)
         self._children = {name: tuple(sorted(v)) for name, v in kids.items()}
         self._ancestor_cache: dict[str, AncestorChain] = {}
+        self._depth_cache: dict[str, int] = {}
+        self._inherited_method_cache: dict[str, tuple[MethodInfo, ...]] = {}
         self._used_cache: dict[str, frozenset[str]] = {}
         self._users_cache: dict[str, frozenset[str]] | None = None
 
@@ -237,25 +241,25 @@ class SystemModel:
     def inheritance_depth(self, name: str) -> int:
         """Longest superclass path length; unresolved/external parents
         contribute their declared external depth instead of an edge."""
-        memo: dict[str, int] = {}
-
-        def depth(c: str) -> int:
-            if c in memo:
-                return memo[c]
-            best = 0
-            for sup in self._classes[c].superclasses:
-                sup_info = self._classes.get(sup)
-                if sup_info is None:
-                    continue
-                if sup_info.is_external:
-                    best = max(best, sup_info.external_depth)
-                else:
-                    best = max(best, 1 + depth(sup))
-            memo[c] = best
-            return best
-
         self.get(name)
-        return depth(name)
+        memo = self._depth_cache
+        todo = [name]
+        while todo:
+            c = todo[-1]
+            if c in memo:
+                todo.pop()
+                continue
+            supers = [self._classes[s] for s in self._classes[c].superclasses if s in self._classes]
+            missing = [s.name for s in supers if not s.is_external and s.name not in memo]
+            if missing:
+                todo.extend(missing)
+                continue
+            memo[c] = max(
+                (s.external_depth if s.is_external else 1 + memo[s.name] for s in supers),
+                default=0,
+            )
+            todo.pop()
+        return memo[name]
 
     # -- the uses relation -----------------------------------------------------
 
@@ -308,6 +312,8 @@ class SystemModel:
     def inherited_methods(self, name: str) -> tuple[MethodInfo, ...]:
         """Methods ``name`` inherits: non-private, non-static regular methods
         of ancestors, nearest definition first, overridden ones excluded."""
+        if name in self._inherited_method_cache:
+            return self._inherited_method_cache[name]
         info = self.get(name)
         own = {m.signature for m in info.regular_methods}
         collected: dict[str, MethodInfo] = {}
@@ -319,7 +325,9 @@ class SystemModel:
                 if sig in own or sig in collected:
                     continue
                 collected[sig] = m
-        return tuple(collected.values())
+        result = tuple(collected.values())
+        self._inherited_method_cache[name] = result
+        return result
 
     def inherited_attributes(self, name: str) -> tuple[AttributeInfo, ...]:
         info = self.get(name)
@@ -469,26 +477,30 @@ def build_system_model(class_records) -> SystemModel:
 
 
 def _check_acyclic(classes: dict[str, ClassInfo]) -> None:
+    """Depth-first search over resolvable superclasses; iterative, so a
+    deep chain cannot exhaust the interpreter stack."""
     WHITE, GREY, BLACK = 0, 1, 2
     color = {name: WHITE for name in classes}
-
-    def visit(name: str, trail: list[str]) -> None:
-        color[name] = GREY
-        trail.append(name)
-        for sup in classes[name].superclasses:
-            if sup not in classes or classes[sup].is_external:
-                continue
-            if color[sup] == GREY:
-                cycle = trail[trail.index(sup):] + [sup]
-                raise InheritanceCycle(cycle)
-            if color[sup] == WHITE:
-                visit(sup, trail)
-        trail.pop()
-        color[name] = BLACK
-
-    for name in classes:
-        if color[name] == WHITE and not classes[name].is_external:
-            visit(name, [])
+    for root in classes:
+        if color[root] != WHITE or classes[root].is_external:
+            continue
+        color[root] = GREY
+        trail = [root]
+        pending = [iter(classes[root].superclasses)]
+        while pending:
+            for sup in pending[-1]:
+                if sup not in classes or classes[sup].is_external:
+                    continue
+                if color[sup] == GREY:
+                    raise InheritanceCycle(trail[trail.index(sup):] + [sup])
+                if color[sup] == WHITE:
+                    color[sup] = GREY
+                    trail.append(sup)
+                    pending.append(iter(classes[sup].superclasses))
+                    break
+            else:
+                pending.pop()
+                color[trail.pop()] = BLACK
 
 
 # ---------------------------------------------------------------------------

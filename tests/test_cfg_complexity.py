@@ -9,6 +9,7 @@ Oracles kept independent of the implementation:
 """
 
 import random
+import time
 
 import pytest
 
@@ -175,6 +176,35 @@ def test_cyclomatic_is_one_plus_branch_outdegrees():
 # ---------------------------------------------------------------------------
 
 
+def _drop_loop_or_parallel(edges) -> bool:
+    """Remove one self-loop, else one parallel edge; report whether one went."""
+    for e in edges:
+        if e[0] == e[1]:
+            edges.remove(e)
+            return True
+    seen = set()
+    for e in edges:
+        if e in seen:
+            edges.remove(e)
+            return True
+        seen.add(e)
+    return False
+
+
+def _contract_one_arm(edges, nodes, frozen) -> bool:
+    """Contract one straight-line node between a branch and a join."""
+    for n in sorted(nodes - frozen):
+        ps = [a for a, b in edges if b == n]
+        ss = [b for a, b in edges if a == n]
+        if len(ps) == 1 and len(ss) == 1 and ps[0] != n and ss[0] != n:
+            edges.remove((ps[0], n))
+            edges.remove((n, ss[0]))
+            edges.append((ps[0], ss[0]))
+            nodes.remove(n)
+            return True
+    return False
+
+
 def _essential_oracle(g: ControlFlowGraph) -> int:
     """Naive prime collapse: rebuild adjacency from scratch every pass and
     apply one reduction at a time until nothing applies.  Return-kind nodes
@@ -190,28 +220,9 @@ def _essential_oracle(g: ControlFlowGraph) -> int:
     def preds(n):
         return [a for a, b in edges if b == n]
 
-    changed = True
-    while changed:
-        changed = False
-        # self loops
-        for n in list(nodes):
-            if (n, n) in edges:
-                edges.remove((n, n))
-                changed = True
-                break
-        if changed:
-            continue
-        # parallel edges
-        seen = set()
-        for e in list(edges):
-            if e in seen:
-                edges.remove(e)
-                changed = True
-                break
-            seen.add(e)
-        if changed:
-            continue
-        # sequence merge: u -> v, only edge out of u, only edge into v
+    def sequence_merge() -> bool:
+        # u -> v, only edge out of u, only edge into v
+        nonlocal exit_
         for (u, v) in list(edges):
             if u != v and v not in is_return and len(succs(u)) == 1 and len(preds(v)) == 1:
                 edges.remove((u, v))
@@ -221,22 +232,29 @@ def _essential_oracle(g: ControlFlowGraph) -> int:
                 nodes.remove(v)
                 if v == exit_:
                     exit_ = u
-                changed = True
-                break
-        if changed:
-            continue
-        # arm contraction: straight-line node between branch and join
-        for n in list(nodes):
-            if n in (entry, exit_) or n in is_return:
-                continue
-            ps, ss = preds(n), succs(n)
-            if len(ps) == 1 and len(ss) == 1 and ps[0] != n and ss[0] != n:
-                edges.remove((ps[0], n))
-                edges.remove((n, ss[0]))
-                edges.append((ps[0], ss[0]))
-                nodes.remove(n)
-                changed = True
-                break
+                return True
+        return False
+
+    while (
+        _drop_loop_or_parallel(edges)
+        or sequence_merge()
+        or _contract_one_arm(edges, nodes, {entry, exit_} | is_return)
+    ):
+        pass
+    return len(edges) - len(nodes) + 2
+
+
+def _module_design_oracle(g: ControlFlowGraph) -> int:
+    """Naive iv reduction: one self-loop drop, parallel merge or arm
+    contraction at a time until nothing applies.  Call-bearing nodes, the
+    entry and the exit are never contracted."""
+    if not g.call_nodes:
+        return 1
+    edges = list(g.edges)
+    nodes = set(range(g.node_count))
+    frozen = {g.entry, g.exit} | set(g.call_nodes)
+    while _drop_loop_or_parallel(edges) or _contract_one_arm(edges, nodes, frozen):
+        pass
     return len(edges) - len(nodes) + 2
 
 
@@ -326,7 +344,7 @@ class S {
 
 def test_essential_matches_oracle_on_random_methods():
     rng = random.Random(77)
-    for _ in range(150):
+    for _ in range(500):
         src, _ = random_method_source(rng)
         g = _method_cfgs(f"class W {{\n{src}\n void helper() {{ }} }}")["gen"]
         assert essential(g) == _essential_oracle(g)
@@ -361,13 +379,14 @@ class S {
             kinds.append("entry")
         elif n == mg.exit:
             kinds.append("exit")
+        elif n in mg.frozen:
+            kinds.append("return")  # a merge may move a return's mark
         elif g.kinds[n] in ("entry", "exit"):
             kinds.append("plain")
         else:
             kinds.append(g.kinds[n])
-    edges = tuple(
-        (remap[a], remap[b]) for a, outs in mg.succ.items() for b in outs
-    )
+    edges = tuple((remap[a], remap[b]) for a, outs in mg.succ.items() for b in outs)
+    assert len(edges) == mg.edges
     g2 = ControlFlowGraph(kinds=tuple(kinds), edges=edges, entry=remap[mg.entry], exit=remap[mg.exit])
     assert essential(g2) == first
 
@@ -436,10 +455,124 @@ def test_iv_bounds_on_random_corpus():
         assert 1 <= iv <= cyclomatic(g)
 
 
+def test_iv_matches_oracle_on_random_methods():
+    rng = random.Random(91)
+    values = set()
+    for _ in range(300):
+        src, _ = random_method_source(rng)
+        g = _method_cfgs(f"class W {{\n{src}\n void helper() {{ }} }}")["gen"]
+        iv = module_design(g)
+        assert iv == _module_design_oracle(g)
+        values.add(iv)
+    assert len(values) >= 3  # the corpus exercises more than call-free bodies
+
+
 def test_iv_rejects_bad_call_nodes():
     g = build_cfg([cfgmod.Simple()])
     with pytest.raises(MalformedGraph):
         module_design(g, call_nodes={99})
+
+
+def _renumbered_with_jumps(g: ControlFlowGraph, rng: random.Random) -> ControlFlowGraph:
+    """``g`` with node ids shuffled and up to two extra edges between
+    statement nodes: unstructured, and visited in a different order."""
+    edges = list(g.edges)
+    inner = [i for i, k in enumerate(g.kinds) if k not in ("entry", "exit")]
+    for _ in range(rng.randrange(0, 3)):
+        if len(inner) >= 2:
+            edges.append(tuple(rng.sample(inner, 2)))
+    perm = list(range(g.node_count))
+    rng.shuffle(perm)
+    kinds = [""] * g.node_count
+    for old, new in enumerate(perm):
+        kinds[new] = g.kinds[old]
+    return ControlFlowGraph(
+        kinds=tuple(kinds),
+        edges=tuple((perm[a], perm[b]) for a, b in edges),
+        entry=perm[g.entry],
+        exit=perm[g.exit],
+        call_nodes=frozenset(perm[c] for c in g.call_nodes),
+    )
+
+
+def test_reductions_match_oracles_on_renumbered_unstructured_graphs():
+    rng = random.Random(101)
+    checked = 0
+    while checked < 400:
+        src, _ = random_method_source(rng)
+        g = _method_cfgs(f"class W {{\n{src}\n void helper() {{ }} }}")["gen"]
+        try:
+            g2 = _renumbered_with_jumps(g, rng)
+        except MalformedGraph:
+            continue  # an extra edge broke reachability
+        assert essential(g2) == _essential_oracle(g2)
+        assert module_design(g2) == _module_design_oracle(g2)
+        checked += 1
+
+
+# ---------------------------------------------------------------------------
+# scaling: the reductions are linear in graph size
+# ---------------------------------------------------------------------------
+
+
+def _sequential_ifs(n: int, with_calls: bool) -> ControlFlowGraph:
+    body = cfgmod.Block([cfgmod.Simple(has_call=with_calls)])
+    return build_cfg([cfgmod.IfStmt(then=body, has_call=with_calls) for _ in range(n)])
+
+
+def test_essential_scales_to_20000_sequential_ifs():
+    g = _sequential_ifs(20_000, with_calls=False)
+    start = time.perf_counter()
+    assert essential(g) == 1
+    assert time.perf_counter() - start < 2.0
+
+
+def test_module_design_scales_to_5000_sequential_ifs_with_calls():
+    # the oracle is too slow for the big graph; its value on small ones
+    # gives the closed form iv = n + 1 for this shape
+    for n in (1, 2, 5, 12):
+        assert _module_design_oracle(_sequential_ifs(n, with_calls=True)) == n + 1
+    g = _sequential_ifs(5_000, with_calls=True)
+    start = time.perf_counter()
+    assert module_design(g) == 5_001
+    assert time.perf_counter() - start < 2.0
+
+
+def _chain_into_branch(n: int) -> ControlFlowGraph:
+    """entry -> s1 -> ... -> sn -> W, W branching to n return arms.  W has
+    the lowest id and the chain is numbered from its far end, so the
+    worklist meets W first and then climbs the chain."""
+    branch, exit_, entry = 0, 2 * n + 1, 2 * n + 2
+    chain = list(range(n, 0, -1))
+    arms = range(n + 1, 2 * n + 1)
+    edges = [(entry, chain[0]), *zip(chain, chain[1:]), (chain[-1], branch)]
+    edges += [(branch, a) for a in arms] + [(a, exit_) for a in arms]
+    kinds = ["decision"] + ["plain"] * n + ["return"] * n + ["exit", "entry"]
+    return ControlFlowGraph(kinds=tuple(kinds), edges=tuple(edges), entry=entry, exit=exit_)
+
+
+def _join_into_chain(n: int) -> ControlFlowGraph:
+    """The mirror: n return arms join at J, then J -> c1 -> ... -> cn ->
+    exit.  J has the lowest id and the chain is numbered from J onwards."""
+    join, branch, exit_, entry = 0, 2 * n + 1, 2 * n + 2, 2 * n + 3
+    chain = list(range(1, n + 1))
+    arms = range(n + 1, 2 * n + 1)
+    edges = [(entry, branch)] + [(branch, a) for a in arms] + [(a, join) for a in arms]
+    edges += [(join, chain[0]), *zip(chain, chain[1:]), (chain[-1], exit_)]
+    kinds = ["plain"] * (n + 1) + ["return"] * n + ["decision", "exit", "entry"]
+    return ControlFlowGraph(kinds=tuple(kinds), edges=tuple(edges), entry=entry, exit=exit_)
+
+
+@pytest.mark.parametrize("shape", [_chain_into_branch, _join_into_chain])
+def test_sequence_merges_scale_when_a_chain_meets_a_wide_node(shape):
+    # a merge moves the smaller side; always moving one fixed side makes
+    # the chain carry the n arms along, n times over (about 5 s for 4,000)
+    for n in (1, 2, 5, 12):
+        assert essential(shape(n)) == _essential_oracle(shape(n)) == max(n, 1)
+    g = shape(4_000)
+    start = time.perf_counter()
+    assert essential(g) == 4_000
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

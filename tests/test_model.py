@@ -44,6 +44,19 @@ def test_longer_cycle_reported_with_path():
     assert len(exc.value.path) >= 3
 
 
+def test_cycle_through_a_deep_chain_reported_with_path():
+    # the DFS is iterative: a 1,500-class cycle is an InheritanceCycle,
+    # not a RecursionError
+    depth = 1500
+    with pytest.raises(InheritanceCycle) as exc:
+        build_system_model([
+            class_rec(f"K{i}", extends=[f"K{(i - 1) % depth}"]) for i in range(depth)
+        ])
+    path = exc.value.path
+    assert len(path) == depth + 1 and path[0] == path[-1]
+    assert path[:3] == ["K0", f"K{depth - 1}", f"K{depth - 2}"]
+
+
 def test_unknown_class_queries_raise():
     model = build_system_model([class_rec("A")])
     with pytest.raises(UnknownClass):
@@ -118,6 +131,38 @@ def test_ancestors_match_transitive_closure_oracle():
         oracle = _closure_oracle(parents)
         for c in names:
             assert set(model.ancestors(c)) == oracle[c]
+
+
+def test_inheritance_depth_matches_longest_path_oracle():
+    rng = random.Random(13)
+    for _ in range(10):
+        names = [f"C{i}" for i in range(25)]
+        records, parents = [], {}
+        for i, c in enumerate(names):
+            sup = [names[j] for j in range(i) if rng.random() < 0.12]
+            if rng.random() < 0.2:
+                sup.append("lib.External")
+            parents[c] = [p for p in sup if p in names]
+            records.append(class_rec(c, extends=sup))
+        model = build_system_model(records)
+
+        def longest(c):
+            return max((1 + longest(p) for p in parents[c]), default=0)
+
+        # deepest class first, so the memo fills from the bottom up
+        for c in reversed(names):
+            assert model.inheritance_depth(c) == longest(c)
+
+
+def test_inherited_methods_are_memoized():
+    model = build_system_model([
+        class_rec("A", methods=[method_rec("m")]),
+        class_rec("B", extends=["A"]),
+        class_rec("C", extends=["B"]),
+    ])
+    assert model.inherited_methods("C") is model.inherited_methods("C")
+    assert [m.name for m in model.inherited_methods("C")] == ["m"]
+    assert model.descendants("A") == {"B", "C"}
 
 
 def test_uses_matches_exhaustive_edge_scan():

@@ -246,8 +246,34 @@ def test_cli_scatter(capsys):
 def test_cli_rejects_options_the_subcommand_ignores(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + [str(FIXTURES / "metric_test")])
-    assert exc.value.code == 2
+    assert exc.value.code == 1  # usage error; 2 means a partial report
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_missing_required_option_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "early.json", "late.json"])
+    assert exc.value.code == 1
+    assert "--baseline" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scatter", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_cli_analyzes_a_1500_deep_inheritance_chain(tmp_path, capsys):
+    depth = 1500
+    facts = tmp_path / "chain.json"
+    facts.write_text(json.dumps({"classes": [
+        class_rec(f"K{i}", extends=[f"K{i - 1}"] if i else []) for i in range(depth)
+    ]}))
+    assert main(["analyze", "--facts", str(facts)]) == 0
+    dit = {c["name"]: c["metrics"]["dit"] for c in json.loads(capsys.readouterr().out)["classes"]}
+    assert dit[f"K{depth - 1}"] == depth - 1
+    assert dit["K0"] == 0
 
 
 def _write_history(tmp_path) -> Path:
