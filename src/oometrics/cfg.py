@@ -228,67 +228,75 @@ class Labeled:
 def count_statements(stmts: list) -> int:
     """Executable statements in a statement list, nested bodies included."""
     total = 0
-    for s in stmts:
-        if isinstance(s, Block):
-            total += count_statements(s.stmts)
-        elif isinstance(s, Simple):
-            total += 1 if s.counts else 0
-        elif isinstance(s, (ReturnStmt, ThrowStmt, BreakStmt, ContinueStmt)):
-            total += 1
-        elif isinstance(s, IfStmt):
-            total += 1 + count_statements(s.then.stmts)
-            if s.orelse is not None:
-                total += count_statements(s.orelse.stmts)
-        elif isinstance(s, (WhileStmt, DoWhileStmt, ForStmt)):
-            total += 1 + count_statements(s.body.stmts)
-        elif isinstance(s, SwitchStmt):
-            total += 1 + sum(count_statements(a.body.stmts) for a in s.arms)
-        elif isinstance(s, TryStmt):
-            total += 1 + count_statements(s.body.stmts)
-            total += sum(count_statements(h.stmts) for h in s.handlers)
-            if s.final is not None:
-                total += count_statements(s.final.stmts)
-        elif isinstance(s, Labeled):
-            total += count_statements([s.stmt])
+    todo = [stmts]  # statement lists still to count; a stack, so nesting depth is free
+    while todo:
+        for s in todo.pop():
+            if isinstance(s, Block):
+                todo.append(s.stmts)
+            elif isinstance(s, Simple):
+                total += 1 if s.counts else 0
+            elif isinstance(s, (ReturnStmt, ThrowStmt, BreakStmt, ContinueStmt)):
+                total += 1
+            elif isinstance(s, IfStmt):
+                total += 1
+                todo.append(s.then.stmts)
+                if s.orelse is not None:
+                    todo.append(s.orelse.stmts)
+            elif isinstance(s, (WhileStmt, DoWhileStmt, ForStmt)):
+                total += 1
+                todo.append(s.body.stmts)
+            elif isinstance(s, SwitchStmt):
+                total += 1
+                todo.extend(a.body.stmts for a in s.arms)
+            elif isinstance(s, TryStmt):
+                total += 1
+                todo.append(s.body.stmts)
+                todo.extend(h.stmts for h in s.handlers)
+                if s.final is not None:
+                    todo.append(s.final.stmts)
+            elif isinstance(s, Labeled):
+                todo.append([s.stmt])
     return total
 
 
-def decision_outcome_count(stmts: list) -> int:
-    """Textual decision count: 1 per if/loop, 1 per case label, 1 per catch,
-    1 per short-circuit operator or ternary.  v(G) == 1 + this count for
-    structured bodies."""
-    total = 0
-    for s in stmts:
-        if isinstance(s, Block):
-            total += decision_outcome_count(s.stmts)
-        elif isinstance(s, Simple):
-            total += s.decisions
-        elif isinstance(s, (ReturnStmt, ThrowStmt)):
-            total += s.decisions
-        elif isinstance(s, IfStmt):
-            total += 1 + s.decisions + decision_outcome_count(s.then.stmts)
-            if s.orelse is not None:
-                total += decision_outcome_count(s.orelse.stmts)
-        elif isinstance(s, (WhileStmt, DoWhileStmt, ForStmt)):
-            total += 1 + s.decisions + decision_outcome_count(s.body.stmts)
-        elif isinstance(s, SwitchStmt):
-            total += s.decisions
-            for arm in s.arms:
-                total += arm.labels + decision_outcome_count(arm.body.stmts)
-        elif isinstance(s, TryStmt):
-            total += s.decisions + len(s.handlers) + decision_outcome_count(s.body.stmts)
-            for h in s.handlers:
-                total += decision_outcome_count(h.stmts)
-            if s.final is not None:
-                total += decision_outcome_count(s.final.stmts)
-        elif isinstance(s, Labeled):
-            total += decision_outcome_count([s.stmt])
-    return total
+def trampoline(gen):
+    """Run a generator whose nested calls are yielded, not made.
+
+    A generator yields the generator of each call it would otherwise make
+    and receives that call's return value, or has its exception raised at
+    the ``yield``.  The calls stack up in a list on the heap, so statement
+    nesting of any depth runs within the interpreter's recursion limit.
+    """
+    stack = [gen]
+    top = gen
+    value = error = None
+    while True:
+        try:
+            call = top.send(value) if error is None else top.throw(error)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            top = stack[-1]
+            value, error = done.value, None
+        except Exception as exc:
+            stack.pop()
+            if not stack:
+                raise
+            top = stack[-1]
+            value, error = None, exc
+        else:
+            stack.append(call)
+            top = call
+            value = error = None
 
 
 # ---------------------------------------------------------------------------
 # CFG construction
 # ---------------------------------------------------------------------------
+
+
+_LEAVES = (Simple, ReturnStmt, ThrowStmt, BreakStmt, ContinueStmt)
 
 
 class _Frame:
@@ -355,28 +363,21 @@ class _Builder:
 
     # -- statement lowering --------------------------------------------------
 
-    def stmt_list(self, stmts: list, pending: list[int]) -> list[int]:
+    # stmt_list and stmt are generators run by trampoline(): each nested
+    # statement is yielded, and its dangling exits sent back.  Leaves, the
+    # statements with no statements inside, are lowered by a plain call.
+
+    def stmt_list(self, stmts: list, pending: list[int]):
         for s in stmts:
-            pending = self.stmt(s, pending)
+            if isinstance(s, _LEAVES):
+                pending = self.leaf(s, pending)
+            else:
+                pending = yield self.stmt(s, pending)
         return pending
 
-    def stmt(self, s, pending: list[int]) -> list[int]:
+    def leaf(self, s, pending: list[int]) -> list[int]:
         if not pending:
             return []  # unreachable code after return/break: dropped
-        if isinstance(s, Block):
-            return self.stmt_list(s.stmts, pending)
-
-        if isinstance(s, Labeled):
-            frame = _Frame(s.label, None)
-            self.frames.append(frame)
-            self.pending_label = s.label
-            try:
-                out = self.stmt(s.stmt, pending)
-            finally:
-                self.pending_label = None
-                self.frames.pop()
-            return out + frame.breaks
-
         if isinstance(s, Simple):
             if s.kind == "empty":
                 return pending
@@ -413,15 +414,33 @@ class _Builder:
             else:
                 self.edge(n, frame.continue_target)
             return []
+        raise TypeError(f"unknown statement node: {s!r}")
+
+    def stmt(self, s, pending: list[int]):
+        if not pending:
+            return []
+        if isinstance(s, Block):
+            return (yield self.stmt_list(s.stmts, pending))
+
+        if isinstance(s, Labeled):
+            frame = _Frame(s.label, None)
+            self.frames.append(frame)
+            self.pending_label = s.label
+            try:
+                out = yield self.stmt(s.stmt, pending)
+            finally:
+                self.pending_label = None
+                self.frames.pop()
+            return out + frame.breaks
 
         if isinstance(s, IfStmt):
             self.take_label()
             pending = self.inline_decisions(pending, s.decisions)
             d = self.node(DECISION, s.has_call)
             self.attach(pending, d)
-            out = self.stmt_list(s.then.stmts, [d])
+            out = yield self.stmt_list(s.then.stmts, [d])
             if s.orelse is not None:
-                out = out + self.stmt_list(s.orelse.stmts, [d])
+                out = out + (yield self.stmt_list(s.orelse.stmts, [d]))
             else:
                 out = out + [d]
             return out
@@ -435,7 +454,7 @@ class _Builder:
             header_entry = mark if len(self.kinds) - mark > 1 else h
             frame = _Frame(label, header_entry, takes_continue=True)
             self.frames.append(frame)
-            body_out = self.stmt_list(s.body.stmts, [h])
+            body_out = yield self.stmt_list(s.body.stmts, [h])
             self.frames.pop()
             self.attach(body_out, header_entry)  # back edge re-evaluates the condition
             return [h] + frame.breaks
@@ -445,7 +464,7 @@ class _Builder:
             frame = _Frame(label, None, takes_continue=True)
             self.frames.append(frame)
             mark = len(self.kinds)
-            body_out = self.stmt_list(s.body.stmts, pending)
+            body_out = yield self.stmt_list(s.body.stmts, pending)
             self.frames.pop()
             body_created = len(self.kinds) > mark
             chain = [self.node(DECISION) for _ in range(s.decisions)]
@@ -476,7 +495,7 @@ class _Builder:
                 if arm.is_default:
                     has_default = True
                     entries.append(h)
-                carried = self.stmt_list(arm.body.stmts, entries + carried)
+                carried = yield self.stmt_list(arm.body.stmts, entries + carried)
             self.frames.pop()
             after = list(carried)
             if not has_default:
@@ -487,21 +506,21 @@ class _Builder:
             self.take_label()
             t = self.node(DECISION if s.handlers else PLAIN, s.has_call)
             self.attach(pending, t)
-            out = self.stmt_list(s.body.stmts, [t])
+            out = yield self.stmt_list(s.body.stmts, [t])
             for h in s.handlers:
-                out = out + self.stmt_list(h.stmts, [t])
+                out = out + (yield self.stmt_list(h.stmts, [t]))
             if s.final is not None:
-                out = self.stmt_list(s.final.stmts, out)
+                out = yield self.stmt_list(s.final.stmts, out)
             return out
 
-        raise TypeError(f"unknown statement node: {s!r}")
+        return self.leaf(s, pending)
 
 
 def build_cfg(body: list) -> ControlFlowGraph:
     """Lower a parsed statement list to its control-flow graph."""
     b = _Builder()
     entry = b.node(ENTRY)
-    pending = b.stmt_list(body, [entry])
+    pending = trampoline(b.stmt_list(body, [entry]))
     exit_ = b.node(EXIT)
     b.attach(pending, exit_)
     b.attach(b.exit_pending, exit_)

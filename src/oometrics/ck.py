@@ -147,16 +147,18 @@ def coupling_factor(model: SystemModel) -> float:
     tc = model.total_classes
     if tc < 2:
         raise DegenerateSystem(f"coupling factor needs at least 2 classes, have {tc}")
-    names = model.internal_class_names
+    rows = model.hierarchy
     numerator = 0
     desc_total = 0
-    for c in names:
-        desc = model.descendants(c)
-        related = set(model.ancestors(c)) | desc
-        desc_total += len(desc)
+    for c in model.internal_class_names:
+        row = rows[c]
+        desc_total += row.descendant_count
         for d in _internal_used(model, c):
-            if d != c and d not in related:
-                numerator += 1
+            other = rows[d]
+            # d is an ancestor of c, or c an ancestor of d (d a descendant)
+            if row.ancestor_bits >> other.index & 1 or other.ancestor_bits >> row.index & 1:
+                continue
+            numerator += 1
     denominator = tc * tc - tc - 2 * desc_total
     if denominator <= 0:
         raise DegenerateSystem("fully inherited system: no possible client-server pairs")
@@ -180,6 +182,6 @@ def logiscope_mnemonics(model: SystemModel, c: str) -> dict[str, float | int | N
         "cl_wmc": class_wmc(info),
         "cu_cdused": len(_internal_used(model, c)),
         "cu_cdusers": len(_internal_users(model, c)),
-        "in_bases": len(model.ancestors(c)),
+        "in_bases": model.hierarchy[c].ancestor_count,
         "in_noc": len(model.children(c)),
     }

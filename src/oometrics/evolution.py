@@ -15,11 +15,13 @@ lands on mean 50, standard deviation 10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BadRange, BaselineMismatch, DegenerateBaseline
 from .model import SystemModel
+
+if TYPE_CHECKING:
+    import numpy as np  # imported where used: only churn needs it, and it is slow to load
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,8 @@ class ChurnComparison:
 
 
 def _as_matrix(build: dict[str, dict[str, float]], metric_names: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    import numpy as np
+
     modules = sorted(build)
     rows = []
     for m in modules:
@@ -158,6 +162,8 @@ def fit_churn_baseline(build: dict[str, dict[str, float]], metric_names) -> Chur
     Raises DegenerateBaseline for zero-variance metrics, fewer modules than
     metrics, or a flat score vector that cannot be rescaled.
     """
+    import numpy as np
+
     names = tuple(metric_names)
     modules, x = _as_matrix(build, names)
     n, p = x.shape
@@ -206,6 +212,8 @@ def relative_complexity(build: dict[str, dict[str, float]], baseline: ChurnBasel
 
 def baseline_fingerprint(baseline: ChurnBaseline) -> str:
     import hashlib
+
+    import numpy as np
 
     h = hashlib.sha256()
     h.update(",".join(baseline.metric_names).encode())

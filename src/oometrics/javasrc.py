@@ -32,6 +32,10 @@ KEYWORDS = {
     "this", "super", "assert", "void",
 } | MODIFIERS
 
+# statements that hold statements of their own (plus synchronized blocks
+# and labels): the parser reaches their bodies through cfg.trampoline
+_NESTING_KEYWORDS = frozenset({"{", "if", "while", "do", "for", "switch", "try"})
+
 PRIMITIVES = {"void", "int", "long", "short", "byte", "char", "boolean", "float", "double"}
 
 _TWO_CHAR_OPS = {
@@ -902,7 +906,11 @@ class _BodyScanner:
 
 
 class _StatementParser:
-    """Statement-level recursive descent over a method body token range."""
+    """Statement-level recursive descent over a method body token range.
+
+    The descent methods are generators: each nested statement is yielded
+    to :func:`cfg.trampoline` instead of called, so nesting depth costs
+    heap, not interpreter stack."""
 
     def __init__(self, toks: list[Token], lo: int, hi: int, scan: _BodyScanner):
         self.toks = toks
@@ -943,67 +951,77 @@ class _StatementParser:
         raise UnbalancedBlock(self._line())
 
     def parse_block_body(self) -> list:
+        return cfgmod.trampoline(self._statements())
+
+    def _statements(self):
+        """Statements up to a closing brace or the end of the range.
+        Statements degrade instead of failing the file: on any parse
+        trouble, consume to a statement boundary and emit an opaque node.
+        Leaves are parsed directly; only statements that nest go through
+        the trampoline."""
         stmts = []
-        while self.i < self.hi:
-            if self._val() == "}":
-                break
-            stmts.append(self._statement_or_opaque())
+        while self.i < self.hi and self._val() != "}":
+            before = self.i
+            try:
+                if self._nests():
+                    stmts.append((yield self.parse_statement()))
+                else:
+                    stmts.append(self._parse_leaf())
+            except SourceSyntaxError:
+                self.i = max(before + 1, self.i)
+                depth = 0
+                while self.i < self.hi:
+                    v = self._val()
+                    if v in "([{":
+                        depth += 1
+                    elif v in ")]}":
+                        if depth == 0:
+                            break
+                        depth -= 1
+                    elif v == ";" and depth == 0:
+                        self.i += 1
+                        break
+                    self.i += 1
+                stmts.append(cfgmod.Simple(kind="opaque"))
         return stmts
 
-    def _statement_or_opaque(self):
-        """Statements degrade instead of failing the file: on any parse
-        trouble, consume to a statement boundary and emit an opaque node."""
-        before = self.i
-        try:
-            return self.parse_statement()
-        except SourceSyntaxError:
-            self.i = max(before + 1, self.i)
-            depth = 0
-            while self.i < self.hi:
-                v = self._val()
-                if v in "([{":
-                    depth += 1
-                elif v in ")]}":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif v == ";" and depth == 0:
-                    self.i += 1
-                    break
-                self.i += 1
-            return cfgmod.Simple(kind="opaque")
+    def _nests(self) -> bool:
+        """Whether the statement at the cursor holds statements of its own."""
+        v, after = self._val(), self._val(1)
+        return v in _NESTING_KEYWORDS or (v == "synchronized" and after == "(") or (after == ":" and self._at_label())
+
+    def _at_label(self) -> bool:
+        return self._kind() == "ident" and self._val() not in KEYWORDS and self._val(1) == ":" and self._val(2) != ":"
 
     def parse_statement(self):
+        """One statement; a generator (see :func:`cfg.trampoline`)."""
         v = self._val()
         if v == "{":
             self.i += 1
-            inner = self._statements_until_close()
+            inner = yield self._statements_until_close()
             return cfgmod.Block(inner)
-        if v == ";":
-            self.i += 1
-            return cfgmod.Simple(kind="empty", counts=False)
         if v == "if":
             self.i += 1
             lo, hi = self._match_paren()
             d, c = self.scan.scan_expr(lo, hi)
-            then = cfgmod.Block([self.parse_statement()])
+            then = cfgmod.Block([(yield self.parse_statement())])
             orelse = None
             if self._val() == "else":
                 self.i += 1
-                orelse = cfgmod.Block([self.parse_statement()])
+                orelse = cfgmod.Block([(yield self.parse_statement())])
             return cfgmod.IfStmt(then=then, orelse=orelse, has_call=c, decisions=d)
         if v == "while":
             self.i += 1
             lo, hi = self._match_paren()
             d, c = self.scan.scan_expr(lo, hi)
             self.loop_depth += 1
-            body = cfgmod.Block([self.parse_statement()])
+            body = cfgmod.Block([(yield self.parse_statement())])
             self.loop_depth -= 1
             return cfgmod.WhileStmt(body=body, has_call=c, decisions=d)
         if v == "do":
             self.i += 1
             self.loop_depth += 1
-            body = cfgmod.Block([self.parse_statement()])
+            body = cfgmod.Block([(yield self.parse_statement())])
             self.loop_depth -= 1
             if self._val() != "while":
                 raise SourceSyntaxError(self._line(), "while", self._val())
@@ -1017,13 +1035,34 @@ class _StatementParser:
             lo, hi = self._match_paren()
             d, c = self._scan_for_header(lo, hi)
             self.loop_depth += 1
-            body = cfgmod.Block([self.parse_statement()])
+            body = cfgmod.Block([(yield self.parse_statement())])
             self.loop_depth -= 1
             return cfgmod.ForStmt(body=body, has_call=c, decisions=d)
         if v == "switch":
-            return self._parse_switch()
+            return (yield self._parse_switch())
         if v == "try":
-            return self._parse_try()
+            return (yield self._parse_try())
+        if v == "synchronized" and self._val(1) == "(":
+            self.i += 1
+            lo, hi = self._match_paren()
+            d, c = self.scan.scan_expr(lo, hi)
+            body = yield self.parse_statement()
+            return cfgmod.Block([cfgmod.Simple(kind="expr", has_call=c, decisions=d), body])
+        if self._at_label():
+            label = self._val()
+            self.i += 2
+            self.loop_depth += 1  # the label itself is a break target
+            inner = yield self.parse_statement()
+            self.loop_depth -= 1
+            return cfgmod.Labeled(label=label, stmt=inner)
+        return self._parse_leaf()
+
+    def _parse_leaf(self):
+        """A statement that holds no statements of its own."""
+        v = self._val()
+        if v == ";":
+            self.i += 1
+            return cfgmod.Simple(kind="empty", counts=False)
         if v == "return":
             self.i += 1
             lo = self.i
@@ -1056,12 +1095,6 @@ class _StatementParser:
             if self.loop_depth == 0:
                 return cfgmod.Simple(kind="opaque")
             return cfgmod.ContinueStmt(label=label)
-        if v == "synchronized" and self._val(1) == "(":
-            self.i += 1
-            lo, hi = self._match_paren()
-            d, c = self.scan.scan_expr(lo, hi)
-            body = self.parse_statement()
-            return cfgmod.Block([cfgmod.Simple(kind="expr", has_call=c, decisions=d), body])
         if v == "assert":
             self.i += 1
             lo = self.i
@@ -1074,21 +1107,12 @@ class _StatementParser:
                 self.i += 1
             self._skip_braces()
             return cfgmod.Simple(kind="opaque")
-        if self._kind() == "ident" and self._val() not in KEYWORDS and self._val(1) == ":" and self._val(2) != ":":
-            label = self._val()
-            self.i += 2
-            self.loop_depth += 1  # the label itself is a break target
-            inner = self.parse_statement()
-            self.loop_depth -= 1
-            return cfgmod.Labeled(label=label, stmt=inner)
         return self._parse_simple()
 
     # -- helpers ---------------------------------------------------------------
 
-    def _statements_until_close(self) -> list:
-        stmts = []
-        while self.i < self.hi and self._val() != "}":
-            stmts.append(self._statement_or_opaque())
+    def _statements_until_close(self):
+        stmts = yield self._statements()
         if self._val() != "}":
             raise UnbalancedBlock(self._line())
         self.i += 1
@@ -1222,7 +1246,7 @@ class _StatementParser:
                 self.i += 1
                 continue
             self.loop_depth += 1  # break binds to the switch
-            body.append(self.parse_statement())
+            body.append((yield self.parse_statement()))
             self.loop_depth -= 1
         flush()
         if self._val() == "}":
@@ -1240,7 +1264,7 @@ class _StatementParser:
         if self._val() != "{":
             raise SourceSyntaxError(self._line(), "{", self._val())
         self.i += 1
-        body = cfgmod.Block(self._statements_until_close())
+        body = cfgmod.Block((yield self._statements_until_close()))
         handlers: list[cfgmod.Block] = []
         final = None
         while self._val() == "catch":
@@ -1253,13 +1277,13 @@ class _StatementParser:
             if self._val() != "{":
                 raise SourceSyntaxError(self._line(), "{", self._val())
             self.i += 1
-            handlers.append(cfgmod.Block(self._statements_until_close()))
+            handlers.append(cfgmod.Block((yield self._statements_until_close())))
         if self._val() == "finally":
             self.i += 1
             if self._val() != "{":
                 raise SourceSyntaxError(self._line(), "{", self._val())
             self.i += 1
-            final = cfgmod.Block(self._statements_until_close())
+            final = cfgmod.Block((yield self._statements_until_close()))
         return cfgmod.TryStmt(body=body, handlers=handlers, final=final, has_call=has_call, decisions=decisions)
 
     def _parse_simple(self):

@@ -137,6 +137,36 @@ class AncestorChain:
         return item in self.names
 
 
+@dataclass(frozen=True, slots=True)
+class HierarchyRow:
+    """One class's inheritance facts, as the metrics read them.
+
+    ``index`` is the class's place in a parents-first order of the model;
+    bit ``j`` of ``ancestor_bits`` is set when the class at index ``j`` is
+    one of its resolvable ancestors, so every set bit lies below ``index``.
+    Counts follow the walk queries: ``ancestor_count`` is
+    ``len(ancestors(c))``, ``inherited_method_count`` and
+    ``inherited_attribute_count`` are ``len(inherited_methods(c))`` and
+    ``len(inherited_attributes(c))``.  ``descendant_count`` counts the
+    classes that have this class among their ancestors, which for a model
+    from :func:`build_system_model` (stubs have no parents) is
+    ``len(descendants(c))``.  ``override_count`` is the number of declared
+    regular methods whose signature an ancestor passes down, whatever their
+    own visibility; ``new_method_count`` the declared non-private,
+    non-static regular methods that override nothing.
+    """
+
+    index: int
+    depth: int
+    ancestor_bits: int
+    ancestor_count: int
+    descendant_count: int
+    inherited_method_count: int
+    inherited_attribute_count: int
+    override_count: int
+    new_method_count: int
+
+
 class SystemModel:
     """Immutable graph of classes and their relations.
 
@@ -153,9 +183,6 @@ class SystemModel:
                 if sup in kids:
                     kids[sup].append(info.name)
         self._children = {name: tuple(sorted(v)) for name, v in kids.items()}
-        self._ancestor_cache: dict[str, AncestorChain] = {}
-        self._depth_cache: dict[str, int] = {}
-        self._inherited_method_cache: dict[str, tuple[MethodInfo, ...]] = {}
         self._used_cache: dict[str, frozenset[str]] = {}
         self._users_cache: dict[str, frozenset[str]] | None = None
 
@@ -213,8 +240,6 @@ class SystemModel:
 
     def ancestors(self, name: str) -> AncestorChain:
         """Transitive resolvable superclasses of ``name``, nearest first."""
-        if name in self._ancestor_cache:
-            return self._ancestor_cache[name]
         info = self.get(name)
         names: list[str] = []
         seen = {name}
@@ -234,32 +259,19 @@ class SystemModel:
                 names.append(sup)
                 nxt.extend(sup_info.superclasses)
             layer = nxt
-        chain = AncestorChain(tuple(names), ext_depth)
-        self._ancestor_cache[name] = chain
-        return chain
+        return AncestorChain(tuple(names), ext_depth)
 
     def inheritance_depth(self, name: str) -> int:
         """Longest superclass path length; unresolved/external parents
         contribute their declared external depth instead of an edge."""
         self.get(name)
-        memo = self._depth_cache
-        todo = [name]
-        while todo:
-            c = todo[-1]
-            if c in memo:
-                todo.pop()
-                continue
-            supers = [self._classes[s] for s in self._classes[c].superclasses if s in self._classes]
-            missing = [s.name for s in supers if not s.is_external and s.name not in memo]
-            if missing:
-                todo.extend(missing)
-                continue
-            memo[c] = max(
-                (s.external_depth if s.is_external else 1 + memo[s.name] for s in supers),
-                default=0,
-            )
-            todo.pop()
-        return memo[name]
+        return self.hierarchy[name].depth
+
+    @cached_property
+    def hierarchy(self) -> dict[str, HierarchyRow]:
+        """Every class's inheritance facts, built on first use in two passes
+        over the classes (see :func:`hierarchy_rows`)."""
+        return hierarchy_rows(self._classes, self._children)
 
     # -- the uses relation -----------------------------------------------------
 
@@ -312,8 +324,6 @@ class SystemModel:
     def inherited_methods(self, name: str) -> tuple[MethodInfo, ...]:
         """Methods ``name`` inherits: non-private, non-static regular methods
         of ancestors, nearest definition first, overridden ones excluded."""
-        if name in self._inherited_method_cache:
-            return self._inherited_method_cache[name]
         info = self.get(name)
         own = {m.signature for m in info.regular_methods}
         collected: dict[str, MethodInfo] = {}
@@ -325,9 +335,7 @@ class SystemModel:
                 if sig in own or sig in collected:
                     continue
                 collected[sig] = m
-        result = tuple(collected.values())
-        self._inherited_method_cache[name] = result
-        return result
+        return tuple(collected.values())
 
     def inherited_attributes(self, name: str) -> tuple[AttributeInfo, ...]:
         info = self.get(name)
@@ -339,6 +347,94 @@ class SystemModel:
                     continue
                 collected[a.name] = a
         return tuple(collected.values())
+
+
+def hierarchy_rows(classes: dict[str, ClassInfo], children: dict[str, tuple[str, ...]]) -> dict[str, HierarchyRow]:
+    """All inheritance facts in two passes over a parents-first order.
+
+    The backward pass ORs each class's descendants into its parents as a
+    Python-int bitset and keeps their count; a class's set is dropped once
+    its parents have it, so a chain holds O(N) such bits at a time.  The
+    forward pass carries bitsets of each class's ancestors and of the
+    method signatures and attribute names its ancestors pass down.  Only
+    members that some class with children passes down get a bit, so a
+    class without ancestors holds only zeros.  Ancestor sets stay: about
+    N*N/16 bytes for one chain of N classes.
+    """
+    waiting = {name: sum(1 for s in info.superclasses if s in classes) for name, info in classes.items()}
+    order = [name for name in sorted(classes) if waiting[name] == 0]
+    for name in order:  # grows while iterated: a breadth-first topological sort
+        for kid in children[name]:
+            waiting[kid] -= 1
+            if waiting[kid] == 0:
+                order.append(kid)
+    index = {name: i for i, name in enumerate(order)}
+    parents = [
+        [index[s] for s in classes[name].superclasses if s in classes and not classes[s].is_external]
+        for name in order
+    ]
+
+    n = len(order)
+    descendant_count = [0] * n
+    below = [0] * n
+    for i in reversed(range(n)):
+        mine, below[i] = below[i], 0
+        descendant_count[i] = mine.bit_count()
+        for j in parents[i]:
+            below[j] |= (1 << i) | mine
+
+    sig_bit: dict[str, int] = {}
+    attr_bit: dict[str, int] = {}
+    depth = [0] * n
+    ancestors = [0] * n
+    inherited_sigs = [0] * n  # what its ancestors pass down, overridden or not
+    inherited_attrs = [0] * n
+    passed_sigs = [0] * n  # what the class itself passes down
+    passed_attrs = [0] * n
+    rows: dict[str, HierarchyRow] = {}
+    for i, name in enumerate(order):
+        info = classes[name]
+        supers = [classes[s] for s in info.superclasses if s in classes]
+        depth[i] = max((s.external_depth if s.is_external else 1 + depth[index[s.name]] for s in supers), default=0)
+        anc = sigs = attrs = 0
+        for j in parents[i]:
+            anc |= (1 << j) | ancestors[j]
+            sigs |= passed_sigs[j] | inherited_sigs[j]
+            attrs |= passed_attrs[j] | inherited_attrs[j]
+        ancestors[i], inherited_sigs[i], inherited_attrs[i] = anc, sigs, attrs
+
+        overrides = new = 0
+        for m in info.regular_methods:
+            bit = sig_bit.get(m.signature)
+            if bit is not None and sigs >> bit & 1:
+                overrides += 1
+            elif m.visibility != "private" and not m.is_static:
+                new += 1
+        shadowed = 0
+        for a in info.attributes:
+            bit = attr_bit.get(a.name)
+            if bit is not None and attrs >> bit & 1:
+                shadowed += 1
+        rows[name] = HierarchyRow(
+            index=i,
+            depth=depth[i],
+            ancestor_bits=anc,
+            ancestor_count=anc.bit_count(),
+            descendant_count=descendant_count[i],
+            inherited_method_count=sigs.bit_count() - overrides,
+            inherited_attribute_count=attrs.bit_count() - shadowed,
+            override_count=overrides,
+            new_method_count=new,
+        )
+
+        if children[name] and not info.is_external:
+            for m in info.regular_methods:
+                if m.visibility != "private" and not m.is_static:
+                    passed_sigs[i] |= 1 << sig_bit.setdefault(m.signature, len(sig_bit))
+            for a in info.attributes:
+                if a.visibility != "private":
+                    passed_attrs[i] |= 1 << attr_bit.setdefault(a.name, len(attr_bit))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,13 @@ def _hidden_fraction(visibility: str, tc: int, descendant_count: int) -> float:
     return 0.0  # public and package-default are fully visible
 
 
-def mood(model: SystemModel) -> MoodFactors:
+_COMPUTE = object()
+
+
+def mood(model: SystemModel, cf=_COMPUTE) -> MoodFactors:
+    """The six factors.  ``cf`` is the coupling factor when the caller
+    already has it (None for a degenerate system); by default it is
+    computed here."""
     names = model.internal_class_names
     tc = len(names)
     if tc < 2:
@@ -59,7 +65,8 @@ def mood(model: SystemModel) -> MoodFactors:
 
     for c in names:
         info = model.get(c)
-        desc = len(model.descendants(c))
+        row = model.hierarchy[c]
+        desc = row.descendant_count
         methods = info.regular_methods
         for m in methods:
             total_m += 1
@@ -68,34 +75,23 @@ def mood(model: SystemModel) -> MoodFactors:
             total_a += 1
             hidden_a += _hidden_fraction(a.visibility, tc, desc)
 
-        inh_methods = model.inherited_methods(c)
-        inherited_m += len(inh_methods)
+        inherited_m += row.inherited_method_count
         declared_m += len(methods)
-        inh_attrs = model.inherited_attributes(c)
-        inherited_a += len(inh_attrs)
+        inherited_a += row.inherited_attribute_count
         declared_a += len(info.attributes)
-
-        # overriding methods: same signature as an inheritable ancestor method
-        inheritable_sigs: set[str] = set()
-        for anc in model.ancestors(c):
-            for m in model.get(anc).regular_methods:
-                if m.visibility != "private" and not m.is_static:
-                    inheritable_sigs.add(m.signature)
-        new_methods = 0
-        for m in methods:
-            if m.signature in inheritable_sigs:
-                overrides += 1
-            elif m.visibility != "private" and not m.is_static:
-                new_methods += 1
-        override_capacity += new_methods * desc
+        # an override is a declared method with the signature of an
+        # inheritable ancestor method; new methods can be overridden below
+        overrides += row.override_count
+        override_capacity += row.new_method_count * desc
 
     mhf = hidden_m / total_m if total_m else 0.0
     ahf = hidden_a / total_a if total_a else 0.0
     mif = inherited_m / (inherited_m + declared_m) if inherited_m + declared_m else 0.0
     aif = inherited_a / (inherited_a + declared_a) if inherited_a + declared_a else 0.0
-    try:
-        cf = coupling_factor(model)
-    except DegenerateSystem:
-        cf = None
+    if cf is _COMPUTE:
+        try:
+            cf = coupling_factor(model)
+        except DegenerateSystem:
+            cf = None
     pf = overrides / override_capacity if override_capacity > 0 else None
     return MoodFactors(mhf=mhf, ahf=ahf, mif=mif, aif=aif, cf=cf, pf=pf)

@@ -126,7 +126,7 @@ def qmood_class_metrics(model: SystemModel, c: str) -> ClassDesignMetrics:
 
     moa = sum(1 for a in attrs if is_system(a.declared_type))
 
-    inherited = len(model.inherited_methods(c))
+    inherited = model.hierarchy[c].inherited_method_count
     declared = len(methods)
     mfa = inherited / (inherited + declared) if inherited + declared > 0 else None
 
@@ -146,11 +146,9 @@ def qmood_system_metrics(model: SystemModel) -> tuple[int, int, float]:
     if not names:
         raise EmptyModel("no classes in model")
     dsc = len(names)
-    noh = 0
-    for c in names:
-        if len(model.ancestors(c)) == 0 and model.descendants(c):
-            noh += 1
-    ana = sum(len(model.ancestors(c)) for c in names) / dsc
+    rows = [model.hierarchy[c] for c in names]
+    noh = sum(1 for r in rows if r.ancestor_count == 0 and r.descendant_count)
+    ana = sum(r.ancestor_count for r in rows) / dsc
     return dsc, noh, ana
 
 

@@ -143,7 +143,7 @@ def compute_report(
         system["qmood"]["indicesError"] = str(exc)
 
     try:
-        system["mood"] = mood(model).as_percentages()
+        system["mood"] = mood(model, cf=system["couplingFactor"]).as_percentages()
     except DegenerateSystem:
         system["mood"] = None
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from oometrics.model import build_system_model
+from oometrics.model import ClassInfo, SystemModel, build_system_model, model_to_facts
 
 
 def cfg_with_v(v: int) -> dict:
@@ -177,6 +177,42 @@ def neural_network_model():
     return build_system_model(records), "NeuralNetwork"
 
 
+def multiple_inheritance_records() -> list[dict]:
+    """Interfaces joined in a diamond, an external parent, a private and a
+    static redeclaration of inherited signatures, shadowed attributes."""
+    return [
+        class_rec("app.Shape", kind="interface", attributes=[attr_rec("ORIGIN", visibility="public", static=True)],
+                  methods=[method_rec("area", abstract=True), method_rec("scale", params=["int"], abstract=True)]),
+        class_rec("app.Named", kind="interface", extends=["app.Shape"],
+                  methods=[method_rec("name", abstract=True), method_rec("area", abstract=True)]),
+        class_rec("app.Movable", kind="interface", extends=["app.Shape"],
+                  methods=[method_rec("move", params=["int", "int"], abstract=True)]),
+        class_rec("app.Base", extends=["app.Named", "app.Movable", "lib.Widget"], lines=80, comment_lines=12,
+                  attributes=[attr_rec("ORIGIN", visibility="protected"), attr_rec("id", visibility="protected"),
+                              attr_rec("owner", type_="app.Registry")],
+                  methods=[
+                      method_rec("area", visibility="private", cfg=cfg_with_v(2), accesses=["app.Base.id"]),
+                      method_rec("name", cfg=cfg_with_v(1), invokes=[("app.Registry.lookup", 2)]),
+                      method_rec("scale", params=["int"], static=True, cfg=cfg_with_v(3)),
+                      method_rec("move", params=["int", "int"], visibility="protected", cfg=cfg_with_v(4)),
+                      method_rec("draw", visibility="protected", cfg=cfg_with_v(2), accesses=["app.Base.owner"]),
+                  ]),
+        class_rec("app.Leaf", extends=["app.Base", "app.Movable"], lines=60, comment_lines=3,
+                  attributes=[attr_rec("id", visibility="public"), attr_rec("color", type_="String")],
+                  methods=[
+                      method_rec("draw", cfg=cfg_with_v(5), accesses=["app.Leaf.color", "app.Base.id"]),
+                      method_rec("move", params=["int", "int"], visibility="private", cfg=cfg_with_v(2)),
+                      method_rec("paint", params=["app.Registry"], cfg=cfg_with_v(3),
+                                 invokes=[("app.Base.name", 1), ("app.Registry.lookup", 1)]),
+                  ]),
+        class_rec("app.Twig", extends=["app.Leaf"], lines=20,
+                  methods=[method_rec("paint", params=["app.Registry"], cfg=cfg_with_v(1))]),
+        class_rec("app.Registry", lines=40, attributes=[attr_rec("items", type_="app.Leaf")],
+                  methods=[method_rec("lookup", cfg=cfg_with_v(2), accesses=["app.Registry.items"],
+                                      invokes=[("app.Leaf.draw", 1)])]),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Random model generation for oracle tests
 # ---------------------------------------------------------------------------
@@ -228,6 +264,51 @@ def random_model(rng: random.Random, n_classes=8, max_methods=4, max_attrs=3,
                       methods=methods)
         )
     return build_system_model(records)
+
+
+def random_hierarchy(rng: random.Random):
+    """A ``random_model`` system, then reshaped: extra parents among earlier
+    classes (multiple inheritance, diamonds), external parents and static
+    methods, none of which ``random_model`` draws itself."""
+    n = rng.randrange(2, 16)
+    model = random_model(rng, n_classes=n, max_methods=rng.randrange(1, 6),
+                         p_inherit=rng.choice((0.3, 0.6, 0.9)))
+    records = sorted(model_to_facts(model)["classes"], key=lambda r: int(r["name"][1:]))
+    if rng.random() < 0.3:
+        return model
+    for i, rec in enumerate(records):
+        for j in range(i):
+            if rng.random() < 0.15:
+                rec["extends"].append(f"C{j}")
+        if rng.random() < 0.1:
+            rec["extends"].append(f"lib.Base{rng.randrange(3)}")
+        for m in rec["methods"]:
+            m["static"] = rng.random() < 0.15
+    return build_system_model(records)
+
+
+def hand_built_hierarchies() -> list[SystemModel]:
+    """Inheritance shapes the random systems miss or rarely draw."""
+    deep_external = SystemModel({
+        "lib.Deep": ClassInfo(name="lib.Deep", is_external=True, external_depth=3),
+        "A": ClassInfo(name="A", superclasses=("lib.Deep",)),
+        "B": ClassInfo(name="B", superclasses=("A", "lib.Deep")),
+    })
+    # a private method that overrides is an override, never a new method
+    private_override = build_system_model([
+        class_rec("Base", methods=[method_rec("hook"), method_rec("other")],
+                  attributes=[attr_rec("x", visibility="protected"), attr_rec("y", visibility="public")]),
+        class_rec("Kid", extends=["Base"], methods=[method_rec("hook", visibility="private")],
+                  attributes=[attr_rec("x", visibility="private")]),
+        class_rec("Grand", extends=["Kid"], methods=[method_rec("hook"), method_rec("fresh")]),
+        class_rec("Peer", methods=[method_rec("hook")]),
+    ])
+    chain = build_system_model([
+        class_rec(f"K{i}", extends=[f"K{i - 1}"] if i else [],
+                  methods=[method_rec(f"m{i}"), method_rec("shared")])
+        for i in range(40)
+    ])
+    return [build_system_model(multiple_inheritance_records()), deep_external, private_override, chain]
 
 
 def random_cohesion_class(rng: random.Random, model_name="X"):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import attr_rec, cfg_with_v, class_rec, method_rec, random_model
+from helpers import cfg_with_v, class_rec, method_rec, multiple_inheritance_records, random_model
 from oometrics.cli import main
 from oometrics.model import dump_facts, model_to_facts
 
@@ -52,42 +52,6 @@ CASES: dict[str, tuple[list[str], tuple[str, ...]]] = {
 }
 
 SUBPROCESS_CASE = "analyze_multiple_inheritance"
-
-
-def multiple_inheritance_records() -> list[dict]:
-    """Interfaces joined in a diamond, an external parent, a private and a
-    static redeclaration of inherited signatures, shadowed attributes."""
-    return [
-        class_rec("app.Shape", kind="interface", attributes=[attr_rec("ORIGIN", visibility="public", static=True)],
-                  methods=[method_rec("area", abstract=True), method_rec("scale", params=["int"], abstract=True)]),
-        class_rec("app.Named", kind="interface", extends=["app.Shape"],
-                  methods=[method_rec("name", abstract=True), method_rec("area", abstract=True)]),
-        class_rec("app.Movable", kind="interface", extends=["app.Shape"],
-                  methods=[method_rec("move", params=["int", "int"], abstract=True)]),
-        class_rec("app.Base", extends=["app.Named", "app.Movable", "lib.Widget"], lines=80, comment_lines=12,
-                  attributes=[attr_rec("ORIGIN", visibility="protected"), attr_rec("id", visibility="protected"),
-                              attr_rec("owner", type_="app.Registry")],
-                  methods=[
-                      method_rec("area", visibility="private", cfg=cfg_with_v(2), accesses=["app.Base.id"]),
-                      method_rec("name", cfg=cfg_with_v(1), invokes=[("app.Registry.lookup", 2)]),
-                      method_rec("scale", params=["int"], static=True, cfg=cfg_with_v(3)),
-                      method_rec("move", params=["int", "int"], visibility="protected", cfg=cfg_with_v(4)),
-                      method_rec("draw", visibility="protected", cfg=cfg_with_v(2), accesses=["app.Base.owner"]),
-                  ]),
-        class_rec("app.Leaf", extends=["app.Base", "app.Movable"], lines=60, comment_lines=3,
-                  attributes=[attr_rec("id", visibility="public"), attr_rec("color", type_="String")],
-                  methods=[
-                      method_rec("draw", cfg=cfg_with_v(5), accesses=["app.Leaf.color", "app.Base.id"]),
-                      method_rec("move", params=["int", "int"], visibility="private", cfg=cfg_with_v(2)),
-                      method_rec("paint", params=["app.Registry"], cfg=cfg_with_v(3),
-                                 invokes=[("app.Base.name", 1), ("app.Registry.lookup", 1)]),
-                  ]),
-        class_rec("app.Twig", extends=["app.Leaf"], lines=20,
-                  methods=[method_rec("paint", params=["app.Registry"], cfg=cfg_with_v(1))]),
-        class_rec("app.Registry", lines=40, attributes=[attr_rec("items", type_="app.Leaf")],
-                  methods=[method_rec("lookup", cfg=cfg_with_v(2), accesses=["app.Registry.items"],
-                                      invokes=[("app.Leaf.draw", 1)])]),
-    ]
 
 
 def chain_records(rng: random.Random, depth: int) -> list[dict]:

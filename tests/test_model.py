@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import class_rec, method_rec, random_model
+from helpers import class_rec, hand_built_hierarchies, method_rec, random_hierarchy, random_model
 from oometrics.errors import DuplicateClass, InheritanceCycle, UnknownClass
 from oometrics.model import (
     build_system_model,
@@ -154,15 +154,69 @@ def test_inheritance_depth_matches_longest_path_oracle():
             assert model.inheritance_depth(c) == longest(c)
 
 
-def test_inherited_methods_are_memoized():
-    model = build_system_model([
-        class_rec("A", methods=[method_rec("m")]),
-        class_rec("B", extends=["A"]),
-        class_rec("C", extends=["B"]),
-    ])
-    assert model.inherited_methods("C") is model.inherited_methods("C")
-    assert [m.name for m in model.inherited_methods("C")] == ["m"]
-    assert model.descendants("A") == {"B", "C"}
+def hierarchy_corpus():
+    """300 reshaped random systems plus the hand-built shapes."""
+    rng = random.Random(606)
+    return [random_hierarchy(rng) for _ in range(300)] + hand_built_hierarchies()
+
+
+def _row_oracle(model, c) -> dict:
+    """Every hierarchy-table field, from the walk queries alone."""
+    info = model.get(c)
+    passed = {
+        m.signature
+        for a in model.ancestors(c)
+        for m in model.get(a).regular_methods
+        if m.visibility != "private" and not m.is_static
+    }
+
+    def depth(name):
+        supers = [model.get(s) for s in model.get(name).superclasses if s in model]
+        return max((s.external_depth if s.is_external else 1 + depth(s.name) for s in supers), default=0)
+
+    return {
+        "depth": depth(c),
+        "ancestor_count": len(model.ancestors(c)),
+        "descendant_count": len(model.descendants(c)),
+        "inherited_method_count": len(model.inherited_methods(c)),
+        "inherited_attribute_count": len(model.inherited_attributes(c)),
+        "override_count": sum(1 for m in info.regular_methods if m.signature in passed),
+        "new_method_count": sum(
+            1 for m in info.regular_methods
+            if m.signature not in passed and m.visibility != "private" and not m.is_static
+        ),
+    }
+
+
+def test_hierarchy_table_matches_walk_oracles():
+    for model in hierarchy_corpus():
+        rows = model.hierarchy
+        assert sorted(r.index for r in rows.values()) == list(range(len(model)))
+        for c in model.internal_class_names:
+            row = rows[c]
+            got = {k: getattr(row, k) for k in _row_oracle(model, c)}
+            assert got == _row_oracle(model, c), c
+            assert row.ancestor_bits == sum(1 << rows[a].index for a in model.ancestors(c))
+            assert row.ancestor_bits < 1 << row.index  # parents first
+            assert model.inheritance_depth(c) == row.depth
+
+
+def test_private_override_is_an_override_and_never_new():
+    model = hand_built_hierarchies()[2]
+    kid, grand = model.hierarchy["Kid"], model.hierarchy["Grand"]
+    assert (kid.override_count, kid.new_method_count) == (1, 0)
+    # Grand still inherits Base.hook past Kid's private one, and overrides it
+    assert (grand.override_count, grand.new_method_count) == (1, 1)
+    assert [m.name for m in model.inherited_methods("Grand")] == ["other"]
+    assert (kid.inherited_attribute_count, grand.inherited_attribute_count) == (1, 2)
+
+
+def test_external_parent_depth_counts_and_adds_no_ancestor():
+    model = hand_built_hierarchies()[1]
+    assert model.inheritance_depth("A") == 3
+    assert model.inheritance_depth("B") == 4
+    assert model.hierarchy["B"].ancestor_count == 1
+    assert model.ancestors("B").external_depth == 3
 
 
 def test_uses_matches_exhaustive_edge_scan():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import attr_rec, class_rec, method_rec, random_model
+from helpers import attr_rec, class_rec, hand_built_hierarchies, method_rec, random_hierarchy, random_model
+from oometrics import ck, qmood
 from oometrics.errors import DegenerateSystem
 from oometrics.model import build_system_model
 from oometrics.mood import mood
@@ -117,6 +118,63 @@ def _oracle(m):
         "aif": inh_a / (inh_a + dec_a) if inh_a + dec_a else 0.0,
         "pf": overrides / capacity if capacity else None,
     }
+
+
+def _coupling_oracle(m):
+    """The coupling factor as it was computed from the ancestor and
+    descendant walks; None where it is undefined."""
+    names = m.internal_class_names
+    tc = len(names)
+    if tc < 2:
+        return None
+    numerator = desc_total = 0
+    for c in names:
+        desc = m.descendants(c)
+        related = set(m.ancestors(c)) | desc
+        desc_total += len(desc)
+        for d in m.used_classes(c):
+            if not m.get(d).is_external and d != c and d not in related:
+                numerator += 1
+    denominator = tc * tc - tc - 2 * desc_total
+    return numerator / denominator if denominator > 0 else None
+
+
+def _depth_oracle(m, c):
+    supers = [m.get(s) for s in m.get(c).superclasses if s in m]
+    return max((s.external_depth if s.is_external else 1 + _depth_oracle(m, s.name) for s in supers), default=0)
+
+
+def _qmood_system_oracle(m):
+    names = m.internal_class_names
+    noh = sum(1 for c in names if len(m.ancestors(c)) == 0 and m.descendants(c))
+    return len(names), noh, sum(len(m.ancestors(c)) for c in names) / len(names)
+
+
+def test_table_metrics_equal_the_walk_formulas():
+    rng = random.Random(707)
+    models = [random_hierarchy(rng) for _ in range(300)] + hand_built_hierarchies()
+    for m in models:
+        cf = _coupling_oracle(m)
+        if cf is None:
+            with pytest.raises(DegenerateSystem):
+                ck.coupling_factor(m)
+        else:
+            assert ck.coupling_factor(m) == cf
+        assert qmood.qmood_system_metrics(m) == _qmood_system_oracle(m)
+        for c in m.internal_class_names:
+            assert ck.dit(m, c) == _depth_oracle(m, c)
+            declared = len(m.get(c).regular_methods)
+            inherited = len(m.inherited_methods(c))
+            assert ck.logiscope_mnemonics(m, c)["in_bases"] == len(m.ancestors(c))
+            mfa = inherited / (inherited + declared) if inherited + declared else None
+            assert qmood.qmood_class_metrics(m, c).mfa == mfa
+        if len(m.internal_class_names) < 2:
+            continue
+        got, want = mood(m), _oracle(m)
+        assert (got.mhf, got.ahf, got.mif, got.aif, got.pf, got.cf) == (
+            want["mhf"], want["ahf"], want["mif"], want["aif"], want["pf"], cf
+        )
+        assert mood(m, cf=cf) == got
 
 
 def test_factors_match_enumeration_oracle_on_random_systems():

@@ -1,11 +1,13 @@
 """Source parser: subset recognition, line/comment counting, degradation,
 determinism, and the facts round trip on generated classes."""
 
+import json
 import random
 
 import pytest
 
 from helpers import random_class_source
+from oometrics.cli import main
 from oometrics.errors import SourceSyntaxError
 from oometrics.javasrc import count_lines, parse_source, tokenize
 from oometrics.model import build_system_model, facts_to_model, model_to_facts
@@ -213,3 +215,31 @@ def test_tokenizer_operators_and_literals():
     assert ("str", "hi") in values
     assert ("char", "x") in values
     assert any(k == "num" and v.startswith("1.5e") for k, v in values)
+
+
+NESTING_SHAPES = {
+    # name: (opening, closing) of one nesting level around `x = x - 1;`
+    "if_block": ("if (x > 1) { ", "} "),
+    "if_braceless": ("if (x > 1) ", ""),
+    "else_if": ("if (x > 1) { } else ", ""),
+    "while": ("while (x > 1) { ", "} "),
+    "do_while": ("do { ", "} while (x > 0); "),
+    "switch": ("switch (x) { case 1: ", "} "),
+    "try": ("try { ", "} catch (Exception e) { } "),
+    "block": ("{ ", "} "),
+    "labeled_synchronized": ("L: synchronized (this) { ", "} "),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+def test_deep_nesting_parses_without_recursion(shape, tmp_path, capsys):
+    # the statement parser and the CFG builder keep nested statements on a
+    # heap stack: 300 levels once ended the whole batch in a RecursionError
+    depth = 300
+    opening, closing = NESTING_SHAPES[shape]
+    body = opening * depth + "x = x - 1; " + closing * depth
+    (tmp_path / "Nest.java").write_text(f"class Nest {{ int run(int x) {{ {body}return x; }} }}")
+    assert main(["analyze", str(tmp_path)]) == 0
+    (method,) = json.loads(capsys.readouterr().out)["classes"][0]["metrics"]["methods"]
+    decisions = 0 if shape in ("block", "labeled_synchronized") else depth
+    assert (method["v"], method["ev"]) == (decisions + 1, 1)

@@ -1,9 +1,13 @@
 """Report assembly, chart emission, and the CLI surface."""
 
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +17,7 @@ from helpers import class_rec, lexical_analyzer_model, method_rec, cfg_with_v, r
 from oometrics import cohesion, qmood
 from oometrics.cfg import ControlFlowGraph
 from oometrics.cli import main
-from oometrics.model import build_system_model, dump_facts, model_to_facts
+from oometrics.model import SystemModel, build_system_model, dump_facts, model_to_facts
 from oometrics.quality import RangeTable, ToolConfig
 from oometrics.report import (
     compute_class_record,
@@ -87,6 +91,23 @@ def test_compute_report_derives_each_fact_once(monkeypatch):
     compute_report(model)
     n = len(model.internal_class_names)
     assert calls == {"qmood_class_metrics": n, "method_attribute_sets": n}
+
+
+def test_compute_report_never_walks_the_hierarchy(monkeypatch):
+    # every inheritance fact comes from the one-pass table; the walk
+    # queries stay as test oracles only
+    model = random_model(random.Random(12), n_classes=12, max_attrs=4, p_inherit=0.7)
+    walks = ("ancestors", "descendants", "inherited_methods", "inherited_attributes")
+    calls = Counter()
+    for name in walks:
+        def counted(self, c, _name=name, _fn=getattr(SystemModel, name)):
+            calls[_name] += 1
+            return _fn(self, c)
+
+        monkeypatch.setattr(SystemModel, name, counted)
+    report = compute_report(model)
+    assert calls == {}
+    assert report["system"]["mood"] is not None and report["system"]["qmood"]["NOH"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +295,44 @@ def test_cli_analyzes_a_1500_deep_inheritance_chain(tmp_path, capsys):
     dit = {c["name"]: c["metrics"]["dit"] for c in json.loads(capsys.readouterr().out)["classes"]}
     assert dit[f"K{depth - 1}"] == depth - 1
     assert dit["K0"] == 0
+
+
+def test_cli_analyze_of_a_1500_deep_chain_is_fast_and_small(tmp_path):
+    depth = 1500
+    facts = tmp_path / "chain.json"
+    facts.write_text(json.dumps({"classes": [
+        class_rec(f"K{i}", extends=[f"K{i - 1}"] if i else [], methods=[method_rec(f"m{i}"), method_rec("shared")])
+        for i in range(depth)
+    ]}))
+    argv = ["analyze", "--facts", str(facts)]
+    out = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    elapsed = time.perf_counter() - started
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.5  # about 5 s when every class walked its own ancestors
+    assert peak < 30e6  # about 40 MB with the per-class ancestor and method caches
+    leaf = json.loads(out.getvalue())["classes"][-1]
+    assert leaf["name"] == "K999" and leaf["metrics"]["mfa"] == 999 / 1001
+
+
+def test_analyze_never_loads_numpy():
+    code = (
+        "import sys\n"
+        "from oometrics.cli import main\n"
+        f"rc = main(['analyze', {str(FIXTURES / 'metric_test')!r}, '--format', 'text'])\n"
+        "sys.exit(rc if 'numpy' not in sys.modules else 99)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "classes analyzed: 13" in proc.stdout
 
 
 def _write_history(tmp_path) -> Path:
