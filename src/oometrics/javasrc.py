@@ -33,7 +33,7 @@ KEYWORDS = {
 } | MODIFIERS
 
 # statements that hold statements of their own (plus synchronized blocks
-# and labels): the parser reaches their bodies through cfg.trampoline
+# and labels): the parser reaches their bodies through cfg._trampoline
 _NESTING_KEYWORDS = frozenset({"{", "if", "while", "do", "for", "switch", "try"})
 
 PRIMITIVES = {"void", "int", "long", "short", "byte", "char", "boolean", "float", "double"}
@@ -909,7 +909,7 @@ class _StatementParser:
     """Statement-level recursive descent over a method body token range.
 
     The descent methods are generators: each nested statement is yielded
-    to :func:`cfg.trampoline` instead of called, so nesting depth costs
+    to :func:`cfg._trampoline` instead of called, so nesting depth costs
     heap, not interpreter stack."""
 
     def __init__(self, toks: list[Token], lo: int, hi: int, scan: _BodyScanner):
@@ -951,14 +951,14 @@ class _StatementParser:
         raise UnbalancedBlock(self._line())
 
     def parse_block_body(self) -> list:
-        return cfgmod.trampoline(self._statements())
+        return cfgmod._trampoline(self._statements(closing=False))
 
-    def _statements(self):
-        """Statements up to a closing brace or the end of the range.
-        Statements degrade instead of failing the file: on any parse
-        trouble, consume to a statement boundary and emit an opaque node.
-        Leaves are parsed directly; only statements that nest go through
-        the trampoline."""
+    def _statements(self, closing: bool = True):
+        """Statements up to a closing brace, which ``closing`` requires and
+        consumes, or to the end of the range.  Statements degrade instead
+        of failing the file: on any parse trouble, consume to a statement
+        boundary and emit an opaque node.  Leaves are parsed directly; only
+        statements that nest go through the trampoline."""
         stmts = []
         while self.i < self.hi and self._val() != "}":
             before = self.i
@@ -983,6 +983,10 @@ class _StatementParser:
                         break
                     self.i += 1
                 stmts.append(cfgmod.Simple(kind="opaque"))
+        if closing:
+            if self._val() != "}":
+                raise UnbalancedBlock(self._line())
+            self.i += 1
         return stmts
 
     def _nests(self) -> bool:
@@ -994,11 +998,11 @@ class _StatementParser:
         return self._kind() == "ident" and self._val() not in KEYWORDS and self._val(1) == ":" and self._val(2) != ":"
 
     def parse_statement(self):
-        """One statement; a generator (see :func:`cfg.trampoline`)."""
+        """One statement; a generator (see :func:`cfg._trampoline`)."""
         v = self._val()
         if v == "{":
             self.i += 1
-            inner = yield self._statements_until_close()
+            inner = yield self._statements()
             return cfgmod.Block(inner)
         if v == "if":
             self.i += 1
@@ -1110,13 +1114,6 @@ class _StatementParser:
         return self._parse_simple()
 
     # -- helpers ---------------------------------------------------------------
-
-    def _statements_until_close(self):
-        stmts = yield self._statements()
-        if self._val() != "}":
-            raise UnbalancedBlock(self._line())
-        self.i += 1
-        return stmts
 
     def _accept_semi(self) -> None:
         if self._val() == ";":
@@ -1264,7 +1261,7 @@ class _StatementParser:
         if self._val() != "{":
             raise SourceSyntaxError(self._line(), "{", self._val())
         self.i += 1
-        body = cfgmod.Block((yield self._statements_until_close()))
+        body = cfgmod.Block((yield self._statements()))
         handlers: list[cfgmod.Block] = []
         final = None
         while self._val() == "catch":
@@ -1277,13 +1274,13 @@ class _StatementParser:
             if self._val() != "{":
                 raise SourceSyntaxError(self._line(), "{", self._val())
             self.i += 1
-            handlers.append(cfgmod.Block((yield self._statements_until_close())))
+            handlers.append(cfgmod.Block((yield self._statements())))
         if self._val() == "finally":
             self.i += 1
             if self._val() != "{":
                 raise SourceSyntaxError(self._line(), "{", self._val())
             self.i += 1
-            final = cfgmod.Block((yield self._statements_until_close()))
+            final = cfgmod.Block((yield self._statements()))
         return cfgmod.TryStmt(body=body, handlers=handlers, final=final, has_call=has_call, decisions=decisions)
 
     def _parse_simple(self):
