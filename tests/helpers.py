@@ -273,9 +273,9 @@ def random_hierarchy(rng: random.Random):
     n = rng.randrange(2, 16)
     model = random_model(rng, n_classes=n, max_methods=rng.randrange(1, 6),
                          p_inherit=rng.choice((0.3, 0.6, 0.9)))
-    records = sorted(model_to_facts(model)["classes"], key=lambda r: int(r["name"][1:]))
     if rng.random() < 0.3:
         return model
+    records = sorted(model_to_facts(model)["classes"], key=lambda r: int(r["name"][1:]))
     for i, rec in enumerate(records):
         for j in range(i):
             if rng.random() < 0.15:
