@@ -298,9 +298,6 @@ def _trampoline(gen):
 # ---------------------------------------------------------------------------
 
 
-_LEAVES = (Simple, ReturnStmt, ThrowStmt, BreakStmt, ContinueStmt)
-
-
 class _Frame:
     """Break/continue target bookkeeping for one loop, switch or labeled statement."""
 
@@ -366,20 +363,30 @@ class _Builder:
     # -- statement lowering --------------------------------------------------
 
     # stmt_list and stmt are generators run by _trampoline(): each nested
-    # statement is yielded, and its dangling exits sent back.  Leaves, the
-    # statements with no statements inside, are lowered by a plain call.
+    # statement is yielded, and its dangling exits sent back.
 
     def stmt_list(self, stmts: list, pending: list[int]):
         for s in stmts:
-            if isinstance(s, _LEAVES):
-                pending = self.leaf(s, pending)
-            else:
-                pending = yield self.stmt(s, pending)
+            pending = yield self.stmt(s, pending)
         return pending
 
-    def leaf(self, s, pending: list[int]) -> list[int]:
+    def stmt(self, s, pending: list[int]):
         if not pending:
             return []  # unreachable code after return/break: dropped
+        if isinstance(s, Block):
+            return (yield self.stmt_list(s.stmts, pending))
+
+        if isinstance(s, Labeled):
+            frame = _Frame(s.label, None)
+            self.frames.append(frame)
+            self.pending_label = s.label
+            try:
+                out = yield self.stmt(s.stmt, pending)
+            finally:
+                self.pending_label = None
+                self.frames.pop()
+            return out + frame.breaks
+
         if isinstance(s, Simple):
             if s.kind == "empty":
                 return pending
@@ -416,24 +423,6 @@ class _Builder:
             else:
                 self.edge(n, frame.continue_target)
             return []
-        raise TypeError(f"unknown statement node: {s!r}")
-
-    def stmt(self, s, pending: list[int]):
-        if not pending:
-            return []
-        if isinstance(s, Block):
-            return (yield self.stmt_list(s.stmts, pending))
-
-        if isinstance(s, Labeled):
-            frame = _Frame(s.label, None)
-            self.frames.append(frame)
-            self.pending_label = s.label
-            try:
-                out = yield self.stmt(s.stmt, pending)
-            finally:
-                self.pending_label = None
-                self.frames.pop()
-            return out + frame.breaks
 
         if isinstance(s, IfStmt):
             self.take_label()
@@ -515,7 +504,7 @@ class _Builder:
                 out = yield self.stmt_list(s.final.stmts, out)
             return out
 
-        return self.leaf(s, pending)
+        raise TypeError(f"unknown statement node: {s!r}")
 
 
 def build_cfg(body: list) -> ControlFlowGraph:

@@ -156,7 +156,7 @@ def coupling_factor(model: SystemModel) -> float:
         for d in _internal_used(model, c):
             other = rows[d]
             # d is an ancestor of c, or c an ancestor of d (d a descendant)
-            if row.ancestor_bits >> other.index & 1 or other.ancestor_bits >> row.index & 1:
+            if row.has_ancestor(other) or other.has_ancestor(row):
                 continue
             numerator += 1
     denominator = tc * tc - tc - 2 * desc_total

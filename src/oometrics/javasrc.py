@@ -32,10 +32,6 @@ KEYWORDS = {
     "this", "super", "assert", "void",
 } | MODIFIERS
 
-# statements that hold statements of their own (plus synchronized blocks
-# and labels): the parser reaches their bodies through cfg._trampoline
-_NESTING_KEYWORDS = frozenset({"{", "if", "while", "do", "for", "switch", "try"})
-
 PRIMITIVES = {"void", "int", "long", "short", "byte", "char", "boolean", "float", "double"}
 
 _TWO_CHAR_OPS = {
@@ -134,7 +130,10 @@ def tokenize(text: str) -> list[Token]:
 def count_lines(text: str) -> tuple[int, int]:
     """(cl_line, cl_comm): physical lines, and lines carrying any comment
     content.  Comment markers inside string/char literals do not count."""
-    spans = comment_line_spans(text)
+    return _count_lines(text, comment_line_spans(text))
+
+
+def _count_lines(text: str, spans: list[tuple[int, int]]) -> tuple[int, int]:
     cl_line = text.count("\n")
     if text and not text.endswith("\n"):
         cl_line += 1
@@ -367,8 +366,8 @@ class Parser:
             self._parse_type_decl(outer=None)
 
         facts = CompilationFacts(self.path, self.package)
-        file_lines, file_comments = count_lines(self.text)
         spans = comment_line_spans(self.text)
+        file_lines, file_comments = _count_lines(self.text, spans)
         for decl in self.decls:
             builder = _ClassBuilder(self, decl)
             record, tokens = builder.build()
@@ -957,16 +956,12 @@ class _StatementParser:
         """Statements up to a closing brace, which ``closing`` requires and
         consumes, or to the end of the range.  Statements degrade instead
         of failing the file: on any parse trouble, consume to a statement
-        boundary and emit an opaque node.  Leaves are parsed directly; only
-        statements that nest go through the trampoline."""
+        boundary and emit an opaque node."""
         stmts = []
         while self.i < self.hi and self._val() != "}":
             before = self.i
             try:
-                if self._nests():
-                    stmts.append((yield self.parse_statement()))
-                else:
-                    stmts.append(self._parse_leaf())
+                stmts.append((yield self.parse_statement()))
             except SourceSyntaxError:
                 self.i = max(before + 1, self.i)
                 depth = 0
@@ -989,14 +984,6 @@ class _StatementParser:
             self.i += 1
         return stmts
 
-    def _nests(self) -> bool:
-        """Whether the statement at the cursor holds statements of its own."""
-        v, after = self._val(), self._val(1)
-        return v in _NESTING_KEYWORDS or (v == "synchronized" and after == "(") or (after == ":" and self._at_label())
-
-    def _at_label(self) -> bool:
-        return self._kind() == "ident" and self._val() not in KEYWORDS and self._val(1) == ":" and self._val(2) != ":"
-
     def parse_statement(self):
         """One statement; a generator (see :func:`cfg._trampoline`)."""
         v = self._val()
@@ -1004,6 +991,9 @@ class _StatementParser:
             self.i += 1
             inner = yield self._statements()
             return cfgmod.Block(inner)
+        if v == ";":
+            self.i += 1
+            return cfgmod.Simple(kind="empty", counts=False)
         if v == "if":
             self.i += 1
             lo, hi = self._match_paren()
@@ -1046,27 +1036,6 @@ class _StatementParser:
             return (yield self._parse_switch())
         if v == "try":
             return (yield self._parse_try())
-        if v == "synchronized" and self._val(1) == "(":
-            self.i += 1
-            lo, hi = self._match_paren()
-            d, c = self.scan.scan_expr(lo, hi)
-            body = yield self.parse_statement()
-            return cfgmod.Block([cfgmod.Simple(kind="expr", has_call=c, decisions=d), body])
-        if self._at_label():
-            label = self._val()
-            self.i += 2
-            self.loop_depth += 1  # the label itself is a break target
-            inner = yield self.parse_statement()
-            self.loop_depth -= 1
-            return cfgmod.Labeled(label=label, stmt=inner)
-        return self._parse_leaf()
-
-    def _parse_leaf(self):
-        """A statement that holds no statements of its own."""
-        v = self._val()
-        if v == ";":
-            self.i += 1
-            return cfgmod.Simple(kind="empty", counts=False)
         if v == "return":
             self.i += 1
             lo = self.i
@@ -1099,6 +1068,12 @@ class _StatementParser:
             if self.loop_depth == 0:
                 return cfgmod.Simple(kind="opaque")
             return cfgmod.ContinueStmt(label=label)
+        if v == "synchronized" and self._val(1) == "(":
+            self.i += 1
+            lo, hi = self._match_paren()
+            d, c = self.scan.scan_expr(lo, hi)
+            body = yield self.parse_statement()
+            return cfgmod.Block([cfgmod.Simple(kind="expr", has_call=c, decisions=d), body])
         if v == "assert":
             self.i += 1
             lo = self.i
@@ -1111,6 +1086,13 @@ class _StatementParser:
                 self.i += 1
             self._skip_braces()
             return cfgmod.Simple(kind="opaque")
+        if self._kind() == "ident" and self._val() not in KEYWORDS and self._val(1) == ":" and self._val(2) != ":":
+            label = self._val()
+            self.i += 2
+            self.loop_depth += 1  # the label itself is a break target
+            inner = yield self.parse_statement()
+            self.loop_depth -= 1
+            return cfgmod.Labeled(label=label, stmt=inner)
         return self._parse_simple()
 
     # -- helpers ---------------------------------------------------------------

@@ -166,6 +166,10 @@ class HierarchyRow:
     override_count: int
     new_method_count: int
 
+    def has_ancestor(self, other: HierarchyRow) -> bool:
+        """Whether ``other``'s class is one of this class's ancestors."""
+        return bool(self.ancestor_bits >> other.index & 1)
+
 
 class SystemModel:
     """Immutable graph of classes and their relations.

@@ -44,13 +44,7 @@ def _hidden_fraction(visibility: str, tc: int, descendant_count: int) -> float:
     return 0.0  # public and package-default are fully visible
 
 
-_COMPUTE = object()
-
-
-def mood(model: SystemModel, cf=_COMPUTE) -> MoodFactors:
-    """The six factors.  ``cf`` is the coupling factor when the caller
-    already has it (None for a degenerate system); by default it is
-    computed here."""
+def mood(model: SystemModel) -> MoodFactors:
     names = model.internal_class_names
     tc = len(names)
     if tc < 2:
@@ -88,10 +82,9 @@ def mood(model: SystemModel, cf=_COMPUTE) -> MoodFactors:
     ahf = hidden_a / total_a if total_a else 0.0
     mif = inherited_m / (inherited_m + declared_m) if inherited_m + declared_m else 0.0
     aif = inherited_a / (inherited_a + declared_a) if inherited_a + declared_a else 0.0
-    if cf is _COMPUTE:
-        try:
-            cf = coupling_factor(model)
-        except DegenerateSystem:
-            cf = None
+    try:
+        cf = coupling_factor(model)
+    except DegenerateSystem:
+        cf = None
     pf = overrides / override_capacity if override_capacity > 0 else None
     return MoodFactors(mhf=mhf, ahf=ahf, mif=mif, aif=aif, cf=cf, pf=pf)

@@ -18,7 +18,6 @@ from .ck import (
     KIVIAT_ORDER,
     ClassMetricsRecord,
     cbo,
-    coupling_factor,
     dac,
     dit,
     logiscope_mnemonics,
@@ -122,11 +121,12 @@ def compute_report(
             }
         )
 
-    system: dict = {}
     try:
-        system["couplingFactor"] = coupling_factor(model)
+        factors = mood(model)
     except DegenerateSystem:
-        system["couplingFactor"] = None
+        factors = None
+    # mood() reaches the coupling factor too, and fails only where it does
+    system: dict = {"couplingFactor": factors.cf if factors else None}
 
     dsc, noh, ana = qmood.qmood_system_metrics(model)
     system["qmood"] = {"DSC": dsc, "NOH": noh, "ANA": ana}
@@ -142,10 +142,7 @@ def compute_report(
         system["qmood"]["indices"] = None
         system["qmood"]["indicesError"] = str(exc)
 
-    try:
-        system["mood"] = mood(model, cf=system["couplingFactor"]).as_percentages()
-    except DegenerateSystem:
-        system["mood"] = None
+    system["mood"] = factors.as_percentages() if factors else None
 
     system["sig"] = sig_rating(model, source_texts=source_texts, bands=config.sig_bands).as_dict()
     system["mi"] = _system_mi(model, halstead_by_class)
