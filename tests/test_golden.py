@@ -49,6 +49,10 @@ CASES: dict[str, tuple[list[str], tuple[str, ...]]] = {
     "error_no_input_exit_1": (["analyze", "empty"], ()),
     "error_usage_exit_1": (["scatter", "--format", "text", "metric_test"], ()),
     "error_partial_exit_2": (["analyze", "partial"], ()),
+    "analyze_lexer_source": (["analyze", "lexer_source"], ()),
+    "analyze_lexer_source_out": (["analyze", "lexer_source", "--out", "lexout"],
+                                 ("lexout/report.json", "lexout/facts.json")),
+    "scatter_lexer_source": (["scatter", "lexer_source"], ()),
 }
 
 SUBPROCESS_CASE = "analyze_multiple_inheritance"
@@ -68,6 +72,52 @@ def if_chain_source(rng: random.Random, n_ifs: int) -> str:
         f"        if (x < {rng.randrange(1000)}) {{ x = x + {rng.randrange(1, 9)}; }}" for _ in range(n_ifs)
     )
     return f"package adv;\n\npublic class Ifs {{\n    public int run(int x) {{\n{body}\n        return x;\n    }}\n}}\n"
+
+
+# Comments, literals, numbers, long operators, a non-ASCII identifier and
+# inner classes: the lexer's token stream and comment lines reach the report
+# through Halstead counts, cl_comm/cl_comf and the per-class line spans.
+LEXER_SHAPES = r"""/* Shapes: two top-level classes,
+ * an inner and a nested inner class. */
+package lex;
+
+// a line comment in the header
+public class Shapes {
+    private int bits = 0x1F; // trailing after code
+    private double eps = 1.5e-3, half = .5;
+    private long big = 10L + 1_000;
+
+    /** javadoc on a method */
+    public int shift(int x, int... rest) {
+        x >>>= 2; /* block after code */ x <<= 1;
+        int é = x >>> 3; // an identifier with an accent
+        String s = "// not a comment /* nor this */";
+        char c = '/', d = '*', q = '\'', b = '\\';
+        String e = "\"" + s + "\\";
+        /* a block
+           inside a method */
+        if (é > 0 && rest.length > 0) { return é + rest[0]; }
+        return x; // trailing
+    }
+
+    class Inner {
+        int depth(int n) {
+            // inside an inner class
+            return n > 0 ? depth(n - 1) + 1 : 0;
+        }
+
+        class Deeper {
+            String tag() { return "/*" + '/' + "*/"; }
+        }
+    }
+}
+
+/* between the classes */
+// and a line comment
+class Helper extends Shapes {
+    int twice(int y) { return shift(y, y) * 2; } // trailing
+}
+"""
 
 
 def write_inputs(dest: Path) -> None:
@@ -92,6 +142,10 @@ def write_inputs(dest: Path) -> None:
     (dest / "partial").mkdir()
     (dest / "partial" / "Good.java").write_text("class Good { int m(int x) { return x + 1; } }", encoding="utf-8")
     (dest / "partial" / "Bad.java").write_text("class {", encoding="utf-8")
+    (dest / "lexer_source").mkdir()
+    (dest / "lexer_source" / "Shapes.java").write_text(LEXER_SHAPES, encoding="utf-8")
+    (dest / "lexer_source" / "Unclosed.java").write_text(
+        "class Unclosed {\n    int m() { return 1; }\n    /* never closed\n}\n", encoding="utf-8")
 
 
 def digest(rc: int, out: str, err: str, files: dict[str, bytes]) -> str:
