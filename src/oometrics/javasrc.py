@@ -15,6 +15,7 @@ schema plus per-method token streams for Halstead counting.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import cfg as cfgmod
@@ -34,12 +35,23 @@ KEYWORDS = {
 
 PRIMITIVES = {"void", "int", "long", "short", "byte", "char", "boolean", "float", "double"}
 
-_TWO_CHAR_OPS = {
-    "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=",
-    "%=", "&=", "|=", "^=", "<<", ">>", "->", "::",
-}
-_THREE_CHAR_OPS = {"<<=", ">>=", ">>>", "..."}
-_FOUR_CHAR_OPS = {">>>="}
+#: One lexeme per match, tried in this order.  ``str`` and ``char`` run to
+#: the closing quote or to the end of the text; an unclosed block comment
+#: runs to the end of the text.  Operators go longest first.
+_LEXEME = re.compile(
+    r"""
+      (?P<space>[ \t\r\f\n]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?(?:\*/|\Z))
+    | "(?P<str>[^"\\]*(?:\\.[^"\\]*)*\\?)"?
+    | '(?P<char>[^'\\]*(?:\\.[^'\\]*)*\\?)'?
+    | (?P<num>\.?\d(?:[eE][+-]|[\w.])*)
+    | (?P<ident>[\w$]+)
+    | (?P<op>>>>=|<<=|>>=|>>>|\.\.\.|[=!<>]=|&&|\|\||\+\+|--|[-+*/%&|^]=|<<|>>|->|::|.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_NUMBER_TAIL = re.compile(r"(?:[eE][+-]|[\w.])*")
 
 
 @dataclass(frozen=True)
@@ -49,88 +61,52 @@ class Token:
     line: int
 
 
-def tokenize(text: str) -> list[Token]:
-    """Lex the source; comments and whitespace are dropped."""
+def tokenize(text: str, comment_spans: list[tuple[int, int]] | None = None) -> list[Token]:
+    """Lex the source in one pass; comments and whitespace are dropped.
+
+    When ``comment_spans`` is given, the 1-based (first, last) line pair of
+    every comment is appended to it.  Comment markers inside string and
+    char literals are literal text.  Newlines inside a char literal are not
+    counted."""
     toks: list[Token] = []
-    i, n, line = 0, len(text), 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r\f":
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            i += 2
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                if text[i] == "\n":
-                    line += 1
-                i += 1
-            i += 2
-            continue
-        if ch == '"':
-            j, buf = i + 1, []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j:j + 2])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            toks.append(Token("str", "".join(buf), line))
-            line += text.count("\n", i, min(j + 1, n))
-            i = j + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                j += 2 if text[j] == "\\" else 1
-            toks.append(Token("char", text[i + 1:j], line))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "._xXbB"):
-                if text[j] in "eE" and j + 1 < n and text[j + 1] in "+-":
-                    j += 1
-                j += 1
-            toks.append(Token("num", text[i:j], line))
-            i = j
-            continue
-        if ch.isalpha() or ch in "_$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_$"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line))
-            i = j
-            continue
-        if text[i:i + 4] in _FOUR_CHAR_OPS:
-            toks.append(Token("op", text[i:i + 4], line))
-            i += 4
-            continue
-        if text[i:i + 3] in _THREE_CHAR_OPS:
-            toks.append(Token("op", text[i:i + 3], line))
-            i += 3
-            continue
-        if text[i:i + 2] in _TWO_CHAR_OPS:
-            toks.append(Token("op", text[i:i + 2], line))
-            i += 2
-            continue
-        toks.append(Token("op", ch, line))
-        i += 1
+    spans = [] if comment_spans is None else comment_spans
+    pos, n, line = 0, len(text), 1
+    while pos < n:
+        m = _LEXEME.match(text, pos)
+        kind, end = m.lastgroup, m.end()
+        if kind == "space":
+            line += text.count("\n", pos, end)
+        elif kind == "line_comment":
+            spans.append((line, line))
+        elif kind == "block_comment":
+            first, line = line, line + text.count("\n", pos, end)
+            spans.append((first, line))
+        elif kind == "str" or kind == "char":
+            toks.append(Token(kind, m.group(kind), line))
+            if kind == "str":
+                line += text.count("\n", pos, end)
+        else:
+            # str.isalpha/str.isdigit on the first character decide between
+            # name, number and operator, as \w and \d do not: '²' and '.²'
+            # start numbers, '½' is an operator
+            ch = text[pos]
+            if kind == "ident" and not (ch.isalpha() or ch in "_$"):
+                kind = "num" if ch.isdigit() else "op"
+            elif kind == "op" and ch == "." and text[pos + 1:pos + 2].isdigit():
+                kind = "num"
+            if kind != m.lastgroup:
+                end = _NUMBER_TAIL.match(text, pos + 1).end() if kind == "num" else pos + 1
+            toks.append(Token(kind, text[pos:end], line))
+        pos = end
     return toks
 
 
 def count_lines(text: str) -> tuple[int, int]:
     """(cl_line, cl_comm): physical lines, and lines carrying any comment
     content.  Comment markers inside string/char literals do not count."""
-    return _count_lines(text, comment_line_spans(text))
+    spans: list[tuple[int, int]] = []
+    tokenize(text, spans)
+    return _count_lines(text, spans)
 
 
 def _count_lines(text: str, spans: list[tuple[int, int]]) -> tuple[int, int]:
@@ -141,45 +117,6 @@ def _count_lines(text: str, spans: list[tuple[int, int]]) -> tuple[int, int]:
     for a, b in spans:
         comm.update(range(a, b + 1))
     return cl_line, len(comm)
-
-
-def comment_line_spans(text: str) -> list[tuple[int, int]]:
-    """1-based (first, last) line pairs of every comment in the text."""
-    spans: list[tuple[int, int]] = []
-    i, n, line = 0, len(text), 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch == "/" and i + 1 < n and text[i + 1] == "/":
-            spans.append((line, line))
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "/" and i + 1 < n and text[i + 1] == "*":
-            start = line
-            i += 2
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                if text[i] == "\n":
-                    line += 1
-                i += 1
-            i += 2
-            spans.append((start, line))
-        elif ch == '"':
-            i += 1
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    line += 1  # unterminated string: stay safe
-                i += 2 if text[i] == "\\" else 1
-            i += 1
-        elif ch == "'":
-            i += 1
-            while i < n and text[i] != "'":
-                i += 2 if text[i] == "\\" else 1
-            i += 1
-        else:
-            i += 1
-    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +163,8 @@ class Parser:
     def __init__(self, text: str, path: str = "<source>"):
         self.text = text
         self.path = path
-        self.toks = tokenize(text)
+        self.comment_spans: list[tuple[int, int]] = []
+        self.toks = tokenize(text, self.comment_spans)
         self.i = 0
         self.package = ""
         self.imports: dict[str, str] = {}
@@ -340,6 +278,13 @@ class Parser:
             self.i += 1
         return name
 
+    def _type_refs(self) -> list[str]:
+        """A comma-separated list of type references."""
+        refs = [self._type_ref()]
+        while self._accept(","):
+            refs.append(self._type_ref())
+        return refs
+
     # -- compilation unit ----------------------------------------------------
 
     def parse(self) -> CompilationFacts:
@@ -363,11 +308,10 @@ class Parser:
                 break
             if self._accept(";"):
                 continue
-            self._parse_type_decl(outer=None)
+            self._parse_type_decl(None, self._modifiers())
 
         facts = CompilationFacts(self.path, self.package)
-        spans = comment_line_spans(self.text)
-        file_lines, file_comments = _count_lines(self.text, spans)
+        file_lines, file_comments = _count_lines(self.text, self.comment_spans)
         for decl in self.decls:
             builder = _ClassBuilder(self, decl)
             record, tokens = builder.build()
@@ -378,13 +322,14 @@ class Parser:
                 record["commentLines"] = file_comments
             else:
                 record["lines"] = max(decl.end_line - decl.line + 1, 0)
-                record["commentLines"] = _comment_lines_in(spans, decl.line, decl.end_line)
+                record["commentLines"] = _comment_lines_in(self.comment_spans, decl.line, decl.end_line)
             facts.classes.append(record)
             facts.method_tokens.update(tokens)
         return facts
 
-    def _parse_type_decl(self, outer: _ClassDecl | None) -> None:
-        mods = self._modifiers()
+    def _parse_type_decl(self, outer: _ClassDecl | None, mods: set[str]) -> None:
+        """A class, interface or enum declaration from its keyword on;
+        ``outer`` is the enclosing declaration of an inner type."""
         kw = self._val()
         if kw not in ("class", "interface", "enum"):
             raise SourceSyntaxError(self._line(), {"class", "interface"}, kw or "end of file")
@@ -396,30 +341,19 @@ class Parser:
         simple = self._advance().value
         self._skip_generics()
 
-        decl = _ClassDecl(name="", simple_name=simple, line=start_line)
+        flat = f"{outer.simple_name}.{simple}" if outer else simple
+        name = f"{self.package}.{flat}" if self.package else flat
+        decl = _ClassDecl(name=name, simple_name=flat, line=start_line)
         if kw == "interface":
             decl.kind = "interface"
         elif "abstract" in mods:
             decl.kind = "abstract-class"
-        flat = f"{outer.simple_name}.{simple}" if outer else simple
-        decl.simple_name = flat
-        decl.name = f"{self.package}.{flat}" if self.package else flat
-
         if self._accept("extends"):
-            first = True
-            while True:
-                ref = self._type_ref()
-                decl.supers.append(ref)
-                if first and kw == "class":
-                    decl.extends_target = ref
-                first = False
-                if not self._accept(","):
-                    break
+            decl.supers = self._type_refs()
+            if kw == "class":
+                decl.extends_target = decl.supers[0]
         if self._accept("implements"):
-            while True:
-                decl.supers.append(self._type_ref())
-                if not self._accept(","):
-                    break
+            decl.supers += self._type_refs()
         while self._val() not in ("{", "") and self._tok() is not None:
             self.i += 1  # tolerate e.g. 'permits'
         if self._tok() is None:
@@ -462,7 +396,7 @@ class Parser:
             mods = self._modifiers()
             v = self._val()
             if v in ("class", "interface", "enum"):
-                self._parse_inner_type(decl, mods)
+                self._parse_type_decl(decl, mods)
                 continue
             if v == "{":
                 member = _Member(kind="init", name=f"<init-block-{init_count}>", line=self._line())
@@ -475,44 +409,6 @@ class Parser:
             if v == "<":
                 self._skip_generics()  # generic method type parameters
             self._parse_member(decl, mods)
-
-    def _parse_inner_type(self, outer: _ClassDecl, mods: set[str]) -> None:
-        kw = self._val()
-        line = self._line()
-        self.i += 1
-        if self._tok() is None or self._tok().kind != "ident":
-            raise SourceSyntaxError(line, "type name")
-        simple = self._advance().value
-        self._skip_generics()
-        inner = _ClassDecl(name="", simple_name=f"{outer.simple_name}.{simple}", line=line)
-        if kw == "interface":
-            inner.kind = "interface"
-        elif "abstract" in mods:
-            inner.kind = "abstract-class"
-        inner.name = f"{self.package}.{inner.simple_name}" if self.package else inner.simple_name
-        if self._accept("extends"):
-            first = True
-            while True:
-                ref = self._type_ref()
-                inner.supers.append(ref)
-                if first and kw == "class":
-                    inner.extends_target = ref
-                first = False
-                if not self._accept(","):
-                    break
-        if self._accept("implements"):
-            while True:
-                inner.supers.append(self._type_ref())
-                if not self._accept(","):
-                    break
-        if kw == "enum":
-            end = self._skip_balanced("{", "}")
-            inner.end_line = self.toks[end].line
-            self.decls.append(inner)
-            return
-        self._expect("{")
-        self.decls.append(inner)
-        self._parse_class_body(inner)
 
     def _member_body_range(self) -> tuple[int, int]:
         """Range (first, last_exclusive) of tokens strictly inside a brace pair."""
@@ -964,19 +860,7 @@ class _StatementParser:
                 stmts.append((yield self.parse_statement()))
             except SourceSyntaxError:
                 self.i = max(before + 1, self.i)
-                depth = 0
-                while self.i < self.hi:
-                    v = self._val()
-                    if v in "([{":
-                        depth += 1
-                    elif v in ")]}":
-                        if depth == 0:
-                            break
-                        depth -= 1
-                    elif v == ";" and depth == 0:
-                        self.i += 1
-                        break
-                    self.i += 1
+                self._skip_to_semi()
                 stmts.append(cfgmod.Simple(kind="opaque"))
         if closing:
             if self._val() != "}":

@@ -498,7 +498,7 @@ def build_system_model(class_records) -> SystemModel:
         supers = []
         for sup in rec.get("extends", ()):
             resolved = resolver.resolve(sup)
-            if resolved is not None:
+            if resolved is not None and resolved not in supers:
                 supers.append(resolved)  # self-references surface as a cycle below
 
         attrs = []

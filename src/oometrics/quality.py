@@ -20,7 +20,7 @@ from .errors import ConfigError, MissingMetric, UnknownMnemonic
 
 INF = math.inf
 
-#: class-mnemonic acceptable ranges (min, max)
+#: class-mnemonic acceptable ranges (min, max), one per Kiviat axis
 DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     "cl_comf": (0.2, INF),
     "cl_comm": (-INF, INF),
@@ -35,16 +35,6 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     "cu_cdusers": (0, 5),
     "in_bases": (0, 3),
     "in_noc": (0, 3),
-    # class-level thresholds
-    "CBO": (0, 2),
-    "WMC": (0, 14),
-    "RFC": (0, 100),
-    "DIT": (0, 7),
-    "NOC": (0, 3),
-    # method-level thresholds
-    "v": (1, 10),
-    "ev": (1, 4),
-    "iv": (1, 7),
 }
 
 CRITERIA: dict[str, tuple[str, ...]] = {
@@ -76,10 +66,15 @@ class RangeTable:
 
     @classmethod
     def from_config(cls, entries: dict) -> "RangeTable":
-        """Entries: mnemonic -> {"min": x, "max": y}; "inf"/"-inf" accepted
-        literally.  Unlisted mnemonics keep their defaults."""
+        """Entries: class mnemonic -> {"min": x, "max": y}; "inf"/"-inf"
+        accepted literally.  Unlisted mnemonics keep their defaults; any
+        other key is a ConfigError, as it would change nothing."""
+        if not isinstance(entries, dict):
+            raise ConfigError("ranges must be an object of class mnemonics")
         merged = dict(DEFAULT_RANGES)
         for mnemonic, spec in entries.items():
+            if mnemonic not in KIVIAT_ORDER:
+                raise ConfigError(f"ranges: not a class mnemonic: {mnemonic!r} (known: {', '.join(KIVIAT_ORDER)})")
             if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
                 raise ConfigError(f"range for {mnemonic} needs min and max")
             merged[mnemonic] = (_bound(spec["min"]), _bound(spec["max"]))

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import class_rec, hand_built_hierarchies, method_rec, random_hierarchy, random_model
+from oometrics import ck
 from oometrics.errors import DuplicateClass, InheritanceCycle, UnknownClass
 from oometrics.model import (
     build_system_model,
@@ -27,6 +28,17 @@ def test_two_class_chain_descendants():
 def test_duplicate_class_rejected():
     with pytest.raises(DuplicateClass):
         build_system_model([class_rec("A"), class_rec("A")])
+
+
+def test_repeated_extends_entry_is_one_parent():
+    model = build_system_model([
+        class_rec("p.A"),
+        class_rec("p.B", extends=["p.A", "p.A", "A"]),
+    ])
+    assert model.children("p.A") == ("p.B",)
+    assert model.get("p.B").superclasses == ("p.A",)
+    assert ck.noc(model, "p.A") == 1
+    assert model_to_facts(model)["classes"][1]["extends"] == ["p.A"]
 
 
 def test_self_extends_is_a_cycle():

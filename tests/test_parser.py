@@ -8,6 +8,7 @@ import pytest
 
 from helpers import random_class_source
 from oometrics.cli import main
+from oometrics import javasrc
 from oometrics.errors import SourceSyntaxError
 from oometrics.javasrc import count_lines, parse_source, tokenize
 from oometrics.model import build_system_model, facts_to_model, model_to_facts
@@ -215,6 +216,73 @@ def test_tokenizer_operators_and_literals():
     assert ("str", "hi") in values
     assert ("char", "x") in values
     assert any(k == "num" and v.startswith("1.5e") for k, v in values)
+
+
+# text -> (tokens as (kind, value, line), comment line spans)
+LEXER_EDGE_CASES = {
+    's = "abc': ([("ident", "s", 1), ("op", "=", 1), ("str", "abc", 1)], []),
+    "c = 'x": ([("ident", "c", 1), ("op", "=", 1), ("char", "x", 1)], []),
+    "a /* open\n\nb": ([("ident", "a", 1)], [(1, 3)]),
+    'x = "ab\\': ([("ident", "x", 1), ("op", "=", 1), ("str", "ab\\", 1)], []),
+    "c = '\\": ([("ident", "c", 1), ("op", "=", 1), ("char", "\\", 1)], []),
+    "/*/ */ a": ([("ident", "a", 1)], [(1, 1)]),
+    "²": ([("num", "²", 1)], []),
+    "²a": ([("num", "²a", 1)], []),
+    ".²": ([("num", ".²", 1)], []),
+    "٣": ([("num", "٣", 1)], []),
+    "½": ([("op", "½", 1)], []),
+    "Ⅻ": ([("op", "Ⅻ", 1)], []),
+    "é": ([("ident", "é", 1)], []),
+    "a\xa0b": ([("ident", "a", 1), ("op", "\xa0", 1), ("ident", "b", 1)], []),
+    "a\vb": ([("ident", "a", 1), ("op", "\v", 1), ("ident", "b", 1)], []),
+    # newlines inside a char literal are not counted
+    "c = 'a\nb'; d": ([("ident", "c", 1), ("op", "=", 1), ("char", "a\nb", 1), ("op", ";", 1), ("ident", "d", 1)], []),
+    "a.b...c >>>= 1": ([("ident", "a", 1), ("op", ".", 1), ("ident", "b", 1), ("op", "...", 1), ("ident", "c", 1),
+                        ("op", ">>>=", 1), ("num", "1", 1)], []),
+    "...5": ([("op", "...", 1), ("num", "5", 1)], []),
+    # a backslash-newline in a string: the comment after it is on line 2,
+    # the same line as the ';' token
+    'x = "a\\\nb"; // c': ([("ident", "x", 1), ("op", "=", 1), ("str", "a\\\nb", 1), ("op", ";", 2)], [(2, 2)]),
+}
+
+
+@pytest.mark.parametrize("text", list(LEXER_EDGE_CASES), ids=[repr(t) for t in LEXER_EDGE_CASES])
+def test_lexer_edge_cases(text):
+    spans = []
+    toks = tokenize(text, spans)
+    assert ([(t.kind, t.value, t.line) for t in toks], spans) == LEXER_EDGE_CASES[text]
+    assert tokenize(text) == toks
+
+
+def test_one_lexer_pass_gives_tokens_and_per_class_comment_lines(monkeypatch):
+    calls = []
+    real = javasrc.tokenize
+    monkeypatch.setattr(javasrc, "tokenize", lambda *a: calls.append(a) or real(*a))
+    facts = parse_source("// header\nclass A { int a; } /* two\nlines */\nclass B { void m() { } } // end\n")
+    assert len(calls) == 1
+    assert [c["commentLines"] for c in facts.classes] == [1, 1]
+
+
+def test_inner_type_accepts_the_top_level_header():
+    src = """
+class Outer {
+    class Inner permits A, B {
+        int x;
+    }
+    interface Face<T> extends Base { }
+}
+"""
+    facts = parse_source(src, "Outer.java")
+    recs = {c["name"]: c for c in facts.classes}
+    assert sorted(recs) == ["Outer", "Outer.Face", "Outer.Inner"]
+    assert recs["Outer.Inner"]["attributes"][0]["name"] == "x"
+    assert recs["Outer.Face"]["kind"] == "interface" and recs["Outer.Face"]["extends"] == ["Base"]
+
+
+def test_inner_type_without_a_name_reports_the_current_line():
+    with pytest.raises(SourceSyntaxError) as exc:
+        parse_source("class Outer {\n    class\n    {\n    }\n}\n", "Outer.java")
+    assert exc.value.line == 3
 
 
 NESTING_SHAPES = {

@@ -207,11 +207,11 @@ def test_range_table_from_config_literal_infinities():
     table = RangeTable.from_config({
         "cl_wmc": {"min": 0, "max": 50},
         "cl_comf": {"min": 0.1, "max": "inf"},
-        "custom": {"min": "-inf", "max": 3},
+        "cl_line": {"min": "-inf", "max": 3},
     })
     assert table.bounds("cl_wmc") == (0, 50)
     assert table.bounds("cl_comf")[1] == float("inf")
-    assert table.bounds("custom")[0] == float("-inf")
+    assert table.bounds("cl_line") == (float("-inf"), 3)
     # untouched defaults survive
     assert table.bounds("cl_stat") == (0, 100)
 
@@ -223,6 +223,14 @@ def test_bad_config_rejected():
         RangeTable.from_config({"cl_wmc": {"min": "huge", "max": 1}})
     with pytest.raises(ConfigError):
         RangeTable.from_config({"cl_wmc": [0, 1]})
+    with pytest.raises(ConfigError):
+        RangeTable.from_config([["cl_wmc", 0, 1]])
+
+
+@pytest.mark.parametrize("key", ["v", "ev", "iv", "CBO", "WMC", "custom"])
+def test_range_for_anything_but_a_class_mnemonic_is_rejected(key):
+    with pytest.raises(ConfigError, match=key):
+        RangeTable.from_config({key: {"min": 1, "max": 2}})
 
 
 def test_tool_config_load(tmp_path):

@@ -399,6 +399,16 @@ def test_cli_compare(tmp_path, capsys):
     assert "churnMetrics" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_range_for_a_method_threshold(tmp_path, capsys):
+    # the v/ev thresholds of the quadrant are fixed; a range for them once
+    # loaded with exit 0 and changed nothing
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ranges": {"v": {"min": 1, "max": 2}}}))
+    assert main(["analyze", str(FIXTURES / "metric_test"), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'v'" in captured.err
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "oometrics.cli", "analyze", str(FIXTURES / "metric_test"), "--format", "text"],
