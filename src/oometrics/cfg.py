@@ -41,10 +41,14 @@ class ControlFlowGraph:
     edges: tuple[tuple[int, int], ...]
     entry: int
     exit: int
-    call_nodes: frozenset[int] = frozenset()
 
     def __post_init__(self):
         self.validate()
+
+    @property
+    def call_nodes(self) -> frozenset[int]:
+        """The ``call-bearing`` nodes: those that module design complexity keeps."""
+        return frozenset(i for i, k in enumerate(self.kinds) if k == CALL_BEARING)
 
     @property
     def node_count(self) -> int:
@@ -64,7 +68,7 @@ class ControlFlowGraph:
         if [k for k in self.kinds if k == EXIT] != [EXIT] or self.kinds[self.exit] != EXIT:
             raise MalformedGraph("exactly one exit node required")
         for k in self.kinds:
-            if k not in NODE_KINDS:
+            if not isinstance(k, str) or k not in NODE_KINDS:
                 raise MalformedGraph(f"unknown node kind: {k}")
         fwd: dict[int, list[int]] = {i: [] for i in range(n)}
         rev: dict[int, list[int]] = {i: [] for i in range(n)}
@@ -73,8 +77,6 @@ class ControlFlowGraph:
                 raise MalformedGraph(f"edge ({a},{b}) out of range")
             fwd[a].append(b)
             rev[b].append(a)
-        if not self.call_nodes <= set(range(n)):
-            raise MalformedGraph("call_nodes outside graph")
         if _reachable(fwd, self.entry) != set(range(n)):
             raise MalformedGraph("not all nodes reachable from entry")
         if _reachable(rev, self.exit) != set(range(n)):
@@ -93,21 +95,25 @@ class ControlFlowGraph:
 
     @classmethod
     def from_facts(cls, data: dict) -> "ControlFlowGraph":
-        kinds = tuple(data["kinds"])
-        if len(kinds) != data["nodes"]:
+        try:
+            nodes, edges, kinds = data["nodes"], data["edges"], data["kinds"]
+        except (KeyError, TypeError):
+            raise MalformedGraph("cfg needs 'nodes', 'edges' and 'kinds'") from None
+        if not isinstance(edges, list) or not isinstance(kinds, list):
+            raise MalformedGraph("cfg 'edges' and 'kinds' must be lists")
+        try:
+            pairs = tuple((int(a), int(b)) for a, b in edges)
+        except (TypeError, ValueError):
+            raise MalformedGraph("every cfg edge must be a pair of node ids") from None
+        kinds = tuple(kinds)
+        if len(kinds) != nodes:
             raise MalformedGraph("kinds length disagrees with node count")
         try:
             entry = kinds.index(ENTRY)
             exit_ = kinds.index(EXIT)
         except ValueError as exc:
             raise MalformedGraph("entry/exit missing") from exc
-        return cls(
-            kinds=kinds,
-            edges=tuple((int(a), int(b)) for a, b in data["edges"]),
-            entry=entry,
-            exit=exit_,
-            call_nodes=frozenset(i for i, k in enumerate(kinds) if k == CALL_BEARING),
-        )
+        return cls(kinds=kinds, edges=pairs, entry=entry, exit=exit_)
 
 
 def _reachable(adj: dict[int, list[int]], start: int) -> set[int]:
@@ -128,8 +134,9 @@ def _reachable(adj: dict[int, list[int]], start: int) -> set[int]:
 # The parser lowers method bodies into these nodes; build_cfg turns them
 # into a graph.  ``decisions`` counts extra short-circuit/ternary decision
 # points inside the statement's expressions (beyond the statement's own
-# branching), ``has_call`` marks statements whose expressions invoke
-# methods.
+# branching).  ``Simple.has_call`` marks a statement whose expressions
+# invoke methods: it becomes a ``call-bearing`` node, the only kind that
+# module design complexity counts as a call.
 
 
 @dataclass
@@ -142,13 +149,11 @@ class Simple:
 
 @dataclass
 class ReturnStmt:
-    has_call: bool = False
     decisions: int = 0
 
 
 @dataclass
 class ThrowStmt:
-    has_call: bool = False
     decisions: int = 0
 
 
@@ -171,28 +176,24 @@ class Block:
 class IfStmt:
     then: Block
     orelse: Block | None = None
-    has_call: bool = False
     decisions: int = 0
 
 
 @dataclass
 class WhileStmt:
     body: Block
-    has_call: bool = False
     decisions: int = 0
 
 
 @dataclass
 class DoWhileStmt:
     body: Block
-    has_call: bool = False
     decisions: int = 0
 
 
 @dataclass
 class ForStmt:
     body: Block
-    has_call: bool = False
     decisions: int = 0
 
 
@@ -206,7 +207,6 @@ class SwitchArm:
 @dataclass
 class SwitchStmt:
     arms: list[SwitchArm]
-    has_call: bool = False
     decisions: int = 0
 
 
@@ -215,7 +215,6 @@ class TryStmt:
     body: Block
     handlers: list[Block] = field(default_factory=list)
     final: Block | None = None
-    has_call: bool = False  # resource clause
     decisions: int = 0
 
 
@@ -315,19 +314,15 @@ class _Builder:
     def __init__(self):
         self.kinds: list[str] = []
         self.edges: list[tuple[int, int]] = []
-        self.calls: set[int] = set()
         self.exit_pending: list[int] = []  # return/throw sources, wired to exit at the end
         self.frames: list[_Frame] = []
         self.pending_label: str | None = None
 
     # -- graph primitives ---------------------------------------------------
 
-    def node(self, kind: str, has_call: bool = False) -> int:
+    def node(self, kind: str) -> int:
         self.kinds.append(kind)
-        nid = len(self.kinds) - 1
-        if has_call:
-            self.calls.add(nid)
-        return nid
+        return len(self.kinds) - 1
 
     def edge(self, a: int, b: int) -> None:
         self.edges.append((a, b))
@@ -390,20 +385,20 @@ class _Builder:
         if isinstance(s, Simple):
             if s.kind == "empty":
                 return pending
-            n = self.node(CALL_BEARING if s.has_call else PLAIN, s.has_call)
+            n = self.node(CALL_BEARING if s.has_call else PLAIN)
             self.attach(pending, n)
             return self.inline_decisions([n], s.decisions)
 
         if isinstance(s, ReturnStmt):
             pending = self.inline_decisions(pending, s.decisions)
-            n = self.node(RETURN, s.has_call)
+            n = self.node(RETURN)
             self.attach(pending, n)
             self.exit_pending.append(n)
             return []
 
         if isinstance(s, ThrowStmt):
             pending = self.inline_decisions(pending, s.decisions)
-            n = self.node(JUMP, s.has_call)
+            n = self.node(JUMP)
             self.attach(pending, n)
             self.exit_pending.append(n)
             return []
@@ -427,7 +422,7 @@ class _Builder:
         if isinstance(s, IfStmt):
             self.take_label()
             pending = self.inline_decisions(pending, s.decisions)
-            d = self.node(DECISION, s.has_call)
+            d = self.node(DECISION)
             self.attach(pending, d)
             out = yield self.stmt_list(s.then.stmts, [d])
             if s.orelse is not None:
@@ -440,7 +435,7 @@ class _Builder:
             label = self.take_label()
             mark = len(self.kinds)
             pending = self.inline_decisions(pending, s.decisions)
-            h = self.node(LOOP_HEAD, s.has_call)
+            h = self.node(LOOP_HEAD)
             self.attach(pending, h)
             header_entry = mark if len(self.kinds) - mark > 1 else h
             frame = _Frame(label, header_entry, takes_continue=True)
@@ -459,7 +454,7 @@ class _Builder:
             self.frames.pop()
             body_created = len(self.kinds) > mark
             chain = [self.node(DECISION) for _ in range(s.decisions)]
-            d = self.node(LOOP_HEAD, s.has_call)
+            d = self.node(LOOP_HEAD)
             cond_entry = chain[0] if chain else d
             body_entry = mark if body_created else cond_entry
             cursor = body_out
@@ -475,7 +470,7 @@ class _Builder:
         if isinstance(s, SwitchStmt):
             self.take_label()
             pending = self.inline_decisions(pending, s.decisions)
-            h = self.node(SWITCH_HEAD, s.has_call)
+            h = self.node(SWITCH_HEAD)
             self.attach(pending, h)
             frame = _Frame(None, None)
             self.frames.append(frame)
@@ -495,7 +490,7 @@ class _Builder:
 
         if isinstance(s, TryStmt):
             self.take_label()
-            t = self.node(DECISION if s.handlers else PLAIN, s.has_call)
+            t = self.node(DECISION if s.handlers else PLAIN)
             self.attach(pending, t)
             out = yield self.stmt_list(s.body.stmts, [t])
             for h in s.handlers:
@@ -529,5 +524,4 @@ def build_cfg(body: list) -> ControlFlowGraph:
         edges=tuple((remap[a], remap[c]) for a, c in b.edges if a in live and c in live),
         entry=remap[entry],
         exit=remap[exit_],
-        call_nodes=frozenset(remap[n] for n in b.calls if n in live),
     )

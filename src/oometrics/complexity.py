@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfg import ControlFlowGraph
-from .errors import MalformedGraph
 from .model import ClassInfo
 
 CYCLOMATIC_THRESHOLD = 10
@@ -180,21 +179,17 @@ def essential(g: ControlFlowGraph) -> int:
     return _reduce_essential(g).cyclomatic()
 
 
-def module_design(g: ControlFlowGraph, call_nodes: set[int] | None = None) -> int:
-    """Reduce away decision structure with no calls on any branch, return v.
-
-    ``call_nodes`` defaults to the graph's recorded call-bearing nodes.
-    """
-    calls = set(g.call_nodes) if call_nodes is None else set(call_nodes)
-    if not calls <= set(range(g.node_count)):
-        raise MalformedGraph("call_nodes outside graph")
+def module_design(g: ControlFlowGraph) -> int:
+    """Reduce away decision structure with no call-bearing node on any
+    branch, return v of the residue."""
+    calls = g.call_nodes
     if not calls:
         return 1
     return _reduce(_ReductionGraph(g, calls), sequences=False).cyclomatic()
 
 
-def complexity_triple(g: ControlFlowGraph, call_nodes: set[int] | None = None) -> ComplexityTriple:
-    return ComplexityTriple(cyclomatic(g), essential(g), module_design(g, call_nodes))
+def complexity_triple(g: ControlFlowGraph) -> ComplexityTriple:
+    return ComplexityTriple(cyclomatic(g), essential(g), module_design(g))
 
 
 def class_wmc(c: ClassInfo) -> int:

@@ -10,13 +10,16 @@ flattened to ``Outer.Inner``.  Unsupported constructs inside method bodies
 degrade to opaque statements; only malformed declarations raise.
 
 Output is a :class:`CompilationFacts`: class records in the facts-file
-schema plus per-method token streams for Halstead counting.
+schema, except that each method's ``cfg`` is the built
+:class:`~oometrics.cfg.ControlFlowGraph`, plus per-method token streams
+for Halstead counting.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import cfg as cfgmod
 from .errors import SourceSyntaxError, UnbalancedBlock
@@ -54,8 +57,7 @@ _LEXEME = re.compile(
 _NUMBER_TAIL = re.compile(r"(?:[eE][+-]|[\w.])*")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | num | str | char | op
     value: str
     line: int
@@ -66,8 +68,7 @@ def tokenize(text: str, comment_spans: list[tuple[int, int]] | None = None) -> l
 
     When ``comment_spans`` is given, the 1-based (first, last) line pair of
     every comment is appended to it.  Comment markers inside string and
-    char literals are literal text.  Newlines inside a char literal are not
-    counted."""
+    char literals are literal text."""
     toks: list[Token] = []
     spans = [] if comment_spans is None else comment_spans
     pos, n, line = 0, len(text), 1
@@ -83,8 +84,7 @@ def tokenize(text: str, comment_spans: list[tuple[int, int]] | None = None) -> l
             spans.append((first, line))
         elif kind == "str" or kind == "char":
             toks.append(Token(kind, m.group(kind), line))
-            if kind == "str":
-                line += text.count("\n", pos, end)
+            line += text.count("\n", pos, end)
         else:
             # str.isalpha/str.isdigit on the first character decide between
             # name, number and operator, as \w and \d do not: '²' and '.²'
@@ -660,7 +660,7 @@ class _ClassBuilder:
             "invokes": [{"target": t, "count": c} for t, c in sorted(merged.items())],
         }
         if graph is not None:
-            rec["cfg"] = graph.to_facts()
+            rec["cfg"] = graph
         if lines is not None:
             rec["lines"] = lines
         return rec
@@ -881,21 +881,21 @@ class _StatementParser:
         if v == "if":
             self.i += 1
             lo, hi = self._match_paren()
-            d, c = self.scan.scan_expr(lo, hi)
+            d, _ = self.scan.scan_expr(lo, hi)
             then = cfgmod.Block([(yield self.parse_statement())])
             orelse = None
             if self._val() == "else":
                 self.i += 1
                 orelse = cfgmod.Block([(yield self.parse_statement())])
-            return cfgmod.IfStmt(then=then, orelse=orelse, has_call=c, decisions=d)
+            return cfgmod.IfStmt(then=then, orelse=orelse, decisions=d)
         if v == "while":
             self.i += 1
             lo, hi = self._match_paren()
-            d, c = self.scan.scan_expr(lo, hi)
+            d, _ = self.scan.scan_expr(lo, hi)
             self.loop_depth += 1
             body = cfgmod.Block([(yield self.parse_statement())])
             self.loop_depth -= 1
-            return cfgmod.WhileStmt(body=body, has_call=c, decisions=d)
+            return cfgmod.WhileStmt(body=body, decisions=d)
         if v == "do":
             self.i += 1
             self.loop_depth += 1
@@ -905,17 +905,17 @@ class _StatementParser:
                 raise SourceSyntaxError(self._line(), "while", self._val())
             self.i += 1
             lo, hi = self._match_paren()
-            d, c = self.scan.scan_expr(lo, hi)
+            d, _ = self.scan.scan_expr(lo, hi)
             self._accept_semi()
-            return cfgmod.DoWhileStmt(body=body, has_call=c, decisions=d)
+            return cfgmod.DoWhileStmt(body=body, decisions=d)
         if v == "for":
             self.i += 1
             lo, hi = self._match_paren()
-            d, c = self._scan_for_header(lo, hi)
+            d = self._scan_for_header(lo, hi)
             self.loop_depth += 1
             body = cfgmod.Block([(yield self.parse_statement())])
             self.loop_depth -= 1
-            return cfgmod.ForStmt(body=body, has_call=c, decisions=d)
+            return cfgmod.ForStmt(body=body, decisions=d)
         if v == "switch":
             return (yield self._parse_switch())
         if v == "try":
@@ -924,14 +924,14 @@ class _StatementParser:
             self.i += 1
             lo = self.i
             self._skip_to_semi()
-            d, c = self.scan.scan_expr(lo, self.i - 1)
-            return cfgmod.ReturnStmt(has_call=c, decisions=d)
+            d, _ = self.scan.scan_expr(lo, self.i - 1)
+            return cfgmod.ReturnStmt(decisions=d)
         if v == "throw":
             self.i += 1
             lo = self.i
             self._skip_to_semi()
-            d, c = self.scan.scan_expr(lo, self.i - 1)
-            return cfgmod.ThrowStmt(has_call=c, decisions=d)
+            d, _ = self.scan.scan_expr(lo, self.i - 1)
+            return cfgmod.ThrowStmt(decisions=d)
         if v == "break":
             self.i += 1
             label = None
@@ -1016,7 +1016,7 @@ class _StatementParser:
                     return
             self.i += 1
 
-    def _scan_for_header(self, lo: int, hi: int) -> tuple[int, bool]:
+    def _scan_for_header(self, lo: int, hi: int) -> int:
         toks = self.toks
         colon = None
         depth = 0
@@ -1036,8 +1036,7 @@ class _StatementParser:
                 type_ref = _join_type(toks, lo, colon - 1)
                 if type_ref:
                     self.scan.declare(var, type_ref)
-            d, c = self.scan.scan_expr(colon + 1, hi)
-            return d, c
+            return self.scan.scan_expr(colon + 1, hi)[0]
         # classic for: pick apart init; cond; update
         parts: list[tuple[int, int]] = []
         start = lo
@@ -1053,19 +1052,16 @@ class _StatementParser:
                 start = j + 1
         parts.append((start, hi))
         decisions = 0
-        has_call = False
         for idx, (a, b) in enumerate(parts):
             if idx == 0:
                 self._maybe_declare_locals(a, b)
-            d, c = self.scan.scan_expr(a, b)
-            decisions += d
-            has_call = has_call or c
-        return decisions, has_call
+            decisions += self.scan.scan_expr(a, b)[0]
+        return decisions
 
     def _parse_switch(self):
         self.i += 1  # 'switch'
         lo, hi = self._match_paren()
-        d, c = self.scan.scan_expr(lo, hi)
+        d, _ = self.scan.scan_expr(lo, hi)
         if self._val() != "{":
             raise SourceSyntaxError(self._line(), "{", self._val())
         self.i += 1
@@ -1114,16 +1110,15 @@ class _StatementParser:
         flush()
         if self._val() == "}":
             self.i += 1
-        return cfgmod.SwitchStmt(arms=arms, has_call=c, decisions=d)
+        return cfgmod.SwitchStmt(arms=arms, decisions=d)
 
     def _parse_try(self):
         self.i += 1  # 'try'
-        has_call = False
         decisions = 0
         if self._val() == "(":
             lo, hi = self._match_paren()
             self._maybe_declare_locals(lo, hi)
-            decisions, has_call = self.scan.scan_expr(lo, hi)
+            decisions = self.scan.scan_expr(lo, hi)[0]
         if self._val() != "{":
             raise SourceSyntaxError(self._line(), "{", self._val())
         self.i += 1
@@ -1147,7 +1142,7 @@ class _StatementParser:
                 raise SourceSyntaxError(self._line(), "{", self._val())
             self.i += 1
             final = cfgmod.Block((yield self._statements()))
-        return cfgmod.TryStmt(body=body, handlers=handlers, final=final, has_call=has_call, decisions=decisions)
+        return cfgmod.TryStmt(body=body, handlers=handlers, final=final, decisions=decisions)
 
     def _parse_simple(self):
         """Local declaration or expression statement, up to ';'."""

@@ -1,10 +1,11 @@
 """Language-neutral structural model of an analyzed system.
 
 The model is built from "facts": per-class records in the facts-file JSON
-schema (see README).  The source parser produces the same records, so a
-model can be built from parsed source, from a facts file written by this
-tool, or from a facts file written by an external front end for another
-language.
+schema (see README).  The source parser produces the same records, except
+that a method's ``cfg`` is the ControlFlowGraph it built rather than its
+JSON form, so a model can be built from parsed source, from a facts file
+written by this tool, or from a facts file written by an external front
+end for another language.
 
 A built model is immutable and safe to share between metric computations.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cfg import ControlFlowGraph
-from .errors import DuplicateClass, InheritanceCycle, UnknownClass
+from .errors import DuplicateClass, InheritanceCycle, MalformedGraph, UnknownClass
 
 PRIMITIVE_TYPES = {
     "void", "int", "long", "short", "byte", "char", "boolean", "float", "double", "var",
@@ -480,8 +481,11 @@ class _Resolver:
 def build_system_model(class_records) -> SystemModel:
     """Assemble and resolve a SystemModel from facts-schema class records.
 
-    Raises DuplicateClass for colliding names and InheritanceCycle when the
-    resolved inheritance relation is cyclic.
+    A method's ``cfg`` is either a ControlFlowGraph, used as it is, or its
+    facts form, built with ``ControlFlowGraph.from_facts``.  Raises
+    DuplicateClass for colliding names, InheritanceCycle when the resolved
+    inheritance relation is cyclic, and MalformedGraph, naming the class
+    and method, for a facts graph that is not a valid CFG.
     """
     records = list(class_records)
     declared: dict[str, dict] = {}
@@ -534,15 +538,17 @@ def build_system_model(class_records) -> SystemModel:
                 key = (owner, meth + spec)
                 merged[key] = merged.get(key, 0) + int(inv.get("count", 1))
             invokes = [Invocation(c, m_, n) for (c, m_), n in sorted(merged.items())]
-            cfg = None
-            if m.get("cfg") is not None:
-                cfg = ControlFlowGraph.from_facts(m["cfg"])
+            params = tuple(resolver.resolve(p) or p for p in m.get("paramTypes", ()))
+            cfg = m.get("cfg")
+            if cfg is not None and not isinstance(cfg, ControlFlowGraph):
+                try:
+                    cfg = ControlFlowGraph.from_facts(cfg)
+                except MalformedGraph as exc:
+                    raise MalformedGraph(f"{name}.{m['name']}({','.join(params)}): {exc}") from exc
             methods.append(
                 MethodInfo(
                     name=m["name"],
-                    parameter_types=tuple(
-                        resolver.resolve(p) or p for p in m.get("paramTypes", ())
-                    ),
+                    parameter_types=params,
                     visibility=m.get("visibility", "default"),
                     is_abstract=bool(m.get("abstract", False)),
                     is_static=bool(m.get("static", False)),

@@ -21,7 +21,6 @@ from helpers import (
     random_method_source,
 )
 from oometrics import ck, cohesion
-from oometrics.cfg import ControlFlowGraph
 from oometrics.complexity import class_wmc, cyclomatic, essential, module_design, quadrant
 from oometrics.evolution import fit_churn_baseline, relative_complexity
 from oometrics.javasrc import parse_source
@@ -174,7 +173,7 @@ def test_criterion_6_complexity_invariants():
         src, decisions = random_method_source(rng)
         facts = parse_source(f"class W {{\n{src}\n void helper() {{ }} }}", "w.java")
         rec = [m for m in facts.classes[0]["methods"] if m["name"] == "gen"][0]
-        g = ControlFlowGraph.from_facts(rec["cfg"])
+        g = rec["cfg"]
         v = cyclomatic(g)
         assert v == 1 + decisions
         assert essential(g) == 1

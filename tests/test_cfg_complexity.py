@@ -10,12 +10,14 @@ Oracles kept independent of the implementation:
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from helpers import cfg_with_v, random_class_source, random_method_source
 from oometrics import cfg as cfgmod
 from oometrics.cfg import ControlFlowGraph, build_cfg
+from oometrics.cli import main
 from oometrics.complexity import (
     class_wmc,
     cyclomatic,
@@ -27,6 +29,8 @@ from oometrics.errors import MalformedGraph
 from oometrics.javasrc import parse_source
 from oometrics.model import build_system_model
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def _method_cfgs(src: str):
     facts = parse_source(src, "x.java")
@@ -34,7 +38,7 @@ def _method_cfgs(src: str):
     for rec in facts.classes:
         for m in rec["methods"]:
             if "cfg" in m:
-                out[m["name"]] = ControlFlowGraph.from_facts(m["cfg"])
+                out[m["name"]] = m["cfg"]
     return out
 
 
@@ -467,12 +471,6 @@ def test_iv_matches_oracle_on_random_methods():
     assert len(values) >= 3  # the corpus exercises more than call-free bodies
 
 
-def test_iv_rejects_bad_call_nodes():
-    g = build_cfg([cfgmod.Simple()])
-    with pytest.raises(MalformedGraph):
-        module_design(g, call_nodes={99})
-
-
 def _renumbered_with_jumps(g: ControlFlowGraph, rng: random.Random) -> ControlFlowGraph:
     """``g`` with node ids shuffled and up to two extra edges between
     statement nodes: unstructured, and visited in a different order."""
@@ -491,7 +489,6 @@ def _renumbered_with_jumps(g: ControlFlowGraph, rng: random.Random) -> ControlFl
         edges=tuple((perm[a], perm[b]) for a, b in edges),
         entry=perm[g.entry],
         exit=perm[g.exit],
-        call_nodes=frozenset(perm[c] for c in g.call_nodes),
     )
 
 
@@ -517,7 +514,7 @@ def test_reductions_match_oracles_on_renumbered_unstructured_graphs():
 
 def _sequential_ifs(n: int, with_calls: bool) -> ControlFlowGraph:
     body = cfgmod.Block([cfgmod.Simple(has_call=with_calls)])
-    return build_cfg([cfgmod.IfStmt(then=body, has_call=with_calls) for _ in range(n)])
+    return build_cfg([cfgmod.IfStmt(then=body) for _ in range(n)])
 
 
 def test_essential_scales_to_20000_sequential_ifs():
@@ -628,3 +625,63 @@ def test_facts_cfg_round_trip():
     parsed = ControlFlowGraph.from_facts(g)
     assert cyclomatic(parsed) == 4
     assert parsed.to_facts() == g
+
+
+def _parsed_graphs():
+    """Every graph the parser builds from the fixture sources and from 300
+    generated method bodies."""
+    for path in sorted(FIXTURES.glob("*/*.java")):
+        for rec in parse_source(path.read_text(), path.name).classes:
+            yield from (m["cfg"] for m in rec["methods"] if "cfg" in m)
+    rng = random.Random(303)
+    for _ in range(300):
+        src, _ = random_method_source(rng)
+        yield _method_cfgs(f"class W {{\n{src}\n void helper() {{ }} }}")["gen"]
+
+
+def test_parsed_graphs_survive_the_facts_round_trip():
+    # the call nodes are read from the kinds, so the facts form, which
+    # carries no call set, loses nothing
+    graphs = list(_parsed_graphs())
+    assert len(graphs) > 300 and any(g.call_nodes for g in graphs)
+    for g in graphs:
+        assert ControlFlowGraph.from_facts(g.to_facts()) == g
+
+
+@pytest.mark.parametrize("body, v", [
+    ("if (a > 0) { return g(); } return false;", 2),
+    ("while (a > 0) { if (g()) { break; } a--; } return true;", 3),
+    ("do { a++; } while (g()); return true;", 2),
+])
+def test_a_call_in_a_condition_or_return_is_not_a_call_node(body, v):
+    # iv counts call-bearing statements only: these calls sit in a return
+    # or a condition, so iv is 1 whatever the branching around them
+    src = f"class W {{ boolean g() {{ return true; }} boolean m(int a) {{ {body} }} }}"
+    model = build_system_model(parse_source(src, "W.java").classes)
+    g = next(m.cfg for m in model.get("W").methods if m.name == "m")
+    assert (cyclomatic(g), module_design(g)) == (v, 1)
+
+
+def test_analyze_of_source_validates_each_graph_once(monkeypatch, capsys):
+    # the model takes the parser's graphs as they are: no facts round trip
+    calls = {"build_cfg": 0, "validate": 0}
+    real_build, real_validate = cfgmod.build_cfg, ControlFlowGraph.validate
+
+    def counting_build(body):
+        calls["build_cfg"] += 1
+        return real_build(body)
+
+    def counting_validate(self):
+        calls["validate"] += 1
+        real_validate(self)
+
+    def forbidden(*args):
+        raise AssertionError("facts round trip on the source path")
+
+    monkeypatch.setattr(cfgmod, "build_cfg", counting_build)
+    monkeypatch.setattr(ControlFlowGraph, "validate", counting_validate)
+    monkeypatch.setattr(ControlFlowGraph, "to_facts", forbidden)
+    monkeypatch.setattr(ControlFlowGraph, "from_facts", classmethod(forbidden))
+    assert main(["analyze", str(FIXTURES / "metric_test")]) == 0
+    capsys.readouterr()
+    assert calls["build_cfg"] > 10 and calls["validate"] == calls["build_cfg"]

@@ -409,6 +409,24 @@ def test_cli_rejects_a_range_for_a_method_threshold(tmp_path, capsys):
     assert captured.out == "" and "'v'" in captured.err
 
 
+@pytest.mark.parametrize("cfg, reason", [
+    ({"nodes": 2, "edges": [[0, 1]]}, "needs 'nodes', 'edges' and 'kinds'"),
+    ({"nodes": 2, "edges": 3, "kinds": ["entry", "exit"]}, "must be lists"),
+    ({"nodes": 2, "edges": [[0]], "kinds": ["entry", "exit"]}, "pair of node ids"),
+    ({"nodes": 3, "edges": [[0, 1], [1, 2]], "kinds": ["entry", [], "exit"]}, "unknown node kind"),
+    ({"nodes": 3, "edges": [[0, 2]], "kinds": ["entry", "plain", "exit"]}, "not all nodes reachable"),
+])
+def test_cli_names_the_method_of_a_malformed_facts_graph(cfg, reason, tmp_path, capsys):
+    # each shape once ended in a raw KeyError, TypeError or ValueError, or
+    # in a message that did not say which method's graph was wrong
+    facts = tmp_path / "facts.json"
+    rec = class_rec("p.A", methods=[method_rec("ok", cfg=cfg_with_v(2)), method_rec("m", params=["int"], cfg=cfg)])
+    facts.write_text(json.dumps({"classes": [rec]}))
+    assert main(["analyze", "--facts", str(facts)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p.A.m(int): ") and reason in err and "Traceback" not in err
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "oometrics.cli", "analyze", str(FIXTURES / "metric_test"), "--format", "text"],
