@@ -6,8 +6,10 @@ initializer blocks, and the structured statement set (if/else, while, do,
 for, enhanced for, switch, break/continue with labels, return, throw,
 try/catch/finally, blocks, locals, expression statements).  Generics,
 annotations and lambdas are tolerated and skipped; inner classes are
-flattened to ``Outer.Inner``.  Unsupported constructs inside method bodies
-degrade to opaque statements; only malformed declarations raise.
+flattened to ``Outer.Inner``.  Unsupported constructs inside method bodies,
+and jumps with no enclosing target, degrade to opaque statements; only
+malformed declarations raise.  Each method body is lowered to its
+control-flow graph, and its statements counted, in the pass that parses it.
 
 Output is a :class:`CompilationFacts`: class records in the facts-file
 schema, except that each method's ``cfg`` is the built
@@ -618,9 +620,8 @@ class _ClassBuilder:
             if m.body is not None:
                 lo, hi = m.body
                 body_tokens = self.p.toks[lo:hi]
-                stmts = _StatementParser(self.p.toks, lo, hi, scan).parse_block_body()
-                statements += cfgmod.count_statements(stmts)
-                graph = cfgmod.build_cfg(stmts)
+                graph, count = _StatementParser(self.p.toks, lo, hi, scan).parse_block_body()
+                statements += count
             mrec = self._method_record(
                 name=name,
                 param_types=[self.resolve_type(t) for t in m.param_types],
@@ -800,19 +801,75 @@ class _BodyScanner:
         self.accesses.append(f"{owner}.{attr}")
 
 
-class _StatementParser:
-    """Statement-level recursive descent over a method body token range.
+class _Frame:
+    """Break/continue targets of one loop, switch or labeled statement."""
 
-    The descent methods are generators: each nested statement is yielded
-    to :func:`cfg._trampoline` instead of called, so nesting depth costs
-    heap, not interpreter stack."""
+    __slots__ = ("label", "breaks", "continue_target", "takes_continue", "continues")
+
+    def __init__(self, label: str | None, continue_target: int | None, takes_continue: bool = False):
+        self.label = label
+        self.breaks: list[int] = []
+        self.continue_target = continue_target
+        self.takes_continue = takes_continue
+        self.continues: list[int] = []  # deferred wiring (do-while)
+
+
+def _trampoline(gen):
+    """Run a generator whose nested calls are yielded, not made.
+
+    A generator yields the generator of each call it would otherwise make
+    and receives that call's return value, or has its exception raised at
+    the ``yield``.  The calls stack up in a list on the heap, so statement
+    nesting of any depth runs within the interpreter's recursion limit.
+    """
+    stack = [gen]
+    top = gen
+    value = error = None
+    while True:
+        try:
+            call = top.send(value) if error is None else top.throw(error)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            top = stack[-1]
+            value, error = done.value, None
+        except Exception as exc:
+            stack.pop()
+            if not stack:
+                raise
+            top = stack[-1]
+            value, error = None, exc
+        else:
+            stack.append(call)
+            top = call
+            value = error = None
+
+
+class _StatementParser:
+    """Statement-level recursive descent over a method body token range
+    that lowers each statement to flowgraph nodes as it parses it.
+
+    Each descent method takes the dangling exits (``pending``) of the code
+    before it, the nodes whose next edge goes to whatever follows, and
+    returns its own; a jump, return or throw returns none.  Code after such
+    a statement is still parsed, built and counted: its nodes have no way
+    in, and :func:`cfg.build_cfg` drops them.  The descent methods are
+    generators: each nested statement is yielded to :func:`_trampoline`
+    instead of called, so nesting depth costs heap, not interpreter stack.
+    """
 
     def __init__(self, toks: list[Token], lo: int, hi: int, scan: _BodyScanner):
         self.toks = toks
         self.i = lo
         self.hi = hi
         self.scan = scan
-        self.loop_depth = 0
+        self.kinds: list[str] = [cfgmod.ENTRY]
+        self.edges: list[tuple[int, int]] = []
+        self.exits: list[int] = []  # return/throw nodes, wired to the exit at the end
+        self.frames: list[_Frame] = []
+        self.pending_label: str | None = None  # taken by the next branching statement
+        self.statement_count = 0  # executable statements, for cl_stat
 
     def _val(self, k: int = 0) -> str:
         j = self.i + k
@@ -845,139 +902,179 @@ class _StatementParser:
             self.i += 1
         raise UnbalancedBlock(self._line())
 
-    def parse_block_body(self) -> list:
-        return cfgmod._trampoline(self._statements(closing=False))
+    # -- graph primitives ------------------------------------------------------
 
-    def _statements(self, closing: bool = True):
+    def _node(self, kind: str, pending: list[int]) -> int:
+        n = len(self.kinds)
+        self.kinds.append(kind)
+        for src in pending:
+            self.edges.append((src, n))
+        return n
+
+    def _decisions(self, pending: list[int], count: int) -> list[int]:
+        """Short-circuit operators and ternaries: each becomes one decision
+        node whose two outcomes rejoin immediately.  This canonical shape
+        adds one independent path per operator and stays structured under
+        the essential-complexity reduction."""
+        for _ in range(count):
+            d = self._node(cfgmod.DECISION, pending)
+            pending = [d, d]
+        return pending
+
+    def _simple(self, pending: list[int], has_call: bool, decisions: int) -> list[int]:
+        """A statement that does not branch: ``call-bearing`` when its
+        expressions call (the only kind module design complexity counts as
+        a call), else ``plain``; then its short-circuit decisions."""
+        n = self._node(cfgmod.CALL_BEARING if has_call else cfgmod.PLAIN, pending)
+        return self._decisions([n], decisions)
+
+    def _opaque(self, pending: list[int]) -> list[int]:
+        """A statement the parser cannot follow: one counted plain node."""
+        self.statement_count += 1
+        return [self._node(cfgmod.PLAIN, pending)]
+
+    def _take_label(self) -> str | None:
+        label, self.pending_label = self.pending_label, None
+        return label
+
+    def _find_frame(self, label: str | None, want_break: bool) -> _Frame | None:
+        for frame in reversed(self.frames):
+            if label is not None and frame.label != label:
+                continue
+            if not want_break and not frame.takes_continue:
+                continue  # switch/labeled-block frames take breaks only
+            return frame
+        return None
+
+    def _rollback(self, mark: tuple) -> None:
+        """Undo everything a failed statement built since ``mark``."""
+        nodes, edges, exits, frames, self.pending_label, self.statement_count = mark
+        del self.kinds[nodes:], self.edges[edges:], self.exits[exits:], self.frames[frames:]
+        for frame in self.frames:
+            frame.breaks = [j for j in frame.breaks if j < nodes]
+            frame.continues = [j for j in frame.continues if j < nodes]
+
+    # -- statements --------------------------------------------------------------
+
+    def parse_block_body(self) -> tuple[cfgmod.ControlFlowGraph, int]:
+        """The body's flowgraph and its executable statement count."""
+        pending = _trampoline(self._statements([0], closing=False))
+        return cfgmod.build_cfg(self.kinds, self.edges, pending, self.exits), self.statement_count
+
+    def _statements(self, pending: list[int], closing: bool = True):
         """Statements up to a closing brace, which ``closing`` requires and
         consumes, or to the end of the range.  Statements degrade instead
-        of failing the file: on any parse trouble, consume to a statement
-        boundary and emit an opaque node."""
-        stmts = []
+        of failing the file: on any parse trouble, undo what the statement
+        built, consume to a statement boundary and emit an opaque node."""
         while self.i < self.hi and self._val() != "}":
             before = self.i
+            mark = (len(self.kinds), len(self.edges), len(self.exits), len(self.frames),
+                    self.pending_label, self.statement_count)
             try:
-                stmts.append((yield self.parse_statement()))
+                pending = yield self.parse_statement(pending)
             except SourceSyntaxError:
                 self.i = max(before + 1, self.i)
                 self._skip_to_semi()
-                stmts.append(cfgmod.Simple(kind="opaque"))
+                self._rollback(mark)
+                pending = self._opaque(pending)
         if closing:
             if self._val() != "}":
                 raise UnbalancedBlock(self._line())
             self.i += 1
-        return stmts
+        return pending
 
-    def parse_statement(self):
-        """One statement; a generator (see :func:`cfg._trampoline`)."""
+    def parse_statement(self, pending: list[int]):
+        """One statement; a generator (see :func:`_trampoline`)."""
         v = self._val()
         if v == "{":
             self.i += 1
-            inner = yield self._statements()
-            return cfgmod.Block(inner)
+            return (yield self._statements(pending))
         if v == ";":
             self.i += 1
-            return cfgmod.Simple(kind="empty", counts=False)
+            return pending
         if v == "if":
             self.i += 1
             lo, hi = self._match_paren()
             d, _ = self.scan.scan_expr(lo, hi)
-            then = cfgmod.Block([(yield self.parse_statement())])
-            orelse = None
+            self._take_label()
+            self.statement_count += 1
+            head = self._node(cfgmod.DECISION, self._decisions(pending, d))
+            out = yield self.parse_statement([head])
             if self._val() == "else":
                 self.i += 1
-                orelse = cfgmod.Block([(yield self.parse_statement())])
-            return cfgmod.IfStmt(then=then, orelse=orelse, decisions=d)
+                return out + (yield self.parse_statement([head]))
+            return out + [head]
         if v == "while":
             self.i += 1
             lo, hi = self._match_paren()
-            d, _ = self.scan.scan_expr(lo, hi)
-            self.loop_depth += 1
-            body = cfgmod.Block([(yield self.parse_statement())])
-            self.loop_depth -= 1
-            return cfgmod.WhileStmt(body=body, decisions=d)
-        if v == "do":
-            self.i += 1
-            self.loop_depth += 1
-            body = cfgmod.Block([(yield self.parse_statement())])
-            self.loop_depth -= 1
-            if self._val() != "while":
-                raise SourceSyntaxError(self._line(), "while", self._val())
-            self.i += 1
-            lo, hi = self._match_paren()
-            d, _ = self.scan.scan_expr(lo, hi)
-            self._accept_semi()
-            return cfgmod.DoWhileStmt(body=body, decisions=d)
+            return (yield self._parse_loop(pending, self.scan.scan_expr(lo, hi)[0]))
         if v == "for":
             self.i += 1
             lo, hi = self._match_paren()
-            d = self._scan_for_header(lo, hi)
-            self.loop_depth += 1
-            body = cfgmod.Block([(yield self.parse_statement())])
-            self.loop_depth -= 1
-            return cfgmod.ForStmt(body=body, decisions=d)
+            return (yield self._parse_loop(pending, self._scan_for_header(lo, hi)))
+        if v == "do":
+            return (yield self._parse_do(pending))
         if v == "switch":
-            return (yield self._parse_switch())
+            return (yield self._parse_switch(pending))
         if v == "try":
-            return (yield self._parse_try())
-        if v == "return":
+            return (yield self._parse_try(pending))
+        if v in ("return", "throw"):
             self.i += 1
             lo = self.i
             self._skip_to_semi()
             d, _ = self.scan.scan_expr(lo, self.i - 1)
-            return cfgmod.ReturnStmt(decisions=d)
-        if v == "throw":
-            self.i += 1
-            lo = self.i
-            self._skip_to_semi()
-            d, _ = self.scan.scan_expr(lo, self.i - 1)
-            return cfgmod.ThrowStmt(decisions=d)
-        if v == "break":
+            self.statement_count += 1
+            kind = cfgmod.RETURN if v == "return" else cfgmod.JUMP
+            self.exits.append(self._node(kind, self._decisions(pending, d)))
+            return []
+        if v in ("break", "continue"):
             self.i += 1
             label = None
             if self._kind() == "ident" and self._val() not in KEYWORDS:
                 label = self._val()
                 self.i += 1
             self._accept_semi()
-            if self.loop_depth == 0 and label is None:
-                return cfgmod.Simple(kind="opaque")  # stray break: degrade
-            return cfgmod.BreakStmt(label=label)
-        if v == "continue":
-            self.i += 1
-            label = None
-            if self._kind() == "ident" and self._val() not in KEYWORDS:
-                label = self._val()
-                self.i += 1
-            self._accept_semi()
-            if self.loop_depth == 0:
-                return cfgmod.Simple(kind="opaque")
-            return cfgmod.ContinueStmt(label=label)
+            frame = self._find_frame(label, want_break=v == "break")
+            if frame is None:
+                return self._opaque(pending)  # no target: degrade
+            self.statement_count += 1
+            n = self._node(cfgmod.JUMP, pending)
+            if v == "break":
+                frame.breaks.append(n)
+            elif frame.continue_target is None:
+                frame.continues.append(n)  # do-while: condition not built yet
+            else:
+                self.edges.append((n, frame.continue_target))
+            return []
         if v == "synchronized" and self._val(1) == "(":
             self.i += 1
             lo, hi = self._match_paren()
             d, c = self.scan.scan_expr(lo, hi)
-            body = yield self.parse_statement()
-            return cfgmod.Block([cfgmod.Simple(kind="expr", has_call=c, decisions=d), body])
+            self.statement_count += 1
+            return (yield self.parse_statement(self._simple(pending, c, d)))
         if v == "assert":
             self.i += 1
             lo = self.i
             self._skip_to_semi()
             d, c = self.scan.scan_expr(lo, self.i - 1)
-            return cfgmod.Simple(kind="assert", has_call=c, decisions=d)
+            self.statement_count += 1
+            return self._simple(pending, c, d)
         if v in ("class", "interface", "enum", "abstract", "final") and self._kind() == "ident":
             # local type declaration: skip as opaque
             while self.i < self.hi and self._val() != "{":
                 self.i += 1
             self._skip_braces()
-            return cfgmod.Simple(kind="opaque")
+            return self._opaque(pending)
         if self._kind() == "ident" and self._val() not in KEYWORDS and self._val(1) == ":" and self._val(2) != ":":
-            label = self._val()
+            frame = _Frame(self._val(), None)
             self.i += 2
-            self.loop_depth += 1  # the label itself is a break target
-            inner = yield self.parse_statement()
-            self.loop_depth -= 1
-            return cfgmod.Labeled(label=label, stmt=inner)
-        return self._parse_simple()
+            self.frames.append(frame)
+            self.pending_label = frame.label
+            out = yield self.parse_statement(pending)
+            self.pending_label = None
+            self.frames.pop()
+            return out + frame.breaks
+        return self._parse_simple(pending)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -993,9 +1090,9 @@ class _StatementParser:
             if v in "([{":
                 depth += 1
             elif v in ")]}":
-                if depth == 0:
+                if depth == 0 and v == "}":
                     return  # let the caller see the closing brace
-                depth -= 1
+                depth = max(depth - 1, 0)  # a stray ')' or ']' is skipped
             elif v == ";" and depth == 0:
                 self.i += 1
                 return
@@ -1058,30 +1155,60 @@ class _StatementParser:
             decisions += self.scan.scan_expr(a, b)[0]
         return decisions
 
-    def _parse_switch(self):
+    def _parse_loop(self, pending: list[int], decisions: int):
+        """A while or for loop, from after its header."""
+        label = self._take_label()
+        self.statement_count += 1
+        mark = len(self.kinds)
+        head = self._node(cfgmod.LOOP_HEAD, self._decisions(pending, decisions))
+        header_entry = mark if head > mark else head
+        frame = _Frame(label, header_entry, takes_continue=True)
+        self.frames.append(frame)
+        body_out = yield self.parse_statement([head])
+        self.frames.pop()
+        for src in body_out:
+            self.edges.append((src, header_entry))  # back edge re-evaluates the condition
+        return [head] + frame.breaks
+
+    def _parse_do(self, pending: list[int]):
+        self.i += 1  # 'do'
+        self.statement_count += 1
+        frame = _Frame(self._take_label(), None, takes_continue=True)
+        self.frames.append(frame)
+        mark = len(self.kinds)
+        body_out = yield self.parse_statement(pending)
+        self.frames.pop()
+        if self._val() != "while":
+            raise SourceSyntaxError(self._line(), "while", self._val())
+        self.i += 1
+        lo, hi = self._match_paren()
+        d, _ = self.scan.scan_expr(lo, hi)
+        self._accept_semi()
+        cond_entry = len(self.kinds)
+        head = self._node(cfgmod.LOOP_HEAD, self._decisions(body_out, d))
+        self.edges.append((head, mark if mark < cond_entry else cond_entry))
+        for src in frame.continues:
+            self.edges.append((src, cond_entry))
+        return [head] + frame.breaks
+
+    def _parse_switch(self, pending: list[int]):
         self.i += 1  # 'switch'
         lo, hi = self._match_paren()
         d, _ = self.scan.scan_expr(lo, hi)
         if self._val() != "{":
             raise SourceSyntaxError(self._line(), "{", self._val())
         self.i += 1
-        arms: list[cfgmod.SwitchArm] = []
-        labels = 0
-        is_default = False
-        body: list = []
-        started = False
-
-        def flush():
-            nonlocal labels, is_default, body, started
-            if started:
-                arms.append(cfgmod.SwitchArm(labels=labels, is_default=is_default, body=cfgmod.Block(body)))
-            labels, is_default, body, started = 0, False, [], False
-
+        self._take_label()
+        self.statement_count += 1
+        head = self._node(cfgmod.SWITCH_HEAD, self._decisions(pending, d))
+        frame = _Frame(None, None)
+        self.frames.append(frame)
+        carried: list[int] = []  # exits of the arms so far, falling through
+        labels = 0  # head edges of the arm being opened: one per case, one for a default
+        default = has_default = started = False
         while self.i < self.hi and self._val() != "}":
             v = self._val()
             if v == "case":
-                if body:
-                    flush()
                 started = True
                 self.i += 1
                 lo2 = self.i
@@ -1093,38 +1220,37 @@ class _StatementParser:
                 labels += 1
                 continue
             if v == "default":
-                if body:
-                    flush()
-                started = True
+                started = default = has_default = True
                 self.i += 1
                 if self._val() == ":":
                     self.i += 1
-                is_default = True
                 continue
             if not started:  # stray tokens before the first label: skip
                 self.i += 1
                 continue
-            self.loop_depth += 1  # break binds to the switch
-            body.append((yield self.parse_statement()))
-            self.loop_depth -= 1
-        flush()
+            if labels or default:  # the arm's first statement
+                carried = [head] * (labels + default) + carried
+                labels, default = 0, False
+            carried = yield self.parse_statement(carried)
+        carried = [head] * (labels + default) + carried
+        self.frames.pop()
         if self._val() == "}":
             self.i += 1
-        return cfgmod.SwitchStmt(arms=arms, decisions=d)
+        return carried + ([] if has_default else [head]) + frame.breaks
 
-    def _parse_try(self):
+    def _parse_try(self, pending: list[int]):
         self.i += 1  # 'try'
-        decisions = 0
         if self._val() == "(":
             lo, hi = self._match_paren()
             self._maybe_declare_locals(lo, hi)
-            decisions = self.scan.scan_expr(lo, hi)[0]
+            self.scan.scan_expr(lo, hi)
         if self._val() != "{":
             raise SourceSyntaxError(self._line(), "{", self._val())
         self.i += 1
-        body = cfgmod.Block((yield self._statements()))
-        handlers: list[cfgmod.Block] = []
-        final = None
+        self._take_label()
+        self.statement_count += 1
+        node = self._node(cfgmod.PLAIN, pending)
+        out = yield self._statements([node])
         while self._val() == "catch":
             self.i += 1
             lo, hi = self._match_paren()
@@ -1135,26 +1261,28 @@ class _StatementParser:
             if self._val() != "{":
                 raise SourceSyntaxError(self._line(), "{", self._val())
             self.i += 1
-            handlers.append(cfgmod.Block((yield self._statements())))
+            self.kinds[node] = cfgmod.DECISION  # a handler makes the try branch
+            out = out + (yield self._statements([node]))
         if self._val() == "finally":
             self.i += 1
             if self._val() != "{":
                 raise SourceSyntaxError(self._line(), "{", self._val())
             self.i += 1
-            final = cfgmod.Block((yield self._statements()))
-        return cfgmod.TryStmt(body=body, handlers=handlers, final=final, decisions=decisions)
+            out = yield self._statements(out)
+        return out
 
-    def _parse_simple(self):
-        """Local declaration or expression statement, up to ';'."""
+    def _parse_simple(self, pending: list[int]) -> list[int]:
+        """Local declaration or expression statement, up to ';'.  A
+        declaration without an initializer is a node but not a statement."""
         start = self.i
         is_decl, has_init = self._maybe_declare_locals_stmt()
         lo = self.i
         self._skip_to_semi()
         end = self.i - 1 if self.i > lo and self.toks[self.i - 1].value == ";" else self.i
         d, c = self.scan.scan_expr(start if not is_decl else lo, end)
-        if is_decl:
-            return cfgmod.Simple(kind="decl", has_call=c, decisions=d, counts=has_init)
-        return cfgmod.Simple(kind="expr", has_call=c, decisions=d)
+        if has_init or not is_decl:
+            self.statement_count += 1
+        return self._simple(pending, c, d)
 
     def _maybe_declare_locals_stmt(self) -> tuple[bool, bool]:
         """Detect 'Type name (= init)? (, name ...)* ;' at the cursor.

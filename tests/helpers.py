@@ -448,3 +448,104 @@ def random_class_source(rng: random.Random, name="Gen", n_methods=2):
     helper = "    private void helper() { }\n"
     src = f"package gen.p;\n\npublic class {name} {{\n" + helper + "\n".join(methods) + "}\n"
     return src, total
+
+
+class StatementSoup:
+    """Emits random method bodies that mix what the statement parser must
+    survive without failing the file: labels on loops, blocks and plain
+    statements; jumps to enclosing, missing and no labels, inside and
+    outside loops and switches; statements it cannot parse, some after
+    nested bodies it has already built; dead code after ``return`` and
+    ``throw``; switch fallthrough and repeated labels; try/catch/finally and
+    try-with-resources.  Braces always balance, so every method keeps its
+    body; parentheses and brackets need not."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.labels: list[str] = []  # labels of the enclosing statements
+        self.n_labels = 0
+
+    def block(self, depth: int) -> str:
+        return "{ " + " ".join(self.statement(depth) for _ in range(self.rng.randrange(4))) + " }"
+
+    def jump(self) -> str:
+        kind = self.rng.choice(["break", "continue"])
+        target = self.rng.choice([None, None, "nosuch", *self.labels[-2:]])
+        return f"{kind};" if target is None else f"{kind} {target};"
+
+    def simple(self) -> str:
+        return self.rng.choice([
+            "x0++;", "helper();", "x1 = x0 > 0 ? helper2() : 2;", "int y = x0 && x1 || x2;",
+            "int z;", ";", "return;", "throw new RuntimeException();", "assert x0 > 0 : helper2();",
+            self.jump(), self.jump(),
+        ])
+
+    def unparseable(self, depth: int) -> str:
+        forms = [
+            f"do {self.block(depth)} whle (x0 > 0);",
+            f"try {self.block(depth)} catch {self.block(depth)}",
+            f"if (x0 > 0) {self.block(depth)} else do {self.block(depth)} until (x1);",
+            "switch x0 { case 1: x0++; }",
+            "try x0++;",
+            "x0 = helper2());",
+            "x1 = x0];",
+            "return x0);",
+        ]
+        return self.rng.choice(forms)
+
+    def switch(self, depth: int) -> str:
+        arms = []
+        for k in range(self.rng.randrange(1, 5)):
+            heads = [self.rng.choice([f"case {k}:", f"case {k + 10}:", "default:"])
+                     for _ in range(self.rng.randrange(1, 3))]
+            body = " ".join(self.statement(depth) for _ in range(self.rng.randrange(3)))
+            if self.rng.random() < 0.4:
+                body += " break;"
+            arms.append(" ".join(heads) + " " + body)
+        return "switch (x0 + x1) { " + " ".join(arms) + " }"
+
+    def statement(self, depth: int) -> str:
+        rng = self.rng
+        if depth <= 0 or rng.random() < 0.35:
+            return self.simple()
+        d = depth - 1
+        shape = rng.randrange(11)
+        if shape == 0:
+            self.n_labels += 1
+            label = f"l{self.n_labels}"
+            self.labels.append(label)
+            inner = rng.choice([self.block, self.statement])(d)
+            self.labels.pop()
+            return f"{label}: {inner}"
+        if shape == 1:
+            out = f"if (x0 > 1 && x1 < 2) {self.block(d)}"
+            return out + (f" else {self.statement(d)}" if rng.random() < 0.5 else "")
+        if shape == 2:
+            return f"while (x0 > 0 || x2 < 0) {self.block(d)}"
+        if shape == 3:
+            return f"do {self.block(d)} while (x1 < 3);"
+        if shape == 4:
+            return f"for (int i = 0; i < 3 && x0 > 0; i++) {self.block(d)}"
+        if shape == 5:
+            return self.switch(d)
+        if shape == 6:
+            out = f"try {self.block(d)}"
+            for _ in range(rng.randrange(3)):
+                out += f" catch (IllegalStateException | RuntimeException e) {self.block(d)}"
+            return out + (f" finally {self.block(d)}" if rng.random() < 0.5 else "")
+        if shape == 7:
+            return f"try (Res r = open(x0 > 0 && x1 > 0 ? 1 : 2); Res s = open(x2)) {self.block(d)}"
+        if shape == 8:
+            return f"synchronized (this) {self.block(d)}"
+        if shape == 9:
+            return f"{self.simple()} {self.simple()} return; {self.statement(d)}"
+        return self.unparseable(d)
+
+
+def random_soup_class_source(rng: random.Random, name="Soup", n_methods=3):
+    """(class text, number of methods with a body) for a class whose
+    method bodies are :class:`StatementSoup`."""
+    soup = StatementSoup(rng)
+    methods = [f"    int m{i}(int x0, int x1, int x2) {soup.block(4)}\n" for i in range(n_methods)]
+    helpers = "    abstract int helper();\n    int helper2() { return 1; }\n"
+    return f"abstract class {name} {{\n{helpers}{''.join(methods)}}}\n", n_methods + 1

@@ -16,7 +16,7 @@ import pytest
 
 from helpers import cfg_with_v, random_class_source, random_method_source
 from oometrics import cfg as cfgmod
-from oometrics.cfg import ControlFlowGraph, build_cfg
+from oometrics.cfg import ControlFlowGraph
 from oometrics.cli import main
 from oometrics.complexity import (
     class_wmc,
@@ -64,7 +64,7 @@ def test_invalid_graph_rejected_at_construction(kinds, edges):
 
 
 def test_linear_graph_v1():
-    g = build_cfg([cfgmod.Simple(), cfgmod.Simple(), cfgmod.Simple()])
+    g = _method_cfgs("class W { void m() { x = 1; y = 2; z = 3; } }")["m"]
     assert cyclomatic(g) == 1
     assert g.edge_count - g.node_count + 2 == 1
 
@@ -513,8 +513,8 @@ def test_reductions_match_oracles_on_renumbered_unstructured_graphs():
 
 
 def _sequential_ifs(n: int, with_calls: bool) -> ControlFlowGraph:
-    body = cfgmod.Block([cfgmod.Simple(has_call=with_calls)])
-    return build_cfg([cfgmod.IfStmt(then=body) for _ in range(n)])
+    then = "g();" if with_calls else "x++;"
+    return _method_cfgs(f"class W {{ void m(boolean a) {{ {f'if (a) {then} ' * n}}} }}")["m"]
 
 
 def test_essential_scales_to_20000_sequential_ifs():
@@ -667,9 +667,9 @@ def test_analyze_of_source_validates_each_graph_once(monkeypatch, capsys):
     calls = {"build_cfg": 0, "validate": 0}
     real_build, real_validate = cfgmod.build_cfg, ControlFlowGraph.validate
 
-    def counting_build(body):
+    def counting_build(kinds, edges, pending, exits):
         calls["build_cfg"] += 1
-        return real_build(body)
+        return real_build(kinds, edges, pending, exits)
 
     def counting_validate(self):
         calls["validate"] += 1
@@ -685,3 +685,41 @@ def test_analyze_of_source_validates_each_graph_once(monkeypatch, capsys):
     assert main(["analyze", str(FIXTURES / "metric_test")]) == 0
     capsys.readouterr()
     assert calls["build_cfg"] > 10 and calls["validate"] == calls["build_cfg"]
+
+
+# ---------------------------------------------------------------------------
+# one pass: the parser lowers each statement as it parses it
+# ---------------------------------------------------------------------------
+
+
+def _graph_and_statements(body: str) -> tuple[ControlFlowGraph, int]:
+    (rec,) = parse_source(f"class W {{ int m(boolean c, int x) {{ {body} }} }}", "W.java").classes
+    (method,) = rec["methods"]
+    return method["cfg"], rec["statements"]
+
+
+def test_a_statement_that_fails_to_parse_leaves_nothing_it_built():
+    # the do-while's body, and its break to the outer loop, are built
+    # before the misspelt 'whle' is seen; the whole statement becomes one
+    # opaque node, as if it had never been lowered
+    failed = _graph_and_statements("outer: while (c) { do { break outer; } whle (x); y(); }")
+    assert failed == _graph_and_statements("outer: while (c) { z; y(); }")
+
+
+def test_dead_code_counts_as_statements_but_adds_no_node():
+    g, statements = _graph_and_statements("return 1; x = 2;")
+    assert statements == 2
+    assert g.kinds == ("entry", "return", "exit")
+
+
+def test_a_repeated_default_adds_one_head_edge():
+    g, _ = _graph_and_statements("switch (x) { default: default: }")
+    (head,) = [i for i, k in enumerate(g.kinds) if k == "switch-head"]
+    assert [b for a, b in g.edges if a == head] == [g.exit]
+
+
+def test_a_try_node_branches_only_once_a_catch_is_seen():
+    g, _ = _graph_and_statements("try { x(); } finally { y(); }")
+    assert "decision" not in g.kinds and cyclomatic(g) == 1
+    g, _ = _graph_and_statements("try { x(); } catch (E e) { y(); } finally { z(); }")
+    assert g.kinds.count("decision") == 1 and cyclomatic(g) == 2

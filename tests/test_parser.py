@@ -2,11 +2,14 @@
 determinism, and the facts round trip on generated classes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from helpers import random_class_source
+from helpers import random_class_source, random_soup_class_source
 from oometrics.cli import main
 from oometrics import javasrc
 from oometrics.errors import SourceSyntaxError
@@ -301,8 +304,8 @@ NESTING_SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
 def test_deep_nesting_parses_without_recursion(shape, tmp_path, capsys):
-    # the statement parser and the CFG builder keep nested statements on a
-    # heap stack: 300 levels once ended the whole batch in a RecursionError
+    # the statement parser keeps nested statements on a heap stack: 300
+    # levels once ended the whole batch in a RecursionError
     depth = 300
     opening, closing = NESTING_SHAPES[shape]
     body = opening * depth + "x = x - 1; " + closing * depth
@@ -311,3 +314,54 @@ def test_deep_nesting_parses_without_recursion(shape, tmp_path, capsys):
     (method,) = json.loads(capsys.readouterr().out)["classes"][0]["metrics"]["methods"]
     decisions = 0 if shape in ("block", "labeled_synchronized") else depth
     assert (method["v"], method["ev"]) == (decisions + 1, 1)
+
+
+JUMPS_WITHOUT_TARGET = {
+    # name: (method body, executable statements)
+    "break_to_missing_label": ("while (x > 0) { break nosuch; }", 2),
+    "continue_in_switch": ("switch (x) { case 1: continue; }", 2),
+    "continue_to_block_label": ("lbl: { continue lbl; }", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUMPS_WITHOUT_TARGET))
+def test_a_jump_without_target_is_one_opaque_statement(name, tmp_path, capsys):
+    # each of these once ended the whole batch with exit 1 and a message
+    # that named no file or method
+    body, statements = JUMPS_WITHOUT_TARGET[name]
+    src = f"class Odd {{ void m(int x) {{ {body} }} }}"
+    (rec,) = parse_source(src, "Odd.java").classes
+    kinds = rec["methods"][0]["cfg"].kinds
+    assert kinds.count("plain") == 1 and "jump" not in kinds
+    (tmp_path / "Odd.java").write_text(src)
+    (tmp_path / "Clean.java").write_text("class Clean { int f(int a) { return a + 1; } }")
+    assert main(["analyze", str(tmp_path)]) == 0
+    classes = {c["name"]: c["metrics"] for c in json.loads(capsys.readouterr().out)["classes"]}
+    assert sorted(classes) == ["Clean", "Odd"]
+    assert classes["Odd"]["cl_stat"] == statements
+
+
+def test_a_stray_closing_paren_in_a_body_is_skipped():
+    # a ')' or ']' at statement level once stopped the statement skipper
+    # without consuming anything, and the parser looped on it forever
+    code = (
+        "from oometrics.javasrc import parse_source; "
+        "print(parse_source('class A { void m() { x = 1); y(); z = a]; return x); } }').classes[0]['statements'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0 and proc.stdout.strip() == "4"
+
+
+def test_statement_soup_analyzes_every_method(tmp_path, capsys):
+    # labels, jumps with and without targets, unparseable statements, dead
+    # code, fallthrough and try forms: none of them may fail the batch
+    rng = random.Random(9)
+    bodies = {}
+    for k in range(300):
+        src, n = random_soup_class_source(rng, name=f"Soup{k}", n_methods=rng.randrange(1, 4))
+        (tmp_path / f"Soup{k}.java").write_text(src)
+        bodies[f"Soup{k}"] = n
+    assert main(["analyze", str(tmp_path)]) == 0
+    classes = json.loads(capsys.readouterr().out)["classes"]
+    assert {c["name"]: len(c["metrics"]["methods"]) for c in classes} == bodies

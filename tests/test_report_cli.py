@@ -415,10 +415,14 @@ def test_cli_rejects_a_range_for_a_method_threshold(tmp_path, capsys):
     ({"nodes": 2, "edges": [[0]], "kinds": ["entry", "exit"]}, "pair of node ids"),
     ({"nodes": 3, "edges": [[0, 1], [1, 2]], "kinds": ["entry", [], "exit"]}, "unknown node kind"),
     ({"nodes": 3, "edges": [[0, 2]], "kinds": ["entry", "plain", "exit"]}, "not all nodes reachable"),
+    ({"nodes": 2, "edges": [[0, 1.9]], "kinds": ["entry", "exit"]}, "node ids must be integers"),
+    ({"nodes": 2, "edges": [["0", True]], "kinds": ["entry", "exit"]}, "node ids must be integers"),
+    ({"nodes": 2.0, "edges": [[0, 1]], "kinds": ["entry", "exit"]}, "'nodes' must be an integer"),
 ])
 def test_cli_names_the_method_of_a_malformed_facts_graph(cfg, reason, tmp_path, capsys):
-    # each shape once ended in a raw KeyError, TypeError or ValueError, or
-    # in a message that did not say which method's graph was wrong
+    # each shape once ended in a raw KeyError, TypeError or ValueError, in
+    # a message that did not say which method's graph was wrong, or (a
+    # non-integer node id) in exit 0 with the id truncated by int()
     facts = tmp_path / "facts.json"
     rec = class_rec("p.A", methods=[method_rec("ok", cfg=cfg_with_v(2)), method_rec("m", params=["int"], cfg=cfg)])
     facts.write_text(json.dumps({"classes": [rec]}))
