@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexity import class_wmc
-from .errors import DegenerateSystem
-from .model import SystemModel
+from .errors import DegenerateSystem, UnknownClass
+from .model import CouplingRow, SystemModel
 
 KIVIAT_ORDER = (
     "cl_comf", "cl_comm", "cl_data", "cl_data_publ", "cl_func", "cl_func_publ",
@@ -79,21 +79,18 @@ class ClassMetricsRecord:
         return {m: getattr(self, m) for m in KIVIAT_ORDER}
 
 
-def _internal_used(model: SystemModel, c: str) -> frozenset[str]:
-    return frozenset(d for d in model.used_classes(c) if not model.get(d).is_external)
-
-
-def _internal_users(model: SystemModel, c: str) -> frozenset[str]:
-    return frozenset(d for d in model.user_classes(c) if not model.get(d).is_external)
+def _coupling(model: SystemModel, c: str) -> CouplingRow:
+    """``c``'s row of the coupling table; a library stub has none."""
+    if model.get(c).is_external:
+        raise UnknownClass(c)
+    return model.coupling[c]
 
 
 def cbo(model: SystemModel, c: str) -> int:
     """|{d != c : uses(c,d) or uses(d,c)}| over system classes; import and
     export coupling both count."""
-    info = model.get(c)
-    coupled = _internal_used(model, c) | _internal_users(model, c)
-    coupled -= {c}
-    return len(coupled) if not info.is_external else 0
+    row = _coupling(model, c)
+    return len(row.used | row.users)
 
 
 def rfc(model: SystemModel, c: str) -> int:
@@ -121,24 +118,11 @@ def mpc(model: SystemModel, c: str) -> int:
     return total
 
 
-def dac(model: SystemModel, c: str) -> int:
-    """Attributes whose declared type is a system class."""
-    info = model.get(c)
-    count = 0
-    for a in info.attributes:
-        t = a.declared_type
-        if t != c and t in model and not model.get(t).is_external:
-            count += 1
-    return count
-
-
 def dit(model: SystemModel, c: str) -> int:
+    """Longest superclass path length; unresolved/external parents
+    contribute their declared external depth instead of an edge."""
     model.get(c)
-    return model.inheritance_depth(c)
-
-
-def noc(model: SystemModel, c: str) -> int:
-    return len(model.children(c))
+    return model.hierarchy[c].depth
 
 
 def coupling_factor(model: SystemModel) -> float:
@@ -150,10 +134,10 @@ def coupling_factor(model: SystemModel) -> float:
     rows = model.hierarchy
     numerator = 0
     desc_total = 0
-    for c in model.internal_class_names:
+    for c, coupling in model.coupling.items():
         row = rows[c]
         desc_total += row.descendant_count
-        for d in _internal_used(model, c):
+        for d in coupling.used:
             other = rows[d]
             # d is an ancestor of c, or c an ancestor of d (d a descendant)
             if row.has_ancestor(other) or other.has_ancestor(row):
@@ -168,6 +152,7 @@ def coupling_factor(model: SystemModel) -> float:
 def logiscope_mnemonics(model: SystemModel, c: str) -> dict[str, float | int | None]:
     """The thirteen class mnemonics in canonical order."""
     info = model.get(c)
+    coupling = _coupling(model, c)
     funcs = info.member_functions
     comf = info.comment_lines / info.line_count if info.line_count > 0 else None
     return {
@@ -180,8 +165,8 @@ def logiscope_mnemonics(model: SystemModel, c: str) -> dict[str, float | int | N
         "cl_line": info.line_count,
         "cl_stat": info.statement_count,
         "cl_wmc": class_wmc(info),
-        "cu_cdused": len(_internal_used(model, c)),
-        "cu_cdusers": len(_internal_users(model, c)),
+        "cu_cdused": len(coupling.used),
+        "cu_cdusers": len(coupling.users),
         "in_bases": model.hierarchy[c].ancestor_count,
         "in_noc": len(model.children(c)),
     }

@@ -51,6 +51,11 @@ class MalformedGraph(MetricsError):
     pass
 
 
+class FactsError(MetricsError):
+    """A facts file that cannot be read, or a class record the model
+    cannot hold; the message names the file, or the class and method."""
+
+
 class UndefinedMetric(MetricsError):
     """A metric whose preconditions do not hold for the given class."""
 
@@ -71,12 +76,6 @@ class EmptyModel(MetricsError):
 class UnknownMnemonic(MetricsError):
     def __init__(self, mnemonic: str):
         super().__init__(f"unknown metric mnemonic: {mnemonic}")
-        self.mnemonic = mnemonic
-
-
-class MissingMetric(MetricsError):
-    def __init__(self, mnemonic: str):
-        super().__init__(f"record is missing metric: {mnemonic}")
         self.mnemonic = mnemonic
 
 

@@ -868,7 +868,7 @@ class _StatementParser:
         self.edges: list[tuple[int, int]] = []
         self.exits: list[int] = []  # return/throw nodes, wired to the exit at the end
         self.frames: list[_Frame] = []
-        self.pending_label: str | None = None  # taken by the next branching statement
+        self.pending_label: str | None = None  # taken by the next block or branching statement
         self.statement_count = 0  # executable statements, for cl_stat
 
     def _val(self, k: int = 0) -> str:
@@ -988,6 +988,7 @@ class _StatementParser:
         v = self._val()
         if v == "{":
             self.i += 1
+            self._take_label()  # a label on a block belongs to the block
             return (yield self._statements(pending))
         if v == ";":
             self.i += 1

@@ -18,11 +18,12 @@ the config file.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 from .complexity import cyclomatic
-from .errors import DomainError, EmptyModel
+from .errors import ConfigError, DomainError, EmptyModel
 from .model import SystemModel
 
 RATINGS = ("++", "+", "o", "-", "--")
@@ -105,6 +106,42 @@ class SigRating:
             "unitTesting": self.unit_testing,
             "overall": self.overall,
         }
+
+
+def check_bands(overrides) -> None:
+    """Raise ConfigError unless every override names a band of
+    DEFAULT_BANDS and has its default's shape (see :func:`_fits`), with a
+    duplication window of at least one line."""
+    if not isinstance(overrides, dict):
+        raise ConfigError("sigBands must be an object of SIG bands")
+    for key, value in overrides.items():
+        if key not in DEFAULT_BANDS:
+            raise ConfigError(f"sigBands: not a SIG band: {key!r} (known: {', '.join(DEFAULT_BANDS)})")
+        default = DEFAULT_BANDS[key]
+        if not _fits(value, default):
+            raise ConfigError(f"sigBands: {key} must have the shape of {json.dumps(default)}, got {json.dumps(value)}")
+    if overrides.get("duplicationWindow", 1) < 1:
+        raise ConfigError("sigBands: duplicationWindow must be at least 1 line")
+
+
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the shape of the band default: an object with
+    the same keys, a list of rows as long as the default's rows, a rating
+    where the default has one, an integer where it has an integer, and any
+    number where it has a float."""
+    if isinstance(default, dict):
+        return isinstance(value, dict) and value.keys() == default.keys() and all(
+            _fits(value[k], d) for k, d in default.items()
+        )
+    if isinstance(default, list):  # a table: rows shaped like its first
+        return isinstance(value, list) and all(_fits(row, default[0]) for row in value)
+    if isinstance(default, tuple):  # one row of a table
+        return isinstance(value, list) and len(value) == len(default) and all(map(_fits, value, default))
+    if isinstance(default, str):
+        return value in RATINGS
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(default, float) and isinstance(value, float))
 
 
 def _merge_bands(overrides: dict | None) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cfg import ControlFlowGraph
-from .errors import DuplicateClass, InheritanceCycle, MalformedGraph, UnknownClass
+from .errors import DuplicateClass, FactsError, InheritanceCycle, MalformedGraph, UnknownClass
 
 PRIMITIVE_TYPES = {
     "void", "int", "long", "short", "byte", "char", "boolean", "float", "double", "var",
@@ -45,10 +45,6 @@ class Invocation:
     target_class: str
     target_method: str
     count: int = 1
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("invocation multiplicity must be >= 1")
 
     @property
     def method_name(self) -> str:
@@ -95,13 +91,17 @@ class ClassInfo:
 
     def __post_init__(self):
         if self.comment_lines > self.line_count:
-            raise ValueError(f"{self.name}: comment_lines exceeds line_count")
-        sigs = [m.signature for m in self.methods]
-        if len(sigs) != len(set(sigs)):
-            raise ValueError(f"{self.name}: duplicate method signature")
-        attr_names = [a.name for a in self.attributes]
-        if len(attr_names) != len(set(attr_names)):
-            raise ValueError(f"{self.name}: duplicate attribute name")
+            raise FactsError(f"{self.name}: commentLines {self.comment_lines} exceeds lines {self.line_count}")
+        sigs: set[str] = set()
+        for m in self.methods:
+            if m.signature in sigs:
+                raise FactsError(f"{self.name}.{m.signature}: duplicate method signature")
+            sigs.add(m.signature)
+        attr_names: set[str] = set()
+        for a in self.attributes:
+            if a.name in attr_names:
+                raise FactsError(f"{self.name}: duplicate attribute {a.name}")
+            attr_names.add(a.name)
 
     @cached_property
     def regular_methods(self) -> tuple[MethodInfo, ...]:
@@ -172,6 +172,15 @@ class HierarchyRow:
         return bool(self.ancestor_bits >> other.index & 1)
 
 
+@dataclass(frozen=True, slots=True)
+class CouplingRow:
+    """One system class's place in the uses relation, system classes only:
+    ``used`` are the classes it uses, ``users`` the classes that use it."""
+
+    used: frozenset[str]
+    users: frozenset[str]
+
+
 class SystemModel:
     """Immutable graph of classes and their relations.
 
@@ -188,8 +197,6 @@ class SystemModel:
                 if sup in kids:
                     kids[sup].append(info.name)
         self._children = {name: tuple(sorted(v)) for name, v in kids.items()}
-        self._used_cache: dict[str, frozenset[str]] = {}
-        self._users_cache: dict[str, frozenset[str]] | None = None
 
     # -- basic access --------------------------------------------------------
 
@@ -266,12 +273,6 @@ class SystemModel:
             layer = nxt
         return AncestorChain(tuple(names), ext_depth)
 
-    def inheritance_depth(self, name: str) -> int:
-        """Longest superclass path length; unresolved/external parents
-        contribute their declared external depth instead of an edge."""
-        self.get(name)
-        return self.hierarchy[name].depth
-
     @cached_property
     def hierarchy(self) -> dict[str, HierarchyRow]:
         """Every class's inheritance facts, built on first use in two passes
@@ -284,8 +285,6 @@ class SystemModel:
         """All classes ``name`` uses: invocation targets, accessed-attribute
         owners, attribute types, parameter types.  Externals included;
         callers filter.  Plain ``extends`` is not use."""
-        if name in self._used_cache:
-            return self._used_cache[name]
         info = self.get(name)
         out: set[str] = set()
         for attr in info.attributes:
@@ -302,19 +301,19 @@ class SystemModel:
                 if owner in self._classes:
                     out.add(owner)
         out.discard(name)
-        result = frozenset(out)
-        self._used_cache[name] = result
-        return result
+        return frozenset(out)
 
-    def user_classes(self, name: str) -> frozenset[str]:
-        self.get(name)
-        if self._users_cache is None:
-            users: dict[str, set[str]] = {n: set() for n in self._classes}
-            for c in self._classes:
-                for d in self.used_classes(c):
-                    users[d].add(c)
-            self._users_cache = {n: frozenset(v) for n, v in users.items()}
-        return self._users_cache[name]
+    @cached_property
+    def coupling(self) -> dict[str, CouplingRow]:
+        """Every system class's used and user system classes, built on
+        first use from one :meth:`used_classes` call per system class."""
+        names = self.internal_class_names
+        used = {c: frozenset(d for d in self.used_classes(c) if not self._classes[d].is_external) for c in names}
+        users: dict[str, set[str]] = {c: set() for c in names}
+        for c, targets in used.items():
+            for d in targets:
+                users[d].add(c)
+        return {c: CouplingRow(used[c], frozenset(users[c])) for c in names}
 
     def uses(self, c: str, d: str) -> bool:
         """Directional: c invokes a method of d, accesses an attribute of d,
@@ -518,6 +517,8 @@ def build_system_model(class_records) -> SystemModel:
 
         methods = []
         for m in rec.get("methods", ()):
+            params = tuple(resolver.resolve(p) or p for p in m.get("paramTypes", ()))
+            where = f"{name}.{m['name']}({','.join(params)})"
             accesses: set[tuple[str, str]] = set()
             for ref in m.get("accesses", ()):
                 cls_ref, attr = _parse_member_ref(ref)
@@ -535,16 +536,18 @@ def build_system_model(class_records) -> SystemModel:
                 owner = resolver.resolve(cls_ref) if cls_ref else name
                 if owner is None:
                     continue
+                count = int(inv.get("count", 1))
+                if count < 1:
+                    raise FactsError(f"{where}: invokes {inv['target']} with count {count}, below 1")
                 key = (owner, meth + spec)
-                merged[key] = merged.get(key, 0) + int(inv.get("count", 1))
+                merged[key] = merged.get(key, 0) + count
             invokes = [Invocation(c, m_, n) for (c, m_), n in sorted(merged.items())]
-            params = tuple(resolver.resolve(p) or p for p in m.get("paramTypes", ()))
             cfg = m.get("cfg")
             if cfg is not None and not isinstance(cfg, ControlFlowGraph):
                 try:
                     cfg = ControlFlowGraph.from_facts(cfg)
                 except MalformedGraph as exc:
-                    raise MalformedGraph(f"{name}.{m['name']}({','.join(params)}): {exc}") from exc
+                    raise MalformedGraph(f"{where}: {exc}") from exc
             methods.append(
                 MethodInfo(
                     name=m["name"],
@@ -666,8 +669,15 @@ def facts_to_model(doc: dict) -> SystemModel:
 
 
 def load_facts(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """One facts file's document; a file that cannot be read or is not
+    JSON raises FactsError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FactsError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except OSError as exc:
+        raise FactsError(str(exc)) from None
 
 
 def dump_facts(doc: dict, path) -> None:

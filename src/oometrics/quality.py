@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .ck import KIVIAT_ORDER, ClassMetricsRecord
-from .errors import ConfigError, MissingMetric, UnknownMnemonic
+from .errors import ConfigError, UnknownMnemonic
+from .maintain import check_bands
 
 INF = math.inf
 
@@ -77,33 +79,21 @@ class RangeTable:
                 raise ConfigError(f"ranges: not a class mnemonic: {mnemonic!r} (known: {', '.join(KIVIAT_ORDER)})")
             if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
                 raise ConfigError(f"range for {mnemonic} needs min and max")
-            merged[mnemonic] = (_bound(spec["min"]), _bound(spec["max"]))
+            merged[mnemonic] = (_bound(mnemonic, spec["min"]), _bound(mnemonic, spec["max"]))
         return cls(merged)
 
 
-def _bound(v) -> float:
+def _bound(mnemonic: str, v) -> float:
+    """A range bound: a number, or one of the infinity strings."""
     if isinstance(v, str):
         s = v.strip().lower()
         if s in ("inf", "+inf", "infinity"):
             return INF
         if s in ("-inf", "-infinity"):
             return -INF
-        raise ConfigError(f"bad bound: {v!r}")
-    return float(v)
-
-
-@dataclass(frozen=True)
-class MetricStatus:
-    status: int  # 0 in range, -1 out
-    side: str  # LOW | HIGH | IN
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    criterion: str
-    statuses: dict[str, MetricStatus]
-    in_range_count: int
-    category: str
+    elif isinstance(v, (int, float)) and not isinstance(v, bool) and not math.isnan(v):
+        return float(v)
+    raise ConfigError(f"range for {mnemonic}: bad bound {json.dumps(v)}: a number, \"inf\" or \"-inf\"")
 
 
 @dataclass(frozen=True)
@@ -112,56 +102,43 @@ class KiviatRow:
     value: float | int | None
     min: float
     max: float
-    status: int  # 0 | -1
+    side: str  # IN range, or the violated side: LOW | HIGH
 
 
-def metric_status(ranges: RangeTable, mnemonic: str, value) -> MetricStatus:
-    """0 when min <= value <= max, else -1 with the violated side.
+def metric_status(ranges: RangeTable, mnemonic: str, value) -> str:
+    """IN when min <= value <= max, else the violated side, LOW or HIGH.
     An undefined value (None) flags LOW: degenerate input is never quietly
     in range."""
     lo, hi = ranges.bounds(mnemonic)
-    if value is None:
-        return MetricStatus(-1, "LOW")
-    if value < lo:
-        return MetricStatus(-1, "LOW")
+    if value is None or value < lo:
+        return "LOW"
     if value > hi:
-        return MetricStatus(-1, "HIGH")
-    return MetricStatus(0, "IN")
+        return "HIGH"
+    return "IN"
 
 
-def criterion(ranges: RangeTable, record: ClassMetricsRecord, which: str) -> CriterionResult:
-    try:
-        constituents = CRITERIA[which]
-    except KeyError:
-        raise ConfigError(f"unknown criterion: {which}") from None
-    mnemonics = record.mnemonics()
-    statuses: dict[str, MetricStatus] = {}
-    for m in constituents:
-        if m not in mnemonics:
-            raise MissingMetric(m)
-        statuses[m] = metric_status(ranges, m, mnemonics[m])
-    out = sum(1 for s in statuses.values() if s.status != 0)
-    category = CATEGORIES[min(out, 3)]
-    return CriterionResult(
-        criterion=which,
-        statuses=statuses,
-        in_range_count=len(constituents) - out,
-        category=category,
-    )
+def kiviat_rows(ranges: RangeTable, record: ClassMetricsRecord) -> list[KiviatRow]:
+    """The thirteen mnemonic rows in canonical order: the one place a
+    class's mnemonics are checked against their ranges."""
+    rows = []
+    for m, value in record.mnemonics().items():
+        lo, hi = ranges.bounds(m)
+        rows.append(KiviatRow(mnemonic=m, value=value, min=lo, max=hi, side=metric_status(ranges, m, value)))
+    return rows
 
 
-def all_criteria(ranges: RangeTable, record: ClassMetricsRecord) -> dict[str, CriterionResult]:
-    return {name: criterion(ranges, record, name) for name in CRITERIA}
+def criteria_categories(rows: list[KiviatRow]) -> dict[str, str]:
+    """Each criterion's category: EXCELLENT with every constituent in
+    range, one step down per constituent out of range, POOR from three."""
+    out = {r.mnemonic for r in rows if r.side != "IN"}
+    return {name: CATEGORIES[min(sum(m in out for m in ms), 3)] for name, ms in CRITERIA.items()}
 
 
-def maintainability(criteria: dict[str, CriterionResult] | list[CriterionResult]) -> str:
-    """Fold the four criteria into one category.  Points: EXCELLENT 3,
+def maintainability(categories: Iterable[str]) -> str:
+    """Fold the four criterion categories into one.  Points: EXCELLENT 3,
     GOOD 2, FAIR 1, POOR 0; total >= 11 EXCELLENT, 8-10 GOOD, 5-7 FAIR,
     else POOR."""
-    items = list(criteria.values()) if isinstance(criteria, dict) else list(criteria)
-    if len(items) != 4:
-        raise MissingMetric("maintainability needs all four criteria")
-    total = sum(_CATEGORY_POINTS[c.category] for c in items)
+    total = sum(_CATEGORY_POINTS[c] for c in categories)
     if total >= 11:
         return "EXCELLENT"
     if total >= 8:
@@ -169,19 +146,6 @@ def maintainability(criteria: dict[str, CriterionResult] | list[CriterionResult]
     if total >= 5:
         return "FAIR"
     return "POOR"
-
-
-def kiviat_rows(ranges: RangeTable, record: ClassMetricsRecord) -> list[KiviatRow]:
-    """The thirteen mnemonic rows in canonical order."""
-    mnemonics = record.mnemonics()
-    rows = []
-    for m in KIVIAT_ORDER:
-        if m not in mnemonics:
-            raise MissingMetric(m)
-        lo, hi = ranges.bounds(m)
-        st = metric_status(ranges, m, mnemonics[m])
-        rows.append(KiviatRow(mnemonic=m, value=mnemonics[m], min=lo, max=hi, status=st.status))
-    return rows
 
 
 #: advice per (mnemonic, side); wording follows the report phrasing of the
@@ -203,20 +167,17 @@ _ADVICE: dict[tuple[str, str], str] = {
 }
 
 
-def recommendations(record: ClassMetricsRecord, rows: list[KiviatRow]) -> list[str]:
+def recommendations(rows: list[KiviatRow]) -> list[str]:
     """One deterministic advice line per violated mnemonic."""
-    ranges_by_mnemonic = {r.mnemonic: r for r in rows}
     advice: list[str] = []
-    for m in KIVIAT_ORDER:
-        row = ranges_by_mnemonic.get(m)
-        if row is None or row.status == 0:
+    for row in rows:
+        if row.side == "IN":
             continue
-        side = "LOW" if (row.value is None or row.value < row.min) else "HIGH"
-        text = _ADVICE.get((m, side))
+        text = _ADVICE.get((row.mnemonic, row.side))
         if text is None:
-            direction = "Increase" if side == "LOW" else "Reduce"
-            text = f"{direction} {m} to enter the acceptable range"
-        advice.append(f"{m}: {text}")
+            direction = "Increase" if row.side == "LOW" else "Reduce"
+            text = f"{direction} {row.mnemonic} to enter the acceptable range"
+        advice.append(f"{row.mnemonic}: {text}")
     return advice
 
 
@@ -260,10 +221,15 @@ class ToolConfig:
             raise ConfigError(
                 f"churnMetrics: not class mnemonics: {unknown!r} (known: {', '.join(KIVIAT_ORDER)})"
             )
+        sig_bands = doc.get("sigBands", {})
+        check_bands(sig_bands)
+        baseline = doc.get("qmoodBaseline")
+        if "qmoodBaseline" in doc and not isinstance(baseline, str):
+            raise ConfigError(f"qmoodBaseline must be the path of a facts file, got {json.dumps(baseline)}")
         return cls(
             ranges=ranges,
-            sig_bands=doc.get("sigBands", {}),
+            sig_bands=sig_bands,
             churn_metrics=tuple(churn),
-            qmood_baseline=doc.get("qmoodBaseline"),
+            qmood_baseline=baseline,
             raw=doc,
         )

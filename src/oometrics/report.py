@@ -14,24 +14,14 @@ import math
 from dataclasses import dataclass, fields
 
 from . import cohesion, qmood
-from .ck import (
-    KIVIAT_ORDER,
-    ClassMetricsRecord,
-    cbo,
-    dac,
-    dit,
-    logiscope_mnemonics,
-    mpc,
-    noc,
-    rfc,
-)
+from .ck import KIVIAT_ORDER, ClassMetricsRecord, cbo, dit, logiscope_mnemonics, mpc, rfc
 from .complexity import complexity_triple, cyclomatic, essential, quadrant
 from .errors import DegenerateSystem, EmptyModel, MetricsError, UndefinedMetric, WrongAxisCount
 from .halstead import HalsteadCounts, merge_counts
 from .maintain import maintainability_index, sig_rating
 from .model import SystemModel
 from .mood import mood
-from .quality import ToolConfig, all_criteria, kiviat_rows, maintainability, recommendations
+from .quality import CRITERIA, ToolConfig, criteria_categories, kiviat_rows, maintainability, recommendations
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "oometrics"
@@ -46,9 +36,8 @@ def compute_class_record(model: SystemModel, name: str) -> ClassMetricsRecord:
     rec.rfc = rfc(model, name)
     rec.wmc = rec.cl_wmc
     rec.dit = dit(model, name)
-    rec.noc = noc(model, name)
+    rec.noc = rec.in_noc
     rec.mpc = mpc(model, name)
-    rec.dac = dac(model, name)
 
     for key, value in cohesion.class_cohesion(info).items():
         setattr(rec, key, None if isinstance(value, UndefinedMetric) else value)
@@ -56,6 +45,7 @@ def compute_class_record(model: SystemModel, name: str) -> ClassMetricsRecord:
     qm = qmood.qmood_class_metrics(model, name)
     rec.dam, rec.dcc, rec.cam, rec.moa = qm.dam, qm.dcc, qm.cam, qm.moa
     rec.mfa, rec.nop, rec.cis, rec.nom = qm.mfa, qm.nop, qm.cis, qm.nom
+    rec.dac = qm.moa  # the same count: attributes typed by another system class
 
     for m in info.member_functions:
         if m.cfg is None:
@@ -100,24 +90,24 @@ def compute_report(
     records = []
     class_sections = []
     maintainability_cats: list[str] = []
-    criteria_cats: dict[str, list[str]] = {k: [] for k in ("Analyzability", "Changeability", "Stability", "Testability")}
+    criteria_cats: dict[str, list[str]] = {k: [] for k in CRITERIA}
     for name in names:
         rec = compute_class_record(model, name)
         records.append(rec)
-        crits = all_criteria(ranges, rec)
-        factor = maintainability(crits)
-        maintainability_cats.append(factor)
-        for k, v in crits.items():
-            criteria_cats[k].append(v.category)
         rows = kiviat_rows(ranges, rec)
+        crits = criteria_categories(rows)
+        factor = maintainability(crits.values())
+        maintainability_cats.append(factor)
+        for k, category in crits.items():
+            criteria_cats[k].append(category)
         class_sections.append(
             {
                 "name": name,
                 "metrics": _record_dict(rec),
-                "criteria": {k: v.category for k, v in crits.items()},
+                "criteria": crits,
                 "maintainability": factor,
-                "violations": [r.mnemonic for r in rows if r.status != 0],
-                "recommendations": recommendations(rec, rows),
+                "violations": [r.mnemonic for r in rows if r.side != "IN"],
+                "recommendations": recommendations(rows),
             }
         )
 
@@ -310,7 +300,7 @@ def emit_kiviat_svg(rows, class_name: str) -> str:
     # vertex markers: violations in red
     for idx, row in enumerate(rows):
         x, y = coords[idx]
-        if row.status != 0:
+        if row.side != "IN":
             parts.append(
                 f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" fill="#cc2222" '
                 f'class="violation" data-mnemonic="{_esc(row.mnemonic)}"/>'

@@ -105,7 +105,7 @@ def test_criterion_2_logiscope_status_replication():
         flagged = {
             mnemonic
             for mnemonic, value in values.items()
-            if metric_status(ranges, mnemonic, value).status == -1
+            if metric_status(ranges, mnemonic, value) != "IN"
         }
         assert flagged == expected_out, name
     _passed(2, "status columns, 4 and 8 violations")

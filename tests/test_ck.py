@@ -17,6 +17,8 @@ from oometrics import ck
 from oometrics.errors import DegenerateSystem
 from oometrics.javasrc import parse_source
 from oometrics.model import build_system_model
+from oometrics.qmood import qmood_class_metrics
+from oometrics.report import compute_class_record
 
 FIXTURES = Path(__file__).parent / "fixtures" / "src"
 
@@ -44,7 +46,7 @@ def test_cbo_isolated_class_zero():
 
 def test_dac_fixture_string_field_ignored():
     m = load_fixture("cbo_dac")
-    assert ck.dac(m, "fixtures.cbo.ClassC") == 1
+    assert compute_class_record(m, "fixtures.cbo.ClassC").dac == 1
 
 
 def test_dac_primitive_fields_zero():
@@ -54,7 +56,7 @@ def test_dac_primitive_fields_zero():
             {"name": "y", "type": "double", "visibility": "private", "static": False},
         ]),
     ])
-    assert ck.dac(m, "A") == 0
+    assert qmood_class_metrics(m, "A").moa == 0
 
 
 def test_rfc_fixture_table():
@@ -74,7 +76,7 @@ def test_dit_noc_fixture_table():
     m = load_fixture("dit")
     dits = [ck.dit(m, f"fixtures.dit.Class{x}") for x in "ABCDEF"]
     assert dits == [0, 1, 2, 2, 3, 3]
-    assert ck.noc(m, "fixtures.dit.ClassB") == 2
+    assert ck.logiscope_mnemonics(m, "fixtures.dit.ClassB")["in_noc"] == 2
     assert ck.dit(m, "fixtures.dit.ClassA") == 0
 
 
@@ -195,7 +197,7 @@ def test_dac_matches_field_type_scan():
                 and a.declared_type != c
                 and not m.get(a.declared_type).is_external
             )
-            assert ck.dac(m, c) == expected
+            assert qmood_class_metrics(m, c).moa == expected
 
 
 def test_coupling_factor_matches_brute_force():

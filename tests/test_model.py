@@ -37,7 +37,7 @@ def test_repeated_extends_entry_is_one_parent():
     ])
     assert model.children("p.A") == ("p.B",)
     assert model.get("p.B").superclasses == ("p.A",)
-    assert ck.noc(model, "p.A") == 1
+    assert ck.logiscope_mnemonics(model, "p.A")["in_noc"] == 1
     assert model_to_facts(model)["classes"][1]["extends"] == ["p.A"]
 
 
@@ -81,7 +81,7 @@ def test_external_parent_excluded_from_ancestors():
     model = build_system_model([class_rec("A", extends=["some.lib.Base"])])
     assert list(model.ancestors("A")) == []
     assert model.get("some.lib.Base").is_external
-    assert model.inheritance_depth("A") == 0
+    assert ck.dit(model, "A") == 0
     assert "some.lib.Base" not in model.internal_class_names
 
 
@@ -163,7 +163,7 @@ def test_inheritance_depth_matches_longest_path_oracle():
 
         # deepest class first, so the memo fills from the bottom up
         for c in reversed(names):
-            assert model.inheritance_depth(c) == longest(c)
+            assert ck.dit(model, c) == longest(c)
 
 
 def hierarchy_corpus():
@@ -210,7 +210,7 @@ def test_hierarchy_table_matches_walk_oracles():
             assert got == _row_oracle(model, c), c
             assert row.ancestor_bits == sum(1 << rows[a].index for a in model.ancestors(c))
             assert row.ancestor_bits < 1 << row.index  # parents first
-            assert model.inheritance_depth(c) == row.depth
+            assert ck.dit(model, c) == row.depth
 
 
 def test_private_override_is_an_override_and_never_new():
@@ -225,8 +225,8 @@ def test_private_override_is_an_override_and_never_new():
 
 def test_external_parent_depth_counts_and_adds_no_ancestor():
     model = hand_built_hierarchies()[1]
-    assert model.inheritance_depth("A") == 3
-    assert model.inheritance_depth("B") == 4
+    assert ck.dit(model, "A") == 3
+    assert ck.dit(model, "B") == 4
     assert model.hierarchy["B"].ancestor_count == 1
     assert model.ancestors("B").external_depth == 3
 

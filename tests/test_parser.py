@@ -341,6 +341,26 @@ def test_a_jump_without_target_is_one_opaque_statement(name, tmp_path, capsys):
     assert classes["Odd"]["cl_stat"] == statements
 
 
+LABELED_BLOCKS = {
+    # a label on a block belongs to the block, not to a loop inside it:
+    # the loop once took it, so this break went to y() as edge (2, 3)
+    "lbl: { while (c) { break lbl; } y(); }": (
+        ("entry", "loop-head", "jump", "call-bearing", "exit"), [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
+    "lbl: { if (c) { break lbl; } y(); }": (
+        ("entry", "decision", "jump", "call-bearing", "exit"), [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
+    # a block takes no continue: the jump is one opaque statement
+    "lbl: { while (c) { continue lbl; } }": (
+        ("entry", "loop-head", "plain", "exit"), [(0, 1), (1, 2), (1, 3), (2, 1)]),
+}
+
+
+@pytest.mark.parametrize("body", list(LABELED_BLOCKS))
+def test_a_label_on_a_block_belongs_to_the_block(body):
+    (rec,) = parse_source(f"class W {{ void m(boolean c) {{ {body} }} }}", "W.java").classes
+    g = rec["methods"][0]["cfg"]
+    assert (g.kinds, sorted(g.edges)) == LABELED_BLOCKS[body]
+
+
 def test_a_stray_closing_paren_in_a_body_is_skipped():
     # a ')' or ']' at statement level once stopped the statement skipper
     # without consuming anything, and the parser looped on it forever

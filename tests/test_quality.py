@@ -12,8 +12,7 @@ from oometrics.quality import (
     CRITERIA,
     RangeTable,
     ToolConfig,
-    all_criteria,
-    criterion,
+    criteria_categories,
     kiviat_rows,
     maintainability,
     metric_status,
@@ -29,25 +28,27 @@ def _record(**overrides) -> ClassMetricsRecord:
     return rec
 
 
+def _criteria(rec: ClassMetricsRecord, ranges: RangeTable | None = None) -> dict[str, str]:
+    return criteria_categories(kiviat_rows(ranges or RangeTable(), rec))
+
+
 # ---------------------------------------------------------------------------
 # metric_status
 # ---------------------------------------------------------------------------
 
 
 def test_status_low_comment_rate():
-    st = metric_status(RangeTable(), "cl_comf", 0.19)
-    assert (st.status, st.side) == (-1, "LOW")
+    assert metric_status(RangeTable(), "cl_comf", 0.19) == "LOW"
 
 
 def test_status_boundary_inclusive():
     ranges = RangeTable()
-    assert metric_status(ranges, "cl_wmc", 60).status == 0
-    assert metric_status(ranges, "cl_wmc", 61).status == -1
+    assert metric_status(ranges, "cl_wmc", 60) == "IN"
+    assert metric_status(ranges, "cl_wmc", 61) != "IN"
 
 
 def test_status_high_used_classes():
-    st = metric_status(RangeTable(), "cu_cdused", 33)
-    assert (st.status, st.side) == (-1, "HIGH")
+    assert metric_status(RangeTable(), "cu_cdused", 33) == "HIGH"
 
 
 def test_status_unknown_mnemonic():
@@ -56,8 +57,7 @@ def test_status_unknown_mnemonic():
 
 
 def test_status_undefined_value_flags_low():
-    st = metric_status(RangeTable(), "cl_comf", None)
-    assert (st.status, st.side) == (-1, "LOW")
+    assert metric_status(RangeTable(), "cl_comf", None) == "LOW"
 
 
 # ---------------------------------------------------------------------------
@@ -68,69 +68,59 @@ def test_status_undefined_value_flags_low():
 def test_reference_class_criteria_categories():
     model, name = lexical_analyzer_model()
     rec = compute_class_record(model, name)
-    crits = all_criteria(RangeTable(), rec)
-    assert crits["Analyzability"].category == "POOR"
-    assert crits["Testability"].category == "FAIR"
-    assert crits["Changeability"].category == "GOOD"
-    assert crits["Stability"].category == "EXCELLENT"
-    assert maintainability(crits) == "FAIR"
+    crits = _criteria(rec)
+    assert crits["Analyzability"] == "POOR"
+    assert crits["Testability"] == "FAIR"
+    assert crits["Changeability"] == "GOOD"
+    assert crits["Stability"] == "EXCELLENT"
+    assert maintainability(crits.values()) == "FAIR"
 
     model2, name2 = neural_network_model()
     rec2 = compute_class_record(model2, name2)
-    crits2 = all_criteria(RangeTable(), rec2)
-    assert crits2["Changeability"].category == "POOR"
-    assert crits2["Analyzability"].category == "POOR"
-    assert crits2["Stability"].category == "FAIR"
-    assert crits2["Testability"].category == "POOR"
-    assert maintainability(crits2) == "POOR"
+    crits2 = _criteria(rec2)
+    assert crits2["Changeability"] == "POOR"
+    assert crits2["Analyzability"] == "POOR"
+    assert crits2["Stability"] == "FAIR"
+    assert crits2["Testability"] == "POOR"
+    assert maintainability(crits2.values()) == "POOR"
 
 
 def test_all_in_range_record_excellent():
     rec = _record()
-    crits = all_criteria(RangeTable(), rec)
-    assert all(c.category == "EXCELLENT" for c in crits.values())
-    assert maintainability(crits) == "EXCELLENT"
+    crits = _criteria(rec)
+    assert all(c == "EXCELLENT" for c in crits.values())
+    assert maintainability(crits.values()) == "EXCELLENT"
 
 
 def test_criterion_counts_constituents():
     rec = _record(cl_wmc=100, cu_cdused=99)  # two of four out
-    res = criterion(RangeTable(), rec, "Analyzability")
-    assert res.category == "FAIR"
-    assert res.in_range_count == 2
+    rows = kiviat_rows(RangeTable(), rec)
+    assert criteria_categories(rows)["Analyzability"] == "FAIR"
+    assert sum(r.side == "IN" for r in rows if r.mnemonic in CRITERIA["Analyzability"]) == 2
 
 
 def test_maintainability_bands():
-    def fake(cats):
-        return [criterion(RangeTable(), _record(), "Analyzability").__class__(
-            criterion="X", statuses={}, in_range_count=0, category=c) for c in cats]
-
-    assert maintainability(fake(["EXCELLENT"] * 4)) == "EXCELLENT"
-    assert maintainability(fake(["POOR"] * 4)) == "POOR"
-    assert maintainability(fake(["GOOD", "GOOD", "FAIR", "GOOD"])) == "FAIR"  # 7 points
-    assert maintainability(fake(["GOOD", "GOOD", "GOOD", "GOOD"])) == "GOOD"  # 8 points
-    assert maintainability(fake(["EXCELLENT", "EXCELLENT", "EXCELLENT", "GOOD"])) == "EXCELLENT"
+    assert maintainability(["EXCELLENT"] * 4) == "EXCELLENT"
+    assert maintainability(["POOR"] * 4) == "POOR"
+    assert maintainability(["GOOD", "GOOD", "FAIR", "GOOD"]) == "FAIR"  # 7 points
+    assert maintainability(["GOOD", "GOOD", "GOOD", "GOOD"]) == "GOOD"  # 8 points
+    assert maintainability(["EXCELLENT", "EXCELLENT", "EXCELLENT", "GOOD"]) == "EXCELLENT"
 
 
 def test_maintainability_order_invariant():
-    def fake(cats):
-        from oometrics.quality import CriterionResult
-
-        return [CriterionResult(criterion="X", statuses={}, in_range_count=0, category=c)
-                for c in cats]
-
     import itertools
 
     cats = ["GOOD", "POOR", "EXCELLENT", "FAIR"]
-    results = {maintainability(fake(list(p))) for p in itertools.permutations(cats)}
+    results = {maintainability(list(p)) for p in itertools.permutations(cats)}
     assert len(results) == 1
 
 
 def test_category_monotone_when_fixing_constituent():
     order = {"POOR": 0, "FAIR": 1, "GOOD": 2, "EXCELLENT": 3}
     base = _record(cl_wmc=100, cu_cdused=99, cl_comf=0.01)
-    before = criterion(RangeTable(), base, "Analyzability").category
+    before = _criteria(base)["Analyzability"]
     fixed = _record(cl_wmc=100, cu_cdused=99, cl_comf=0.5)
-    after = criterion(RangeTable(), fixed, "Analyzability").category
+    after = _criteria(fixed)["Analyzability"]
     assert order[after] >= order[before]
 
 
@@ -144,12 +134,12 @@ def test_kiviat_rows_canonical_order_and_flags():
     rec = compute_class_record(model, name)
     rows = kiviat_rows(RangeTable(), rec)
     assert [r.mnemonic for r in rows] == list(KIVIAT_ORDER)
-    flagged = [r.mnemonic for r in rows if r.status == -1]
+    flagged = [r.mnemonic for r in rows if r.side != "IN"]
     assert flagged == ["cl_comf", "cl_stat", "cl_wmc", "cu_cdused"]
 
     model2, name2 = neural_network_model()
     rows2 = kiviat_rows(RangeTable(), compute_class_record(model2, name2))
-    assert sum(1 for r in rows2 if r.status == -1) == 8
+    assert sum(1 for r in rows2 if r.side != "IN") == 8
 
 
 def test_kiviat_statuses_consistent_with_metric_status():
@@ -157,17 +147,17 @@ def test_kiviat_statuses_consistent_with_metric_status():
     rec = compute_class_record(model, name)
     ranges = RangeTable()
     for row in kiviat_rows(ranges, rec):
-        assert row.status == metric_status(ranges, row.mnemonic, row.value).status
+        assert row.side == metric_status(ranges, row.mnemonic, row.value)
 
 
 def test_all_zero_record_flags_only_comment_rate():
     rec = ClassMetricsRecord(name="Z", cl_comf=0.0)
     rows = kiviat_rows(RangeTable(), rec)
-    flagged = [r.mnemonic for r in rows if r.status == -1]
+    flagged = [r.mnemonic for r in rows if r.side != "IN"]
     assert flagged == ["cl_comf"]
     # undefined comf (zero-line class) flags the same way
     rec2 = ClassMetricsRecord(name="Z2", cl_comf=None)
-    flagged2 = [r.mnemonic for r in kiviat_rows(RangeTable(), rec2) if r.status == -1]
+    flagged2 = [r.mnemonic for r in kiviat_rows(RangeTable(), rec2) if r.side != "IN"]
     assert flagged2 == ["cl_comf"]
 
 
@@ -179,21 +169,28 @@ def test_all_zero_record_flags_only_comment_rate():
 def test_low_comment_rate_advice_mentions_comments():
     rec = _record(cl_comf=0.01)
     rows = kiviat_rows(RangeTable(), rec)
-    advice = recommendations(rec, rows)
+    advice = recommendations(rows)
     assert len(advice) == 1
     assert "Comment" in advice[0]
 
 
 def test_no_violations_no_advice():
     rec = _record()
-    assert recommendations(rec, kiviat_rows(RangeTable(), rec)) == []
+    assert recommendations(kiviat_rows(RangeTable(), rec)) == []
+
+
+def test_advice_without_a_phrase_names_the_direction():
+    # no phrase is written for too few attributes: the fallback line
+    ranges = RangeTable.from_config({"cl_data": {"min": 3, "max": 7}})
+    rows = kiviat_rows(ranges, _record(cl_data=0))
+    assert recommendations(rows) == ["cl_data: Increase cl_data to enter the acceptable range"]
 
 
 def test_reference_class_advice_per_violation():
     model, name = neural_network_model()
     rec = compute_class_record(model, name)
     rows = kiviat_rows(RangeTable(), rec)
-    advice = recommendations(rec, rows)
+    advice = recommendations(rows)
     assert len(advice) == 8
     assert any("Directly Used Classes" in a for a in advice)
 
@@ -260,8 +257,7 @@ def test_tool_config_bad_json_reports_line(tmp_path):
 
 def test_missing_metric_raises():
     rec = _record()
-    rec.cl_wmc = None  # present but undefined is fine; delete attribute is not possible
-    res = criterion(RangeTable(), rec, "Testability")
-    assert res.category != "EXCELLENT"
+    rec.cl_wmc = None  # undefined: flagged LOW, never quietly in range
+    assert _criteria(rec)["Testability"] != "EXCELLENT"
     with pytest.raises(KeyError):
         CRITERIA["Nope"]

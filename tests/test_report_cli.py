@@ -1,6 +1,7 @@
 """Report assembly, chart emission, and the CLI surface."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from helpers import class_rec, lexical_analyzer_model, method_rec, cfg_with_v, random_model
-from oometrics import cohesion, qmood
+from oometrics import cohesion, qmood, quality
 from oometrics.cfg import ControlFlowGraph
+from oometrics.ck import KIVIAT_ORDER, ClassMetricsRecord
 from oometrics.cli import main
 from oometrics.model import SystemModel, build_system_model, dump_facts, model_to_facts
 from oometrics.quality import RangeTable, ToolConfig
@@ -26,8 +28,10 @@ from oometrics.report import (
 )
 from oometrics.quality import kiviat_rows
 from oometrics.errors import WrongAxisCount
+from oometrics.maintain import DEFAULT_BANDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def _fixture_model():
@@ -86,9 +90,19 @@ def test_compute_report_derives_each_fact_once(monkeypatch):
     count(ControlFlowGraph, "validate")
     count(qmood, "qmood_class_metrics")
     count(cohesion, "method_attribute_sets")
+    count(quality, "metric_status")
+    count(ClassMetricsRecord, "mnemonics")
+    count(SystemModel, "used_classes")
     compute_report(model)
     n = len(model.internal_class_names)
-    assert calls == {"qmood_class_metrics": n, "method_attribute_sets": n}
+    assert calls == {
+        "qmood_class_metrics": n,
+        "method_attribute_sets": n,
+        # each of the 13 mnemonics is checked against its range once per class
+        "metric_status": len(KIVIAT_ORDER) * n,
+        "mnemonics": n,
+        "used_classes": n,
+    }
 
 
 def test_compute_report_never_walks_the_hierarchy(monkeypatch):
@@ -318,7 +332,8 @@ def test_analyze_never_loads_numpy():
         f"rc = main(['analyze', {str(FIXTURES / 'metric_test')!r}, '--format', 'text'])\n"
         "sys.exit(rc if 'numpy' not in sys.modules else 99)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "classes analyzed: 13" in proc.stdout
 
@@ -409,6 +424,33 @@ def test_cli_rejects_a_range_for_a_method_threshold(tmp_path, capsys):
     assert captured.out == "" and "'v'" in captured.err
 
 
+@pytest.mark.parametrize("doc, key", [
+    # accepted with exit 0 while changing nothing
+    ({"sigBands": {"duplicationWindw": 2}}, "duplicationWindw"),
+    # each once ended in a TypeError traceback
+    ({"sigBands": {"duplicationWindow": "x"}}, "duplicationWindow"),
+    ({"sigBands": {"volume": 5}}, "volume"),
+    ({"ranges": {"cl_wmc": {"min": None, "max": 3}}}, "cl_wmc"),
+    ({"ranges": {"cl_wmc": {"min": 0, "max": [5]}}}, "cl_wmc"),
+    # once opened as file descriptor 5
+    ({"qmoodBaseline": 5}, "qmoodBaseline"),
+])
+def test_cli_rejects_a_config_value_that_cannot_take_effect(doc, key, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["analyze", str(FIXTURES / "metric_test"), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and key in captured.err
+
+
+def test_cli_takes_sig_bands_of_the_default_shape(tmp_path, capsys):
+    # a window longer than any file finds no duplication
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sigBands": {**DEFAULT_BANDS, "duplicationWindow": 100_000}}))
+    assert main(["analyze", str(FIXTURES / "metric_test"), "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["system"]["sig"]["duplication"] == "++"
+
+
 @pytest.mark.parametrize("cfg, reason", [
     ({"nodes": 2, "edges": [[0, 1]]}, "needs 'nodes', 'edges' and 'kinds'"),
     ({"nodes": 2, "edges": 3, "kinds": ["entry", "exit"]}, "must be lists"),
@@ -431,11 +473,62 @@ def test_cli_names_the_method_of_a_malformed_facts_graph(cfg, reason, tmp_path, 
     assert err.startswith("error: p.A.m(int): ") and reason in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rec, message", [
+    (class_rec("p.A", methods=[method_rec("m", params=["int"]), method_rec("m", params=["int"])]),
+     "p.A.m(int): duplicate method signature"),
+    (class_rec("p.A", attributes=[{"name": "x"}, {"name": "x", "type": "int"}]), "p.A: duplicate attribute x"),
+    (class_rec("p.A", lines=3, comment_lines=5), "p.A: commentLines 5 exceeds lines 3"),
+    (class_rec("p.A", methods=[method_rec("m", invokes=[("p.A.m", 2), ("p.A.m", -1)])]),
+     "p.A.m(): invokes p.A.m with count -1, below 1"),
+])
+def test_cli_names_the_class_and_method_of_a_record_the_model_rejects(rec, message, tmp_path, capsys):
+    # each shape once ended in a raw ValueError traceback
+    facts = tmp_path / "facts.json"
+    facts.write_text(json.dumps({"classes": [class_rec("p.Ok"), rec]}))
+    assert main(["analyze", "--facts", str(facts)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+FACTS_ROUTES = {
+    # every path that reads a facts file: argv from a readable facts file,
+    # a history directory and the unreadable file
+    "--facts": lambda good, history, bad: ["analyze", "--facts", bad],
+    "positional": lambda good, history, bad: ["analyze", bad],
+    "--baseline": lambda good, history, bad: ["analyze", "--facts", good, "--baseline", bad],
+    "--history": lambda good, history, bad: ["analyze", "--facts", good, "--history", history],
+    "compare": lambda good, history, bad: ["compare", good, good, "--baseline", bad],
+}
+
+
+@pytest.mark.parametrize("route, shape", [
+    (route, shape) for route in FACTS_ROUTES for shape in ("missing", "not_json")
+    if (route, shape) != ("--history", "missing")  # history files are found by listing the directory
+])
+def test_cli_names_a_facts_file_it_cannot_read(route, shape, tmp_path, capsys):
+    # a missing file once ended in FileNotFoundError, a broken one in
+    # JSONDecodeError, each with a traceback
+    good = tmp_path / "good.json"
+    dump_facts(model_to_facts(random_model(random.Random(5), n_classes=8)), good)
+    history = tmp_path / "history"
+    history.mkdir()
+    dump_facts(model_to_facts(random_model(random.Random(6), n_classes=8)), history / "v1.json")
+    bad = (history if route == "--history" else tmp_path) / "v2.json"
+    if shape == "not_json":
+        bad.write_text('{"classes": [\n  {"name": }\n]}')
+    assert main(FACTS_ROUTES[route](str(good), str(history), str(bad))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and str(bad) in captured.err
+    if shape == "not_json":
+        assert captured.err.startswith(f"error: {bad}: line 2: ")
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "oometrics.cli", "analyze", str(FIXTURES / "metric_test"), "--format", "text"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0
     assert "classes analyzed" in proc.stdout
