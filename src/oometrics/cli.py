@@ -14,7 +14,9 @@ still produced, flagged partial).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import threading
 from pathlib import Path
 
 from . import report as rpt
@@ -27,8 +29,7 @@ from .evolution import (
     weighted_enom,
     yw_rank,
 )
-from .halstead import halstead_counts, merge_counts
-from .javasrc import parse_source
+from .javasrc import CompilationFacts, parse_source
 from .model import build_system_model, dump_facts, facts_to_model, load_facts, model_to_facts
 from .quality import ToolConfig
 from .report import compute_class_record, emit_kiviat_svg, emit_scatter, scatter_rows_from_model
@@ -37,13 +38,25 @@ SOURCE_SUFFIXES = (".java",)
 
 
 def _collect_sources(paths: list[str]) -> list[Path]:
+    """Source files under ``paths`` in the order given, each directory's
+    files sorted; a file named twice is kept where it first appears."""
     files: list[Path] = []
+    seen: set[Path] = set()
     for p in paths:
         path = Path(p)
         if path.is_dir():
-            files.extend(sorted(path.rglob("*" + SOURCE_SUFFIXES[0])))
+            found = sorted(path.rglob("*" + SOURCE_SUFFIXES[0]))
         elif path.is_file():
-            files.append(path)
+            found = [path]
+        elif not path.exists():
+            raise NoInput(f"no such file or directory: {p}")
+        else:
+            found = []
+        for f in found:
+            key = f.resolve()
+            if key not in seen:
+                seen.add(key)
+                files.append(f)
     return files
 
 
@@ -52,6 +65,53 @@ def _read_text(path: Path) -> str:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path}: {exc}") from None
+
+
+def _parse_file(path: Path) -> tuple[str, CompilationFacts | str]:
+    """One file's text and facts, or its text and the parse-error line."""
+    text = _read_text(path)
+    try:
+        return text, parse_source(text, str(path))
+    except SourceSyntaxError as exc:
+        return text, f"{path}: {exc}"
+
+
+def _worker_count(n_files: int) -> int:
+    """Processes to parse ``n_files`` with: one per usable CPU, at most one
+    per file."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_files)
+
+
+def _parse_files(files: list[Path]) -> list[tuple[str, CompilationFacts | str]]:
+    """:func:`_parse_file` of each file, in order.  Files are parsed in a
+    pool of forked processes when there are at least two workers; forking
+    a process that runs other threads can deadlock, so such a process
+    parses in place, as does one without ``fork``."""
+    workers = _worker_count(len(files))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_parse_file(f) for f in files]
+    return _parse_in_pool(files, workers)
+
+
+def _parse_in_pool(files: list[Path], workers: int) -> list[tuple[str, CompilationFacts | str]]:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not the platform default: workers share the parent's imports
+    # and PYTHONHASHSEED, so they need no re-import and order sets alike
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        chunk = -(-len(files) // (4 * workers))
+        return list(pool.map(_parse_file, files, chunksize=chunk))
+    except BrokenProcessPool:
+        raise MetricsError("a source-parsing worker process ended abruptly") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _LoadedInput:
@@ -73,20 +133,13 @@ def _load_input(paths: list[str], facts_path: str | None) -> _LoadedInput:
         doc = load_facts(jp)
         loaded.class_records.extend(doc.get("classes", []))
     files = _collect_sources(src_paths)
-    for f in files:
-        text = _read_text(f)
-        try:
-            facts = parse_source(text, str(f))
-        except SourceSyntaxError as exc:
-            loaded.parse_errors.append(f"{f}: {exc}")
+    for f, (text, facts) in zip(files, _parse_files(files)):
+        if isinstance(facts, str):
+            loaded.parse_errors.append(facts)
             continue
         loaded.class_records.extend(facts.classes)
         loaded.source_texts[str(f)] = text
-        per_class: dict[str, list] = {}
-        for (cls, _sig), toks in facts.method_tokens.items():
-            per_class.setdefault(cls, []).append(halstead_counts(toks))
-        for cls, counts in per_class.items():
-            loaded.halstead[cls] = merge_counts(counts)
+        loaded.halstead.update(facts.halstead)
     if not loaded.class_records and not loaded.parse_errors:
         raise NoInput("no source files or facts found in: " + ", ".join(paths or ["<none>"]))
     return loaded

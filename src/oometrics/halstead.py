@@ -1,4 +1,4 @@
-"""Halstead token counting over method or class token streams.
+"""Halstead token counting over a range of a token stream.
 
 Classification (shipped here as data):
 
@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .javasrc import Token
+if TYPE_CHECKING:  # javasrc imports this module
+    from collections.abc import Sequence
+
+    from .javasrc import Token
 
 OPERATOR_KEYWORDS = {
     "if", "else", "while", "do", "for", "switch", "case", "default", "break",
@@ -61,7 +65,9 @@ class HalsteadCounts:
         return self.length * math.log2(self.vocabulary)
 
 
-def halstead_counts(tokens: list[Token]) -> HalsteadCounts:
+def halstead_counts(tokens: Sequence[Token], lo: int = 0, hi: int | None = None) -> HalsteadCounts:
+    """Counts over ``tokens[lo:hi]``, taken in place.  A name in the last
+    position of the range is never in call position."""
     operators: dict[str, int] = {}
     operands: dict[str, int] = {}
 
@@ -71,8 +77,8 @@ def halstead_counts(tokens: list[Token]) -> HalsteadCounts:
     def operand(sym: str) -> None:
         operands[sym] = operands.get(sym, 0) + 1
 
-    i, n = 0, len(tokens)
-    while i < n:
+    hi = len(tokens) if hi is None else hi
+    for i in range(lo, hi):
         t = tokens[i]
         if t.kind in ("num", "str", "char"):
             operand(f"{t.kind}:{t.value}")
@@ -81,7 +87,7 @@ def halstead_counts(tokens: list[Token]) -> HalsteadCounts:
                 operand(t.value)
             elif t.value in OPERATOR_KEYWORDS:
                 op(t.value)
-            elif i + 1 < n and tokens[i + 1].value == "(" and tokens[i + 1].kind == "op":
+            elif i + 1 < hi and tokens[i + 1].value == "(" and tokens[i + 1].kind == "op":
                 op(t.value + "()")  # call position
             else:
                 operand(t.value)
@@ -93,7 +99,6 @@ def halstead_counts(tokens: list[Token]) -> HalsteadCounts:
                 pass
             else:
                 op(v)
-        i += 1
     return HalsteadCounts(
         n1=len(operators),
         n2=len(operands),

@@ -13,8 +13,8 @@ control-flow graph, and its statements counted, in the pass that parses it.
 
 Output is a :class:`CompilationFacts`: class records in the facts-file
 schema, except that each method's ``cfg`` is the built
-:class:`~oometrics.cfg.ControlFlowGraph`, plus per-method token streams
-for Halstead counting.
+:class:`~oometrics.cfg.ControlFlowGraph`, plus per-class Halstead counts
+taken over each method body's token range.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from . import cfg as cfgmod
 from .errors import SourceSyntaxError, UnbalancedBlock
+from .halstead import HalsteadCounts, halstead_counts, merge_counts
 
 MODIFIERS = {
     "public", "protected", "private", "static", "final", "abstract",
@@ -129,8 +130,9 @@ class CompilationFacts:
     path: str
     package: str
     classes: list[dict] = field(default_factory=list)
-    #: (class name, method signature) -> body token stream
-    method_tokens: dict[tuple[str, str], list[Token]] = field(default_factory=dict)
+    #: class name -> its methods' Halstead counts, merged; a class without
+    #: methods has no entry, a method without a body counts zero
+    halstead: dict[str, HalsteadCounts] = field(default_factory=dict)
 
 
 @dataclass
@@ -314,9 +316,10 @@ class Parser:
 
         facts = CompilationFacts(self.path, self.package)
         file_lines, file_comments = _count_lines(self.text, self.comment_spans)
+        method_counts: dict[str, dict[str, HalsteadCounts]] = {}
         for decl in self.decls:
             builder = _ClassBuilder(self, decl)
-            record, tokens = builder.build()
+            record, counts = builder.build()
             if len(self.decls) == 1:
                 # one class per file: the whole file is the class, header
                 # comments and package line included (matches tool practice)
@@ -326,7 +329,8 @@ class Parser:
                 record["lines"] = max(decl.end_line - decl.line + 1, 0)
                 record["commentLines"] = _comment_lines_in(self.comment_spans, decl.line, decl.end_line)
             facts.classes.append(record)
-            facts.method_tokens.update(tokens)
+            method_counts.setdefault(decl.name, {}).update(counts)
+        facts.halstead = {cls: merge_counts(list(c.values())) for cls, c in method_counts.items() if c}
         return facts
 
     def _parse_type_decl(self, outer: _ClassDecl | None, mods: set[str]) -> None:
@@ -576,7 +580,8 @@ class _ClassBuilder:
             return self.known_types[head] + ref[len(head):]
         return ref
 
-    def build(self) -> tuple[dict, dict[tuple[str, str], list[Token]]]:
+    def build(self) -> tuple[dict, dict[str, HalsteadCounts]]:
+        """The class record, and each method's Halstead counts by signature."""
         record: dict = {
             "name": self.decl.name,
             "kind": self.decl.kind,
@@ -586,7 +591,7 @@ class _ClassBuilder:
             "attributes": [],
             "methods": [],
         }
-        tokens: dict[tuple[str, str], list[Token]] = {}
+        counts: dict[str, HalsteadCounts] = {}
         statements = 0
 
         for m in self.decl.members:
@@ -616,10 +621,9 @@ class _ClassBuilder:
             }
             scan = _BodyScanner(self, env)
             graph = None
-            body_tokens: list[Token] = []
+            lo = hi = 0  # a bodiless method counts zero
             if m.body is not None:
                 lo, hi = m.body
-                body_tokens = self.p.toks[lo:hi]
                 graph, count = _StatementParser(self.p.toks, lo, hi, scan).parse_block_body()
                 statements += count
             mrec = self._method_record(
@@ -633,7 +637,7 @@ class _ClassBuilder:
                 lines=(m.end_line - m.line + 1) if m.end_line else None,
             )
             record["methods"].append(mrec)
-            tokens[(self.decl.name, sig)] = body_tokens
+            counts[sig] = halstead_counts(self.p.toks, lo, hi)
 
         init_scan = getattr(self, "_field_init_scan", None)
         if init_scan is not None and (init_scan.invokes or init_scan.accesses):
@@ -645,7 +649,7 @@ class _ClassBuilder:
                 )
             )
         record["statements"] = statements
-        return record, tokens
+        return record, counts
 
     def _method_record(self, name, param_types, visibility, is_abstract, is_static, scan, graph, lines) -> dict:
         merged: dict[str, int] = {}

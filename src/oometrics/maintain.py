@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 from .complexity import cyclomatic
@@ -259,21 +260,28 @@ def duplicated_line_flags(texts: dict[str, str], window: int = 6) -> dict[str, l
     of ``window`` consecutive whitespace-normalized lines occurring at two
     or more distinct positions in the corpus."""
     files = sorted(texts)
-    norm: dict[str, list[str]] = {f: [_normalize(l) for l in texts[f].splitlines()] for f in files}
-    positions: dict[tuple[str, ...], list[tuple[str, int]]] = {}
+    # every normalized line becomes an int id, and the files one id array;
+    # a window's key is the exact bytes of its ids
+    ids: dict[str, int] = {}
+    line_ids = array("I")
+    starts = [0]
     for f in files:
-        lines = norm[f]
-        for i in range(len(lines) - window + 1):
-            key = tuple(lines[i:i + window])
-            positions.setdefault(key, []).append((f, i))
-    flags = {f: [False] * len(norm[f]) for f in files}
-    for key, occ in positions.items():
-        if len(occ) < 2:
-            continue
-        for f, i in occ:
-            for j in range(i, i + window):
-                flags[f][j] = True
-    return flags
+        line_ids.extend(ids.setdefault(_normalize(l), len(ids)) for l in texts[f].splitlines())
+        starts.append(len(line_ids))
+    data = line_ids.tobytes()
+    width = line_ids.itemsize
+    span = window * width
+    first: dict[bytes, int] = {}  # window key -> its first position
+    marks = bytearray(len(line_ids))
+    run = b"\1" * window
+    for lo, hi in zip(starts, starts[1:]):
+        for i in range(lo, hi - window + 1):
+            key = data[i * width:i * width + span]
+            j = first.setdefault(key, i)
+            if j != i:
+                marks[j:j + window] = run
+                marks[i:i + window] = run
+    return {f: list(map(bool, marks[lo:hi])) for f, lo, hi in zip(files, starts, starts[1:])}
 
 
 def duplication_percent(texts: dict[str, str], window: int = 6) -> float:

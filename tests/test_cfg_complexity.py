@@ -16,6 +16,7 @@ import pytest
 
 from helpers import cfg_with_v, random_class_source, random_method_source
 from oometrics import cfg as cfgmod
+from oometrics import cli
 from oometrics.cfg import ControlFlowGraph
 from oometrics.cli import main
 from oometrics.complexity import (
@@ -663,7 +664,9 @@ def test_a_call_in_a_condition_or_return_is_not_a_call_node(body, v):
 
 
 def test_analyze_of_source_validates_each_graph_once(monkeypatch, capsys):
-    # the model takes the parser's graphs as they are: no facts round trip
+    # the model takes the parser's graphs as they are: no facts round trip.
+    # Parsed in process, so that the graphs are built where they are counted
+    monkeypatch.setattr(cli, "_worker_count", lambda n_files: 1)
     calls = {"build_cfg": 0, "validate": 0}
     real_build, real_validate = cfgmod.build_cfg, ControlFlowGraph.validate
 

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from helpers import cfg_with_v, class_rec, method_rec, multiple_inheritance_records, random_model
+from oometrics import cli
 from oometrics.cli import main
 from oometrics.model import dump_facts, model_to_facts
 
@@ -56,6 +57,12 @@ CASES: dict[str, tuple[list[str], tuple[str, ...]]] = {
 }
 
 SUBPROCESS_CASE = "analyze_multiple_inheritance"
+
+# the cases that parse source files
+SOURCE_CASES = sorted(
+    name for name, (argv, _) in CASES.items()
+    if argv[0] in ("analyze", "kiviat", "scatter") and not any(a.endswith(".json") for a in argv)
+)
 
 
 def chain_records(rng: random.Random, depth: int) -> list[dict]:
@@ -185,6 +192,14 @@ def golden() -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden_digest(name, inputs, golden, monkeypatch):
     monkeypatch.chdir(inputs)
+    assert run_case(name) == golden[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", SOURCE_CASES)
+def test_source_case_matches_golden_digest_in_any_worker_count(name, workers, inputs, golden, monkeypatch):
+    monkeypatch.chdir(inputs)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_files: min(workers, n_files))
     assert run_case(name) == golden[name]
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oometrics.halstead import HalsteadCounts, halstead_counts, merge_counts
-from oometrics.javasrc import tokenize
+from oometrics.javasrc import parse_source, tokenize
 
 
 def test_empty_body_all_zero():
@@ -70,3 +70,20 @@ def test_merge_adds_totals():
 def test_volume_formula():
     c = HalsteadCounts(n1=2, n2=2, N1=4, N2=4)
     assert c.volume == 8 * 2.0  # (4+4) * log2(4)
+
+
+def test_counts_over_a_range_equal_counts_over_its_slice():
+    toks = tokenize("int m() { a = b(c); return d; } e(f);")
+    lo = [t.value for t in toks].index("{") + 1
+    hi = [t.value for t in toks].index("}")
+    assert halstead_counts(toks, lo, hi) == halstead_counts(toks[lo:hi])
+    # a name last in the range is an operand, even where '(' follows outside
+    hi = [t.value for t in toks].index("e") + 1
+    assert halstead_counts(toks, lo, hi) == halstead_counts(toks[lo:hi])
+    assert halstead_counts(toks, lo, hi).n2 == halstead_counts(toks, lo, hi - 1).n2 + 1
+
+
+def test_parser_merges_each_class_over_its_method_bodies():
+    # no entry for a class without methods; a bodiless method counts zero
+    src = "abstract class A { int x; } abstract class B { abstract void n(); int m() { return f(1); } int k; }"
+    assert parse_source(src, "A.java").halstead == {"B": halstead_counts(tokenize("return f(1);"))}

@@ -168,3 +168,37 @@ def test_duplication_idempotent_and_whitespace_normalized():
 def test_no_duplication_below_window():
     short = "a();\nb();\nc();\n"
     assert duplication_percent({"f.java": short + "x();\n" + short}) == 0.0
+
+
+def _flags_oracle(texts, window):
+    """The window index as first written: every window's line tuple mapped
+    to all of its (file, line) positions."""
+    files = sorted(texts)
+    norm = {f: ["".join(l.split()) for l in texts[f].splitlines()] for f in files}
+    positions = {}
+    for f in files:
+        lines = norm[f]
+        for i in range(len(lines) - window + 1):
+            positions.setdefault(tuple(lines[i:i + window]), []).append((f, i))
+    flags = {f: [False] * len(norm[f]) for f in files}
+    for occ in positions.values():
+        if len(occ) > 1:
+            for f, i in occ:
+                for j in range(i, i + window):
+                    flags[f][j] = True
+    return flags
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_duplicated_line_flags_match_the_tuple_index(seed):
+    rng = random.Random(seed)
+    window = rng.randint(1, 8)
+    # few distinct lines, so that windows repeat, overlap inside one file
+    # and across files; some files are shorter than the window
+    vocab = [f"s{k}();" for k in range(rng.randint(1, 4))] + ["  s0 ( ) ;", "", "\t"]
+    texts = {}
+    for k in range(rng.randint(1, 5)):
+        n = rng.choice([0, 1, window - 1, window, rng.randint(0, 40)])
+        texts[f"f{k}.java"] = "\n".join(rng.choice(vocab) for _ in range(n))
+    texts["rep.java"] = "a();\n" * (window + rng.randint(0, 3))  # overlapping repeats of one run
+    assert duplicated_line_flags(texts, window) == _flags_oracle(texts, window)
