@@ -16,7 +16,7 @@ finishes the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .errors import MalformedGraph
 
@@ -37,14 +37,23 @@ NODE_KINDS = {ENTRY, EXIT, PLAIN, DECISION, LOOP_HEAD, SWITCH_HEAD, CALL_BEARING
 STATEMENT_KINDS = {PLAIN, DECISION, LOOP_HEAD, SWITCH_HEAD, CALL_BEARING, RETURN, JUMP}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlFlowGraph:
     kinds: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     entry: int
     exit: int
+    #: set only by :func:`build_cfg`, whose prune has already walked forward
+    #: from the entry and reached every node: validation then walks only
+    #: backward from the exit
+    entry_reaches_all: InitVar[bool] = False
+    # what is known of the graph beyond its value: set once, never compared
+    _forward_checked: bool = field(default=False, init=False, repr=False, compare=False)
+    _ev: int | None = field(default=None, init=False, repr=False, compare=False)
+    _iv: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, entry_reaches_all: bool):
+        object.__setattr__(self, "_forward_checked", entry_reaches_all)
         self.validate()
 
     @property
@@ -60,28 +69,46 @@ class ControlFlowGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @property
+    def ev(self) -> int:
+        """Essential complexity, reduced on first read and kept with the graph."""
+        if self._ev is None:
+            from .complexity import essential
+
+            object.__setattr__(self, "_ev", essential(self))
+        return self._ev
+
+    @property
+    def iv(self) -> int:
+        """Module design complexity, reduced on first read and kept with the graph."""
+        if self._iv is None:
+            from .complexity import module_design
+
+            object.__setattr__(self, "_iv", module_design(self))
+        return self._iv
+
     def validate(self) -> None:
         """Raise MalformedGraph unless the single-entry/single-exit invariants hold."""
         n = self.node_count
         if n < 2:
             raise MalformedGraph("graph needs at least entry and exit")
-        if [k for k in self.kinds if k == ENTRY] != [ENTRY] or self.kinds[self.entry] != ENTRY:
+        if self.kinds.count(ENTRY) != 1 or self.kinds[self.entry] != ENTRY:
             raise MalformedGraph("exactly one entry node required")
-        if [k for k in self.kinds if k == EXIT] != [EXIT] or self.kinds[self.exit] != EXIT:
+        if self.kinds.count(EXIT) != 1 or self.kinds[self.exit] != EXIT:
             raise MalformedGraph("exactly one exit node required")
         for k in self.kinds:
             if not isinstance(k, str) or k not in NODE_KINDS:
                 raise MalformedGraph(f"unknown node kind: {k}")
-        fwd: dict[int, list[int]] = {i: [] for i in range(n)}
-        rev: dict[int, list[int]] = {i: [] for i in range(n)}
+        fwd: list[list[int]] = [[] for _ in range(n)]
+        rev: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise MalformedGraph(f"edge ({a},{b}) out of range")
             fwd[a].append(b)
             rev[b].append(a)
-        if _reachable(fwd, self.entry) != set(range(n)):
+        if not self._forward_checked and len(_reachable(fwd, self.entry)) != n:
             raise MalformedGraph("not all nodes reachable from entry")
-        if _reachable(rev, self.exit) != set(range(n)):
+        if len(_reachable(rev, self.exit)) != n:
             raise MalformedGraph("exit not reachable from all nodes")
 
     def statement_node_count(self) -> int:
@@ -96,7 +123,15 @@ class ControlFlowGraph:
         }
 
     @classmethod
-    def from_facts(cls, data: dict) -> "ControlFlowGraph":
+    def from_facts(cls, data: dict, interned: dict | None = None) -> "ControlFlowGraph":
+        """Build a graph from its facts form.
+
+        Every check on the record runs on each call.  ``interned``, a table
+        that belongs to one model build, maps the kinds and edges of each
+        graph already built to that graph: a record that repeats them gets
+        the same object, so the graph checks and the ev/iv reductions run
+        once per distinct graph.
+        """
         try:
             nodes, edges, kinds = data["nodes"], data["edges"], data["kinds"]
         except (KeyError, TypeError):
@@ -115,15 +150,27 @@ class ControlFlowGraph:
         kinds = tuple(kinds)
         if len(kinds) != nodes:
             raise MalformedGraph("kinds length disagrees with node count")
+        if interned is not None:
+            key = (kinds, pairs)
+            try:
+                hit = interned.get(key)
+            except TypeError:  # an unhashable kind: validation below names it
+                interned = None
+            else:
+                if hit is not None:
+                    return hit
         try:
             entry = kinds.index(ENTRY)
             exit_ = kinds.index(EXIT)
         except ValueError as exc:
             raise MalformedGraph("entry/exit missing") from exc
-        return cls(kinds=kinds, edges=pairs, entry=entry, exit=exit_)
+        g = cls(kinds=kinds, edges=pairs, entry=entry, exit=exit_)
+        if interned is not None:
+            interned[key] = g
+        return g
 
 
-def _reachable(adj: dict[int, list[int]], start: int) -> set[int]:
+def _reachable(adj: list[list[int]], start: int) -> set[int]:
     seen = {start}
     todo = [start]
     while todo:
@@ -145,10 +192,13 @@ def build_cfg(kinds: list[str], edges: list[tuple[int, int]], pending: list[int]
     """
     exit_ = len(kinds)
     edges = edges + [(src, exit_) for src in pending] + [(src, exit_) for src in exits]
-    fwd: dict[int, list[int]] = {i: [] for i in range(exit_ + 1)}
+    fwd: list[list[int]] = [[] for _ in range(exit_ + 1)]
     for a, c in edges:
         fwd[a].append(c)
     live = _reachable(fwd, 0)
+    # live nodes are reached through live nodes only, so the pruned graph
+    # reaches all of them from its entry; the exit was added unreached
+    entry_reaches_all = exit_ in live
     live.add(exit_)
     order = sorted(live)
     remap = {old: new for new, old in enumerate(order)}
@@ -158,4 +208,5 @@ def build_cfg(kinds: list[str], edges: list[tuple[int, int]], pending: list[int]
         edges=tuple((remap[a], remap[c]) for a, c in edges if a in live and c in live),
         entry=0,
         exit=remap[exit_],
+        entry_reaches_all=entry_reaches_all,
     )

@@ -189,7 +189,10 @@ def module_design(g: ControlFlowGraph) -> int:
 
 
 def complexity_triple(g: ControlFlowGraph) -> ComplexityTriple:
-    return ComplexityTriple(cyclomatic(g), essential(g), module_design(g))
+    """v, ev and iv of ``g``; ev and iv are reduced once per graph object
+    (see ``ControlFlowGraph.ev``/``iv``), so a graph a model shares between
+    methods is reduced once."""
+    return ComplexityTriple(cyclomatic(g), g.ev, g.iv)
 
 
 def class_wmc(c: ClassInfo) -> int:

@@ -13,7 +13,7 @@ A built model is immutable and safe to share between metric computations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cfg import ControlFlowGraph
@@ -62,10 +62,10 @@ class MethodInfo:
     invocations: tuple[Invocation, ...] = ()
     cfg: ControlFlowGraph | None = None
     line_count: int | None = None
+    signature: str = field(init=False, repr=False, compare=False)  # name(parameter types)
 
-    @property
-    def signature(self) -> str:
-        return f"{self.name}({','.join(self.parameter_types)})"
+    def __post_init__(self):
+        object.__setattr__(self, "signature", f"{self.name}({','.join(self.parameter_types)})")
 
     @property
     def is_constructor(self) -> bool:
@@ -455,6 +455,9 @@ def _parse_member_ref(ref: str) -> tuple[str, str]:
 
 
 class _Resolver:
+    """Reference resolution for one model build.  Each distinct reference
+    string is resolved, and each distinct member reference split, once."""
+
     def __init__(self, declared: dict[str, dict]):
         self.declared = declared
         simple: dict[str, list[str]] = {}
@@ -462,26 +465,55 @@ class _Resolver:
             simple.setdefault(qual.rsplit(".", 1)[-1], []).append(qual)
         self.simple = simple
         self.externals: set[str] = set()
+        self.resolved: dict[str, str | None] = {}
+        self.accesses: dict[str, tuple[str, str | None, str]] = {}
+        self.targets: dict[str, tuple[str, str | None, str]] = {}
 
     def resolve(self, ref: str) -> str | None:
         """Qualified match, unique simple-name match, else external stub."""
-        ref = ref.strip()
+        try:
+            return self.resolved[ref]
+        except KeyError:
+            pass
+        key, ref = ref, ref.strip()
         if not ref or ref in PRIMITIVE_TYPES:
-            return None
-        if ref in self.declared:
-            return ref
-        candidates = self.simple.get(ref.rsplit(".", 1)[-1], [])
-        if len(candidates) == 1:
-            return candidates[0]
-        self.externals.add(ref)
-        return ref
+            out = None
+        elif ref in self.declared:
+            out = ref
+        else:
+            candidates = self.simple.get(ref.rsplit(".", 1)[-1], [])
+            if len(candidates) == 1:
+                out = candidates[0]
+            else:
+                self.externals.add(ref)
+                out = ref
+        self.resolved[key] = out
+        return out
+
+    def member(self, ref: str, here: str, call: bool = False) -> tuple[str, str] | None:
+        """Owner and member of an ``accesses`` entry ("Class.attr") or, with
+        ``call``, of an ``invokes`` target ("Class.method(sig)", the
+        signature kept with the method).  A bare member is ``here``'s; None
+        means the owner resolves to nothing (blank or primitive)."""
+        memo = self.targets if call else self.accesses
+        split = memo.get(ref)
+        if split is None:
+            head, paren, spec = ref.partition("(") if call else (ref, "", "")
+            cls_ref, tail = _parse_member_ref(head)
+            split = memo[ref] = (cls_ref, cls_ref and self.resolve(cls_ref), tail + paren + spec)
+        cls_ref, owner, tail = split
+        if not cls_ref:
+            return here, tail
+        return None if owner is None else (owner, tail)
 
 
 def build_system_model(class_records) -> SystemModel:
     """Assemble and resolve a SystemModel from facts-schema class records.
 
     A method's ``cfg`` is either a ControlFlowGraph, used as it is, or its
-    facts form, built with ``ControlFlowGraph.from_facts``.  Raises
+    facts form, built with ``ControlFlowGraph.from_facts``; methods whose
+    graphs have the same kinds and edges share one graph object, so its
+    checks and its ev/iv reductions run once per build.  Raises
     DuplicateClass for colliding names, InheritanceCycle when the resolved
     inheritance relation is cyclic, and MalformedGraph, naming the class
     and method, for a facts graph that is not a valid CFG.
@@ -495,6 +527,10 @@ def build_system_model(class_records) -> SystemModel:
         declared[name] = rec
 
     resolver = _Resolver(declared)
+    # one object per distinct graph and invocation edge, shared by the
+    # methods that repeat it: both are immutable (see from_facts)
+    graphs: dict = {}
+    invocations: dict[tuple[str, str, int], Invocation] = {}
     classes: dict[str, ClassInfo] = {}
 
     for name, rec in declared.items():
@@ -521,31 +557,32 @@ def build_system_model(class_records) -> SystemModel:
             where = f"{name}.{m['name']}({','.join(params)})"
             accesses: set[tuple[str, str]] = set()
             for ref in m.get("accesses", ()):
-                cls_ref, attr = _parse_member_ref(ref)
-                owner = resolver.resolve(cls_ref) if cls_ref else name
-                if owner is not None:
-                    accesses.add((owner, attr))
+                found = resolver.member(ref, name)
+                if found is not None:
+                    accesses.add(found)
             merged: dict[tuple[str, str], int] = {}
             for inv in m.get("invokes", ()):
-                target = inv["target"]
-                spec = ""
-                if "(" in target:
-                    target, _, spec = target.partition("(")
-                    spec = "(" + spec
-                cls_ref, meth = _parse_member_ref(target)
-                owner = resolver.resolve(cls_ref) if cls_ref else name
-                if owner is None:
+                key = resolver.member(inv["target"], name, True)
+                if key is None:
                     continue
-                count = int(inv.get("count", 1))
+                count = inv.get("count", 1)
+                if type(count) is not int:
+                    count = _int_field(count, f"{where}: invokes {inv['target']} count")
                 if count < 1:
                     raise FactsError(f"{where}: invokes {inv['target']} with count {count}, below 1")
-                key = (owner, meth + spec)
                 merged[key] = merged.get(key, 0) + count
-            invokes = [Invocation(c, m_, n) for (c, m_), n in sorted(merged.items())]
+            invokes = []
+            for (c, m_), n in sorted(merged.items()):
+                edge = invocations.get((c, m_, n))
+                if edge is None:
+                    edge = invocations[c, m_, n] = Invocation(c, m_, n)
+                invokes.append(edge)
             cfg = m.get("cfg")
-            if cfg is not None and not isinstance(cfg, ControlFlowGraph):
+            if isinstance(cfg, ControlFlowGraph):
+                cfg = graphs.setdefault((cfg.kinds, cfg.edges), cfg)
+            elif cfg is not None:
                 try:
-                    cfg = ControlFlowGraph.from_facts(cfg)
+                    cfg = ControlFlowGraph.from_facts(cfg, graphs)
                 except MalformedGraph as exc:
                     raise MalformedGraph(f"{where}: {exc}") from exc
             methods.append(
@@ -572,9 +609,9 @@ def build_system_model(class_records) -> SystemModel:
             superclasses=tuple(supers),
             methods=tuple(methods),
             attributes=tuple(attrs),
-            line_count=int(rec.get("lines", 0)),
-            comment_lines=int(rec.get("commentLines", 0)),
-            statement_count=int(statements),
+            line_count=_int_field(rec.get("lines", 0), f"{name}: lines"),
+            comment_lines=_int_field(rec.get("commentLines", 0), f"{name}: commentLines"),
+            statement_count=_int_field(statements, f"{name}: statements"),
         )
 
     for ext in sorted(resolver.externals):
@@ -583,6 +620,14 @@ def build_system_model(class_records) -> SystemModel:
 
     _check_acyclic(classes)
     return SystemModel(classes)
+
+
+def _int_field(value, what: str) -> int:
+    """``int(value)``; a value it rejects raises FactsError naming ``what``."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FactsError(f"{what} {value!r} is not a number") from None
 
 
 def _check_acyclic(classes: dict[str, ClassInfo]) -> None:

@@ -10,17 +10,19 @@ Oracles kept independent of the implementation:
 
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from helpers import cfg_with_v, random_class_source, random_method_source
+from helpers import cfg_with_v, random_class_source, random_method_source, random_model
 from oometrics import cfg as cfgmod
-from oometrics import cli
+from oometrics import cli, complexity
 from oometrics.cfg import ControlFlowGraph
 from oometrics.cli import main
 from oometrics.complexity import (
     class_wmc,
+    complexity_triple,
     cyclomatic,
     essential,
     module_design,
@@ -688,6 +690,31 @@ def test_analyze_of_source_validates_each_graph_once(monkeypatch, capsys):
     assert main(["analyze", str(FIXTURES / "metric_test")]) == 0
     capsys.readouterr()
     assert calls["build_cfg"] > 10 and calls["validate"] == calls["build_cfg"]
+
+
+def test_cached_ev_iv_equal_a_fresh_reduction(monkeypatch):
+    # the acceptance corpus's 1000 generated methods in one build, and random
+    # facts models: one graph object per distinct graph, each reduced once
+    rng = random.Random(6001)
+    records = []
+    for i in range(1000):
+        src, _ = random_method_source(rng)
+        records += parse_source(f"class W{i} {{\n{src}\n void helper() {{ }} }}", f"W{i}.java").classes
+    models = [build_system_model(records)]
+    models += [random_model(random.Random(seed), n_classes=10, max_methods=6) for seed in range(30)]
+    reduced: Counter = Counter()
+    real_essential = complexity.essential
+    monkeypatch.setattr(complexity, "essential", lambda g: reduced.update([id(g)]) or real_essential(g))
+    for model in models:
+        graphs = [m.cfg for c in model.internal_classes for m in c.methods if m.cfg is not None]
+        assert len({id(g) for g in graphs}) == len({(g.kinds, g.edges) for g in graphs})
+        for g in graphs:
+            t = complexity_triple(g)
+            fresh = ControlFlowGraph.from_facts(g.to_facts())
+            assert (t.ev, t.iv) == (real_essential(fresh), module_design(fresh))
+    assert set(reduced.values()) == {1}
+    corpus = [m.cfg for c in models[0].internal_classes for m in c.methods]
+    assert len(corpus) == 2000 and len({id(g) for g in corpus}) < 1000
 
 
 # ---------------------------------------------------------------------------

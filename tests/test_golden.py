@@ -26,7 +26,8 @@ import pytest
 from helpers import cfg_with_v, class_rec, method_rec, multiple_inheritance_records, random_model
 from oometrics import cli
 from oometrics.cli import main
-from oometrics.model import dump_facts, model_to_facts
+from oometrics.javasrc import parse_source
+from oometrics.model import build_system_model, dump_facts, model_to_facts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden.json"
@@ -40,6 +41,7 @@ CASES: dict[str, tuple[list[str], tuple[str, ...]]] = {
     "analyze_chain60": (["analyze", "--facts", "chain60.json"], ()),
     "analyze_if200_source": (["analyze", "if200"], ()),
     "analyze_fixture_source": (["analyze", "metric_test"], ()),
+    "analyze_fixture_facts": (["analyze", "--facts", "metric_test.json"], ()),
     "analyze_history": (["analyze", "--facts", "hist/v3.json", "--history", "hist"], ()),
     "analyze_out": (["analyze", "metric_test", "--out", "out"], ("out/report.json", "out/facts.json")),
     "scatter": (["scatter", "metric_test", "if200"], ()),
@@ -145,6 +147,11 @@ def write_inputs(dest: Path) -> None:
     (dest / "if200").mkdir()
     (dest / "if200" / "Ifs.java").write_text(if_chain_source(random.Random(200), 200), encoding="utf-8")
     shutil.copytree(FIXTURES / "metric_test", dest / "metric_test")
+    # parser-shaped facts: 39 methods over 2 distinct graphs
+    facts("metric_test.json", build_system_model(
+        rec for f in sorted((FIXTURES / "metric_test").glob("*.java"))
+        for rec in parse_source(f.read_text(encoding="utf-8"), f.name).classes
+    ))
     (dest / "empty").mkdir()
     (dest / "partial").mkdir()
     (dest / "partial" / "Good.java").write_text("class Good { int m(int x) { return x + 1; } }", encoding="utf-8")

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from helpers import class_rec, hand_built_hierarchies, method_rec, random_hierarchy, random_model
+from helpers import cfg_with_v, class_rec, hand_built_hierarchies, method_rec, random_hierarchy, random_model
 from oometrics import ck
-from oometrics.errors import DuplicateClass, InheritanceCycle, UnknownClass
+from oometrics import model as modelmod
+from oometrics.cfg import ControlFlowGraph
+from oometrics.errors import DuplicateClass, InheritanceCycle, MalformedGraph, UnknownClass
 from oometrics.model import (
     build_system_model,
     class_to_record,
@@ -296,3 +298,82 @@ def test_inherited_methods_exclude_overrides_and_private():
     ])
     inherited = model.inherited_methods("Child")
     assert [m.name for m in inherited] == ["kept"]
+
+
+# ---------------------------------------------------------------------------
+# one build does each piece of work once per distinct value
+# ---------------------------------------------------------------------------
+
+
+def _count_validate(monkeypatch) -> list[int]:
+    calls = [0]
+    real = ControlFlowGraph.validate
+
+    def counting(self):
+        calls[0] += 1
+        real(self)
+
+    monkeypatch.setattr(ControlFlowGraph, "validate", counting)
+    return calls
+
+
+def test_identical_facts_graphs_in_one_build_are_one_object(monkeypatch):
+    calls = _count_validate(monkeypatch)
+    records = [
+        class_rec(f"p.C{i}", methods=[method_rec(f"m{j}", cfg=cfg_with_v(2 + j % 2)) for j in range(5)])
+        for i in range(4)
+    ]
+    model = build_system_model(records)
+    graphs = [m.cfg for c in model.internal_classes for m in c.methods]
+    assert len(graphs) == 20 and len({id(g) for g in graphs}) == 2
+    assert calls[0] == 2  # the graph checks run once per distinct shape
+    again = build_system_model(records)  # the table belongs to one build
+    assert again.get("p.C0").methods[0].cfg is not model.get("p.C0").methods[0].cfg
+    assert calls[0] == 4
+
+
+def _shape_with(**changes) -> dict:
+    g = cfg_with_v(2)
+    g.update(changes)
+    return g
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (_shape_with(nodes=5), "kinds length disagrees with node count"),
+    (_shape_with(edges=[[0, 1], [1, 2.0], [1, 2]]), "cfg node ids must be integers"),
+    (_shape_with(edges=[[0, True], [1, 2], [1, 2]]), "cfg node ids must be integers"),
+    (_shape_with(kinds=["entry", ["decision"], "exit"]), "unknown node kind: ['decision']"),
+])
+def test_a_record_repeating_a_valid_shape_is_still_checked(bad, reason):
+    # the same kinds and edges as a graph already built in this build: every
+    # check on the record itself still runs
+    records = [
+        class_rec("p.A", methods=[method_rec("ok", cfg=cfg_with_v(2))]),
+        class_rec("p.B", methods=[method_rec("ok", cfg=cfg_with_v(2)), method_rec("bad", params=["int"], cfg=bad)]),
+    ]
+    with pytest.raises(MalformedGraph) as exc:
+        build_system_model(records)
+    assert str(exc.value) == f"p.B.bad(int): {reason}"
+
+
+def test_each_distinct_member_reference_is_split_once(monkeypatch):
+    calls = []
+    real = modelmod._parse_member_ref
+    monkeypatch.setattr(modelmod, "_parse_member_ref", lambda ref: calls.append(ref) or real(ref))
+    methods = [
+        method_rec(f"m{i}", accesses=["ext.Lib.x", "B.y", "p.A.z", "w"],
+                   invokes=[("ext.Lib.run", 1), ("ext.Lib.run(int)", 2), ("B.go", 1), ("go", 3)])
+        for i in range(30)
+    ]
+    model = build_system_model([class_rec("p.A", methods=methods), class_rec("p.B"), class_rec("q.B")])
+    assert sorted(calls) == sorted([
+        "ext.Lib.x", "B.y", "p.A.z", "w", "ext.Lib.run", "ext.Lib.run", "B.go", "go",
+    ])  # the two ext.Lib.run targets differ in their signature
+    # a stub referenced 180 times is listed once; the ambiguous B is a stub
+    assert [c.name for c in model.classes if c.is_external] == ["B", "ext.Lib"]
+    m = model.get("p.A").methods[7]
+    assert m.accessed_attributes == (("B", "y"), ("ext.Lib", "x"), ("p.A", "w"), ("p.A", "z"))
+    assert [(i.target_class, i.target_method, i.count) for i in m.invocations] == [
+        ("B", "go", 1), ("ext.Lib", "run", 1), ("ext.Lib", "run(int)", 2), ("p.A", "go", 3),
+    ]
+

@@ -480,14 +480,48 @@ def test_cli_names_the_method_of_a_malformed_facts_graph(cfg, reason, tmp_path, 
     (class_rec("p.A", lines=3, comment_lines=5), "p.A: commentLines 5 exceeds lines 3"),
     (class_rec("p.A", methods=[method_rec("m", invokes=[("p.A.m", 2), ("p.A.m", -1)])]),
      "p.A.m(): invokes p.A.m with count -1, below 1"),
+    (class_rec("p.A", methods=[method_rec("m", invokes=[("p.A.m", "x")])]),
+     "p.A.m(): invokes p.A.m count 'x' is not a number"),
+    (class_rec("p.A", lines="many"), "p.A: lines 'many' is not a number"),
+    (class_rec("p.A", comment_lines=None), "p.A: commentLines None is not a number"),
+    (class_rec("p.A", statements=[3]), "p.A: statements [3] is not a number"),
 ])
 def test_cli_names_the_class_and_method_of_a_record_the_model_rejects(rec, message, tmp_path, capsys):
-    # each shape once ended in a raw ValueError traceback
+    # each shape once ended in a raw ValueError or TypeError traceback
     facts = tmp_path / "facts.json"
     facts.write_text(json.dumps({"classes": [class_rec("p.Ok"), rec]}))
     assert main(["analyze", "--facts", str(facts)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_numbers_int_accepts_keep_their_value():
+    model = build_system_model([
+        class_rec("p.A", lines="12", comment_lines=2.9, statements=True,
+                  methods=[method_rec("m", invokes=[("p.A.m", 2.5), ("p.A.m", "3")])]),
+    ])
+    a = model.get("p.A")
+    assert (a.line_count, a.comment_lines, a.statement_count) == (12, 2, 1)
+    assert [(i.target_method, i.count) for i in a.methods[0].invocations] == [("m", 5)]
+
+
+@pytest.mark.parametrize("changes, reason", [
+    ({"nodes": 5}, "kinds length disagrees with node count"),
+    ({"edges": [[0, 1], [1, 2.0], [1, 2]]}, "cfg node ids must be integers"),
+])
+def test_cli_checks_a_repeated_graph_in_a_later_history_file(changes, reason, tmp_path, capsys):
+    # the graph's kinds and edges repeat a valid graph of the same file and
+    # of the earlier files; every check on the record still runs
+    ok = class_rec("p.A", methods=[method_rec("ok", cfg=cfg_with_v(2))])
+    bad = class_rec("p.B", methods=[method_rec("ok", cfg=cfg_with_v(2)),
+                                    method_rec("m", params=["int"], cfg={**cfg_with_v(2), **changes})])
+    history = tmp_path / "hist"
+    history.mkdir()
+    (history / "v1.json").write_text(json.dumps({"classes": [ok]}))
+    (history / "v2.json").write_text(json.dumps({"classes": [ok, bad]}))
+    assert main(["analyze", "--facts", str(history / "v1.json"), "--history", str(history)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: p.B.m(int): {reason}\n"
 
 
 FACTS_ROUTES = {
