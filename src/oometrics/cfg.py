@@ -124,47 +124,20 @@ class ControlFlowGraph:
 
     @classmethod
     def from_facts(cls, data: dict, interned: dict | None = None) -> "ControlFlowGraph":
-        """Build a graph from its facts form.
-
-        Every check on the record runs on each call.  ``interned``, a table
-        that belongs to one model build, maps the kinds and edges of each
-        graph already built to that graph: a record that repeats them gets
-        the same object, so the graph checks and the ev/iv reductions run
-        once per distinct graph.
+        """Build a graph from its facts form, as the facts schema has
+        checked it (``model.check_facts``).  ``interned``, a table that
+        belongs to one model build, maps the kinds and edges of each graph
+        already built to that graph: a record that repeats them gets the
+        same object, so the graph checks and the ev/iv reductions run once
+        per distinct graph.
         """
-        try:
-            nodes, edges, kinds = data["nodes"], data["edges"], data["kinds"]
-        except (KeyError, TypeError):
-            raise MalformedGraph("cfg needs 'nodes', 'edges' and 'kinds'") from None
-        if not isinstance(edges, list) or not isinstance(kinds, list):
-            raise MalformedGraph("cfg 'edges' and 'kinds' must be lists")
-        try:
-            pairs = tuple((a, b) for a, b in edges)
-        except (TypeError, ValueError):
-            raise MalformedGraph("every cfg edge must be a pair of node ids") from None
-        # exact ints: a float or bool id would pass int() and name another node
-        if not all(type(a) is int and type(b) is int for a, b in pairs):
-            raise MalformedGraph("cfg node ids must be integers")
-        if type(nodes) is not int:
-            raise MalformedGraph("cfg 'nodes' must be an integer")
-        kinds = tuple(kinds)
-        if len(kinds) != nodes:
-            raise MalformedGraph("kinds length disagrees with node count")
-        if interned is not None:
-            key = (kinds, pairs)
-            try:
-                hit = interned.get(key)
-            except TypeError:  # an unhashable kind: validation below names it
-                interned = None
-            else:
-                if hit is not None:
-                    return hit
-        try:
-            entry = kinds.index(ENTRY)
-            exit_ = kinds.index(EXIT)
-        except ValueError as exc:
-            raise MalformedGraph("entry/exit missing") from exc
-        g = cls(kinds=kinds, edges=pairs, entry=entry, exit=exit_)
+        key = kinds, edges = tuple(data["kinds"]), tuple(map(tuple, data["edges"]))
+        hit = None if interned is None else interned.get(key)
+        if hit is not None:
+            return hit
+        entry = kinds.index(ENTRY) if ENTRY in kinds else 0  # a missing node fails validation
+        exit_ = kinds.index(EXIT) if EXIT in kinds else 0
+        g = cls(kinds=kinds, edges=edges, entry=entry, exit=exit_)
         if interned is not None:
             interned[key] = g
         return g

@@ -30,7 +30,7 @@ from .evolution import (
     yw_rank,
 )
 from .javasrc import CompilationFacts, parse_source
-from .model import build_system_model, dump_facts, facts_to_model, load_facts, model_to_facts
+from .model import build_system_model, dump_facts, load_facts, model_to_facts
 from .quality import ToolConfig
 from .report import compute_class_record, emit_kiviat_svg, emit_scatter, scatter_rows_from_model
 
@@ -124,14 +124,10 @@ class _LoadedInput:
 
 def _load_input(paths: list[str], facts_path: str | None) -> _LoadedInput:
     loaded = _LoadedInput()
-    if facts_path:
-        doc = load_facts(facts_path)
-        loaded.class_records.extend(doc.get("classes", []))
     json_paths = [p for p in paths if p.endswith(".json")]
     src_paths = [p for p in paths if not p.endswith(".json")]
-    for jp in json_paths:
-        doc = load_facts(jp)
-        loaded.class_records.extend(doc.get("classes", []))
+    for jp in ([facts_path] if facts_path else []) + json_paths:
+        loaded.class_records.extend(load_facts(jp))
     files = _collect_sources(src_paths)
     for f, (text, facts) in zip(files, _parse_files(files)):
         if isinstance(facts, str):
@@ -151,7 +147,7 @@ def _load_history(history_dir: str) -> HistoryTimeline:
         raise NoInput(f"history needs at least 2 facts files, found {len(files)} in {history_dir}")
     versions = []
     for f in files:
-        versions.append((f.stem, facts_to_model(load_facts(f))))
+        versions.append((f.stem, build_system_model(load_facts(f))))
     return HistoryTimeline(tuple(versions))
 
 
@@ -178,7 +174,7 @@ def cmd_analyze(args) -> int:
     baseline_model = None
     baseline_path = args.baseline or config.qmood_baseline
     if baseline_path:
-        baseline_model = facts_to_model(load_facts(baseline_path))
+        baseline_model = build_system_model(load_facts(baseline_path))
 
     partial = bool(loaded.parse_errors)
     report = rpt.compute_report(
@@ -260,7 +256,7 @@ def cmd_compare(args) -> int:
     metric_names = config.churn_metrics
 
     def build_matrix(path: str) -> dict[str, dict[str, float]]:
-        model = facts_to_model(load_facts(path))
+        model = build_system_model(load_facts(path))
         matrix = {}
         for name in model.internal_class_names:
             rec = compute_class_record(model, name)

@@ -52,8 +52,9 @@ class MalformedGraph(MetricsError):
 
 
 class FactsError(MetricsError):
-    """A facts file that cannot be read, or a class record the model
-    cannot hold; the message names the file, or the class and method."""
+    """A facts file that cannot be read, a facts document that
+    ``model.FACTS_SCHEMA`` rejects, or a class record the model cannot
+    hold; the message names the file, class, method and key it can."""
 
 
 class UndefinedMetric(MetricsError):

@@ -13,6 +13,8 @@ A built model is immutable and safe to share between metric computations.
 from __future__ import annotations
 
 import json
+import reprlib
+from itertools import chain
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,7 +42,8 @@ class AttributeInfo:
 @dataclass(frozen=True)
 class Invocation:
     """One static invocation edge: target class, target method spec
-    ("name" or "name(sig)"), and how many call sites hit it."""
+    ("name" or "name(sig)"), and how many call sites hit it, at least one
+    (:data:`FACTS_SCHEMA` holds a facts file's counts to that)."""
 
     target_class: str
     target_method: str
@@ -508,7 +511,9 @@ class _Resolver:
 
 
 def build_system_model(class_records) -> SystemModel:
-    """Assemble and resolve a SystemModel from facts-schema class records.
+    """Assemble and resolve a SystemModel from class records: the parser's,
+    or facts records that passed :func:`check_facts`, whose types and
+    ranges it trusts.
 
     A method's ``cfg`` is either a ControlFlowGraph, used as it is, or its
     facts form, built with ``ControlFlowGraph.from_facts``; methods whose
@@ -547,14 +552,13 @@ def build_system_model(class_records) -> SystemModel:
                     name=a["name"],
                     declared_type=resolver.resolve(a.get("type", "")) or a.get("type", ""),
                     visibility=a.get("visibility", "default"),
-                    is_static=bool(a.get("static", False)),
+                    is_static=a.get("static", False),
                 )
             )
 
         methods = []
         for m in rec.get("methods", ()):
             params = tuple(resolver.resolve(p) or p for p in m.get("paramTypes", ()))
-            where = f"{name}.{m['name']}({','.join(params)})"
             accesses: set[tuple[str, str]] = set()
             for ref in m.get("accesses", ()):
                 found = resolver.member(ref, name)
@@ -563,14 +567,8 @@ def build_system_model(class_records) -> SystemModel:
             merged: dict[tuple[str, str], int] = {}
             for inv in m.get("invokes", ()):
                 key = resolver.member(inv["target"], name, True)
-                if key is None:
-                    continue
-                count = inv.get("count", 1)
-                if type(count) is not int:
-                    count = _int_field(count, f"{where}: invokes {inv['target']} count")
-                if count < 1:
-                    raise FactsError(f"{where}: invokes {inv['target']} with count {count}, below 1")
-                merged[key] = merged.get(key, 0) + count
+                if key is not None:
+                    merged[key] = merged.get(key, 0) + inv.get("count", 1)
             invokes = []
             for (c, m_), n in sorted(merged.items()):
                 edge = invocations.get((c, m_, n))
@@ -584,14 +582,14 @@ def build_system_model(class_records) -> SystemModel:
                 try:
                     cfg = ControlFlowGraph.from_facts(cfg, graphs)
                 except MalformedGraph as exc:
-                    raise MalformedGraph(f"{where}: {exc}") from exc
+                    raise MalformedGraph(f"{name}.{m['name']}({','.join(params)}): {exc}") from exc
             methods.append(
                 MethodInfo(
                     name=m["name"],
                     parameter_types=params,
                     visibility=m.get("visibility", "default"),
-                    is_abstract=bool(m.get("abstract", False)),
-                    is_static=bool(m.get("static", False)),
+                    is_abstract=m.get("abstract", False),
+                    is_static=m.get("static", False),
                     accessed_attributes=tuple(sorted(accesses)),
                     invocations=tuple(invokes),
                     cfg=cfg,
@@ -609,9 +607,9 @@ def build_system_model(class_records) -> SystemModel:
             superclasses=tuple(supers),
             methods=tuple(methods),
             attributes=tuple(attrs),
-            line_count=_int_field(rec.get("lines", 0), f"{name}: lines"),
-            comment_lines=_int_field(rec.get("commentLines", 0), f"{name}: commentLines"),
-            statement_count=_int_field(statements, f"{name}: statements"),
+            line_count=rec.get("lines", 0),
+            comment_lines=rec.get("commentLines", 0),
+            statement_count=statements,
         )
 
     for ext in sorted(resolver.externals):
@@ -620,14 +618,6 @@ def build_system_model(class_records) -> SystemModel:
 
     _check_acyclic(classes)
     return SystemModel(classes)
-
-
-def _int_field(value, what: str) -> int:
-    """``int(value)``; a value it rejects raises FactsError naming ``what``."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise FactsError(f"{what} {value!r} is not a number") from None
 
 
 def _check_acyclic(classes: dict[str, ClassInfo]) -> None:
@@ -709,20 +699,159 @@ def model_to_facts(model: SystemModel) -> dict:
     return {"classes": [class_to_record(c) for c in model.internal_classes]}
 
 
+# ---------------------------------------------------------------------------
+# The facts schema: every facts document is checked here, and only here
+# ---------------------------------------------------------------------------
+
+CLASS_KINDS = ("class", "interface", "abstract-class")
+
+
+def _graph(cfg) -> str | None:
+    """What is wrong with a method's ``cfg``, or None: it has exactly
+    ``nodes``, ``edges`` and ``kinds``, every edge is a pair of integer node
+    ids, every kind a string, and ``nodes`` the number of kinds.  Which
+    strings name a kind, and which ids a node, the graph checks."""
+    if type(cfg) is not dict or not cfg.keys() >= {"nodes", "edges", "kinds"}:
+        return "cfg needs 'nodes', 'edges' and 'kinds'"
+    if len(cfg) > 3:
+        return f"cfg has no key {next(k for k in cfg if k not in ('nodes', 'edges', 'kinds'))!r}"
+    nodes, edges, kinds = cfg["nodes"], cfg["edges"], cfg["kinds"]
+    if type(edges) is not list or type(kinds) is not list:
+        return "cfg 'edges' and 'kinds' must be lists"
+    if not {*map(type, edges)} <= {list} or not {*map(len, edges)} <= {2}:
+        return "every cfg edge must be a pair of node ids"
+    if not {*map(type, chain.from_iterable(edges))} <= {int}:
+        return "cfg node ids must be integers"
+    if type(nodes) is not int:
+        return "cfg 'nodes' must be an integer"
+    if not {*map(type, kinds)} <= {str}:
+        return f"unknown node kind: {next(k for k in kinds if type(k) is not str)}"
+    return None if nodes == len(kinds) else "kinds length disagrees with node count"
+
+
+#: The facts format.  Each record level maps its keys to (type, required).
+#: A type is an int n for an int of at least n (exact: never a float, a
+#: string or a bool), ``str`` or ``bool``; a tuple of the strings allowed;
+#: another level's name for a record of that level; ``[type]`` for a list
+#: of that type; or a function that says what is wrong with a value, as
+#: :func:`_graph` does for a method's ``cfg``.  A key that its level does
+#: not list is an error.
+FACTS_SCHEMA: dict[str, dict[str, tuple]] = {
+    "document": {"classes": (["class"], True)},
+    "class": {
+        "name": (str, True), "kind": (CLASS_KINDS, False), "extends": ([str], False), "lines": (0, False),
+        "commentLines": (0, False), "statements": (0, False), "attributes": (["attribute"], False),
+        "methods": (["method"], False),
+    },
+    "attribute": {"name": (str, True), "type": (str, False), "visibility": (VISIBILITIES, False), "static": (bool, False)},
+    "method": {
+        "name": (str, True), "paramTypes": ([str], False), "visibility": (VISIBILITIES, False),
+        "abstract": (bool, False), "static": (bool, False), "accesses": ([str], False),
+        "invokes": (["invocation"], False), "cfg": (_graph, False), "lines": (0, False),
+    },
+    "invocation": {"target": (str, True), "count": (1, False)},
+}
+_KINDS = {level: {key: kind for key, (kind, _) in keys.items()} for level, keys in FACTS_SCHEMA.items()}
+_NEEDS = {level: [key for key, (_, required) in keys.items() if required] for level, keys in FACTS_SCHEMA.items()}
+_TYPE_NAMES = {str: "a string", bool: "true or false"}
+# how a failure names the records it sits in: by name, else by place
+_LABELS = {"class": ("{}", "classes[{}]"), "method": (".{}", ".methods[{}]"),
+           "attribute": (": attribute {}", ": attributes[{}]"), "invocation": (": invokes {}", ": invokes[{}]")}
+
+
+class _Bad(Exception):
+    where = ""  # the records it sits in, outermost first
+
+
+def _check_record(rec, level: str, index: int | None = None) -> None:
+    """Raise _Bad unless ``rec`` is a good record of ``level``."""
+    kinds = _KINDS[level]
+    try:
+        if type(rec) is not dict:
+            raise _Bad(f"{level} {reprlib.repr(rec)} is not an object")
+        for key in _NEEDS[level]:
+            if key not in rec:
+                raise _Bad(f"{level} needs {key!r}")
+        for key, value in rec.items():
+            kind = kinds.get(key)
+            # the common cases inline: a string or bool, an int in range, a list of records
+            if type(value) is kind or type(kind) is int and type(value) is int and value >= kind:
+                continue
+            if type(kind) is list and type(kind[0]) is str and type(value) is list:
+                for i, item in enumerate(value):
+                    _check_record(item, kind[0], i)
+                continue
+            text = f"{level} has no key {key!r}" if kind is None else _check(value, kind, key)
+            if text is not None:
+                raise _Bad(text)
+    except _Bad as bad:
+        bad.where = _label(level, rec, index) + bad.where
+        raise
+
+
+def _check(value, kind, key: str) -> str | None:
+    """What is wrong with ``value`` as a ``kind``, or None."""
+    if type(kind) is list:
+        if type(value) is not list:
+            return f"{key} {reprlib.repr(value)} is not a list"
+        if not {*map(type, value)} <= {kind[0]}:
+            return next(filter(None, (_check(v, kind[0], f"{key}[{i}]") for i, v in enumerate(value))), None)
+    elif type(kind) is int:
+        if type(value) is not int:
+            return f"{key} {reprlib.repr(value)} is not an integer"
+        if value < kind:
+            return f"{key} {value} is below {kind}"
+    elif type(kind) is tuple:
+        if value not in kind:
+            return f"{key} {reprlib.repr(value)} is not one of {', '.join(kind)}"
+    elif kind in _TYPE_NAMES:
+        if type(value) is not kind:
+            return f"{key} {reprlib.repr(value)} is not {_TYPE_NAMES[kind]}"
+    else:
+        return kind(value)
+    return None
+
+
+def _label(level: str, rec, index: int | None) -> str:
+    if level not in _LABELS:
+        return ""
+    name = rec.get("target" if level == "invocation" else "name") if type(rec) is dict else None
+    if type(name) is not str:
+        return _LABELS[level][1].format(index)
+    if level == "method":
+        params = rec.get("paramTypes", [])
+        name += f"({','.join(params) if _check(params, [str], '') is None else '?'})"
+    return _LABELS[level][0].format(name)
+
+
+def check_facts(doc, source=None) -> list[dict]:
+    """The class records of a facts document that :data:`FACTS_SCHEMA`
+    accepts; anything else raises FactsError naming the class, method and
+    key, and ``source``, the file, where there is one."""
+    try:
+        _check_record(doc, "document")
+    except _Bad as bad:
+        message = f"{bad.where}: {bad}" if bad.where else str(bad)
+        raise FactsError(message if source is None else f"{message} (in {source})") from None
+    return doc["classes"]
+
+
 def facts_to_model(doc: dict) -> SystemModel:
-    return build_system_model(doc.get("classes", []))
+    return build_system_model(check_facts(doc))
 
 
-def load_facts(path) -> dict:
-    """One facts file's document; a file that cannot be read or is not
-    JSON raises FactsError naming it."""
+def load_facts(path) -> list[dict]:
+    """The checked class records of one facts file; a file that cannot be
+    read, is not JSON or fails :func:`check_facts` raises FactsError
+    naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FactsError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except OSError as exc:
         raise FactsError(str(exc)) from None
+    return check_facts(doc, path)
 
 
 def dump_facts(doc: dict, path) -> None:

@@ -212,6 +212,9 @@ class ToolConfig:
     def from_dict(cls, doc: dict) -> "ToolConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config root must be an object")
+        for key in doc:
+            if key not in ("ranges", "sigBands", "churnMetrics", "qmoodBaseline"):
+                raise ConfigError(f"unknown config key {key!r} (known: ranges, sigBands, churnMetrics, qmoodBaseline)")
         ranges = RangeTable.from_config(doc.get("ranges", {}))
         churn = doc.get("churnMetrics", list(DEFAULT_CHURN_METRICS))
         if not isinstance(churn, list) or not churn:

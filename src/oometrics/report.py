@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from . import cohesion, qmood
 from .ck import KIVIAT_ORDER, ClassMetricsRecord, cbo, dit, logiscope_mnemonics, mpc, rfc
-from .complexity import complexity_triple, cyclomatic, essential, quadrant
+from .complexity import complexity_triple, cyclomatic, quadrant
 from .errors import DegenerateSystem, EmptyModel, MetricsError, UndefinedMetric, WrongAxisCount
 from .halstead import HalsteadCounts, merge_counts
 from .maintain import maintainability_index, sig_rating
@@ -353,5 +353,5 @@ def scatter_rows_from_model(model: SystemModel) -> list[tuple[str, str, int, int
         for m in c.member_functions:
             if m.cfg is None:
                 continue
-            rows.append((c.name, m.signature, cyclomatic(m.cfg), essential(m.cfg)))
+            rows.append((c.name, m.signature, cyclomatic(m.cfg), m.cfg.ev))
     return rows

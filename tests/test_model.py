@@ -9,7 +9,7 @@ from helpers import cfg_with_v, class_rec, hand_built_hierarchies, method_rec, r
 from oometrics import ck
 from oometrics import model as modelmod
 from oometrics.cfg import ControlFlowGraph
-from oometrics.errors import DuplicateClass, InheritanceCycle, MalformedGraph, UnknownClass
+from oometrics.errors import DuplicateClass, FactsError, InheritanceCycle, UnknownClass
 from oometrics.model import (
     build_system_model,
     class_to_record,
@@ -345,14 +345,14 @@ def _shape_with(**changes) -> dict:
     (_shape_with(kinds=["entry", ["decision"], "exit"]), "unknown node kind: ['decision']"),
 ])
 def test_a_record_repeating_a_valid_shape_is_still_checked(bad, reason):
-    # the same kinds and edges as a graph already built in this build: every
-    # check on the record itself still runs
+    # the same kinds and edges as a graph already built in this build: the
+    # facts schema checks every record before the build interns any graph
     records = [
         class_rec("p.A", methods=[method_rec("ok", cfg=cfg_with_v(2))]),
         class_rec("p.B", methods=[method_rec("ok", cfg=cfg_with_v(2)), method_rec("bad", params=["int"], cfg=bad)]),
     ]
-    with pytest.raises(MalformedGraph) as exc:
-        build_system_model(records)
+    with pytest.raises(FactsError) as exc:
+        facts_to_model({"classes": records})
     assert str(exc.value) == f"p.B.bad(int): {reason}"
 
 

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 from helpers import class_rec, lexical_analyzer_model, method_rec, cfg_with_v, random_model
-from oometrics import cohesion, qmood, quality
+from oometrics import cli, cohesion, complexity, qmood, quality
 from oometrics.cfg import ControlFlowGraph
 from oometrics.ck import KIVIAT_ORDER, ClassMetricsRecord
 from oometrics.cli import main
-from oometrics.model import SystemModel, build_system_model, dump_facts, model_to_facts
+from oometrics.model import SystemModel, build_system_model, dump_facts, facts_to_model, model_to_facts
 from oometrics.quality import RangeTable, ToolConfig
 from oometrics.report import (
     compute_class_record,
@@ -27,7 +27,7 @@ from oometrics.report import (
     serialize_report,
 )
 from oometrics.quality import kiviat_rows
-from oometrics.errors import WrongAxisCount
+from oometrics.errors import FactsError, WrongAxisCount
 from oometrics.maintain import DEFAULT_BANDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -271,6 +271,17 @@ def test_cli_scatter(capsys):
     assert "quadrants:" in captured.err
 
 
+def test_scatter_reduces_each_shared_graph_once(monkeypatch, capsys):
+    # the fixture's 39 methods share 2 graphs; scatter once reduced one per method
+    monkeypatch.setattr(cli, "_worker_count", lambda n_files: 1)
+    reduced = []
+    real = complexity.essential
+    monkeypatch.setattr(complexity, "essential", lambda g: reduced.append(g) or real(g))
+    assert main(["scatter", str(FIXTURES / "metric_test")]) == 0
+    assert capsys.readouterr().out.count("\n") == 40  # a header and 39 methods
+    assert len(reduced) == len({(g.kinds, g.edges) for g in reduced}) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["scatter", "--format", "text"],
     ["scatter", "--config", "c.json"],
@@ -434,6 +445,8 @@ def test_cli_rejects_a_range_for_a_method_threshold(tmp_path, capsys):
     ({"ranges": {"cl_wmc": {"min": 0, "max": [5]}}}, "cl_wmc"),
     # once opened as file descriptor 5
     ({"qmoodBaseline": 5}, "qmoodBaseline"),
+    # misspelt top-level keys: once accepted with exit 0, changing nothing
+    ({"churnMetric": ["cl_wmc"], "rangez": {}}, "churnMetric"),
 ])
 def test_cli_rejects_a_config_value_that_cannot_take_effect(doc, key, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -478,13 +491,14 @@ def test_cli_names_the_method_of_a_malformed_facts_graph(cfg, reason, tmp_path, 
      "p.A.m(int): duplicate method signature"),
     (class_rec("p.A", attributes=[{"name": "x"}, {"name": "x", "type": "int"}]), "p.A: duplicate attribute x"),
     (class_rec("p.A", lines=3, comment_lines=5), "p.A: commentLines 5 exceeds lines 3"),
+    # the facts schema's rows name the file too
     (class_rec("p.A", methods=[method_rec("m", invokes=[("p.A.m", 2), ("p.A.m", -1)])]),
-     "p.A.m(): invokes p.A.m with count -1, below 1"),
+     "p.A.m(): invokes p.A.m: count -1 is below 1 (in {facts})"),
     (class_rec("p.A", methods=[method_rec("m", invokes=[("p.A.m", "x")])]),
-     "p.A.m(): invokes p.A.m count 'x' is not a number"),
-    (class_rec("p.A", lines="many"), "p.A: lines 'many' is not a number"),
-    (class_rec("p.A", comment_lines=None), "p.A: commentLines None is not a number"),
-    (class_rec("p.A", statements=[3]), "p.A: statements [3] is not a number"),
+     "p.A.m(): invokes p.A.m: count 'x' is not an integer (in {facts})"),
+    (class_rec("p.A", lines="many"), "p.A: lines 'many' is not an integer (in {facts})"),
+    (class_rec("p.A", comment_lines=None), "p.A: commentLines None is not an integer (in {facts})"),
+    (class_rec("p.A", statements=[3]), "p.A: statements [3] is not an integer (in {facts})"),
 ])
 def test_cli_names_the_class_and_method_of_a_record_the_model_rejects(rec, message, tmp_path, capsys):
     # each shape once ended in a raw ValueError or TypeError traceback
@@ -492,17 +506,23 @@ def test_cli_names_the_class_and_method_of_a_record_the_model_rejects(rec, messa
     facts.write_text(json.dumps({"classes": [class_rec("p.Ok"), rec]}))
     assert main(["analyze", "--facts", str(facts)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert captured.out == "" and captured.err == f"error: {message.format(facts=facts)}\n"
 
 
 def test_numbers_int_accepts_keep_their_value():
-    model = build_system_model([
-        class_rec("p.A", lines="12", comment_lines=2.9, statements=True,
-                  methods=[method_rec("m", invokes=[("p.A.m", 2.5), ("p.A.m", "3")])]),
-    ])
-    a = model.get("p.A")
-    assert (a.line_count, a.comment_lines, a.statement_count) == (12, 2, 1)
-    assert [(i.target_method, i.count) for i in a.methods[0].invocations] == [("m", 5)]
+    # facts ints are exact: each value int() once took, and truncated, is rejected
+    for rec, message in [
+        (class_rec("p.A", lines="12"), "p.A: lines '12' is not an integer"),
+        (class_rec("p.A", comment_lines=2.9), "p.A: commentLines 2.9 is not an integer"),
+        (class_rec("p.A", statements=True), "p.A: statements True is not an integer"),
+        (class_rec("p.A", methods=[method_rec("m", invokes=[("p.A.m", 2.5)])]),
+         "p.A.m(): invokes p.A.m: count 2.5 is not an integer"),
+        (class_rec("p.A", methods=[method_rec("m", invokes=[("p.A.m", "3")])]),
+         "p.A.m(): invokes p.A.m: count '3' is not an integer"),
+    ]:
+        with pytest.raises(FactsError) as exc:
+            facts_to_model({"classes": [rec]})
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("changes, reason", [
@@ -521,7 +541,7 @@ def test_cli_checks_a_repeated_graph_in_a_later_history_file(changes, reason, tm
     (history / "v2.json").write_text(json.dumps({"classes": [ok, bad]}))
     assert main(["analyze", "--facts", str(history / "v1.json"), "--history", str(history)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: p.B.m(int): {reason}\n"
+    assert captured.out == "" and captured.err == f"error: p.B.m(int): {reason} (in {history / 'v2.json'})\n"
 
 
 FACTS_ROUTES = {
