@@ -52,6 +52,7 @@ CASES: dict[str, tuple[list[str], tuple[str, ...]]] = {
     "error_no_input_exit_1": (["analyze", "empty"], ()),
     "error_usage_exit_1": (["scatter", "--format", "text", "metric_test"], ()),
     "error_partial_exit_2": (["analyze", "partial"], ()),
+    "error_facts_schema_exit_1": (["analyze", "--facts", "invocations.json"], ()),
     "analyze_lexer_source": (["analyze", "lexer_source"], ()),
     "analyze_lexer_source_out": (["analyze", "lexer_source", "--out", "lexout"],
                                  ("lexout/report.json", "lexout/facts.json")),
@@ -141,6 +142,9 @@ def write_inputs(dest: Path) -> None:
     facts("random40.json", random_model(random.Random(40), n_classes=40, max_attrs=4, p_inherit=0.5))
     facts("multi.json", multiple_inheritance_records())
     facts("chain60.json", chain_records(random.Random(60), 60))
+    # the facts schema's error line: a method record with `invocations`, not `invokes`
+    facts("invocations.json", [class_rec("p.B", methods=[method_rec("run")]),
+                               {**class_rec("p.A"), "methods": [{"name": "m", "invocations": [{"target": "p.B.run"}]}]}])
     for k in range(4):
         facts(f"hist/v{k}.json", random_model(random.Random(100 + k), n_classes=24, max_methods=6,
                                               max_attrs=4, p_edge=0.1, p_inherit=0.5))
