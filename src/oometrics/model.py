@@ -732,8 +732,8 @@ def _graph(cfg) -> str | None:
 #: The facts format.  Each record level maps its keys to (type, required).
 #: A type is an int n for an int of at least n (exact: never a float, a
 #: string or a bool), ``str`` or ``bool``; a tuple of the strings allowed;
-#: another level's name for a record of that level; ``[type]`` for a list
-#: of that type; or a function that says what is wrong with a value, as
+#: ``[level]`` for a list of records of that level, ``[str]`` for a list of
+#: strings; or a function that says what is wrong with a value, as
 #: :func:`_graph` does for a method's ``cfg``.  A key that its level does
 #: not list is an error.
 FACTS_SCHEMA: dict[str, dict[str, tuple]] = {

@@ -212,9 +212,10 @@ class ToolConfig:
     def from_dict(cls, doc: dict) -> "ToolConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config root must be an object")
+        known = ("ranges", "sigBands", "churnMetrics", "qmoodBaseline")
         for key in doc:
-            if key not in ("ranges", "sigBands", "churnMetrics", "qmoodBaseline"):
-                raise ConfigError(f"unknown config key {key!r} (known: ranges, sigBands, churnMetrics, qmoodBaseline)")
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r} (known: {', '.join(known)})")
         ranges = RangeTable.from_config(doc.get("ranges", {}))
         churn = doc.get("churnMetrics", list(DEFAULT_CHURN_METRICS))
         if not isinstance(churn, list) or not churn:

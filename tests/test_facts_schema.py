@@ -79,7 +79,7 @@ def test_a_malformed_facts_document_exits_1_naming_file_class_method_and_key(sha
 ODD_VALUES = [None, True, False, -1, 0, 2.5, "x", "", [], {}, [1], ["x"], {"x": 1}, [[0, 1]]]
 
 
-def _places(node, path=()):
+def _places(node):
     """Every (container, key) in a JSON tree."""
     if isinstance(node, dict):
         items = node.items()
@@ -89,7 +89,7 @@ def _places(node, path=()):
         return
     for key, child in list(items):
         yield node, key
-        yield from _places(child, path + (key,))
+        yield from _places(child)
 
 
 def _mutate(doc, rng: random.Random):
@@ -97,7 +97,7 @@ def _mutate(doc, rng: random.Random):
     a value in a list."""
     places = list(_places(doc))
     if not places:
-        return [doc] if rng.random() < 0.5 else rng.choice(ODD_VALUES)
+        return [doc] if rng.random() < 0.5 else copy.deepcopy(rng.choice(ODD_VALUES))
     node, key = rng.choice(places)
     op = rng.choice(("drop", "retype", "rename", "wrap", "unwrap"))
     if op == "drop":
@@ -108,7 +108,7 @@ def _mutate(doc, rng: random.Random):
         node[rng.choice(["name", "kind", "invokes", "invocations", "Lines", key + "s", "nodes"])] = node.pop(key)
     elif op == "wrap":
         node[key] = [node[key]]
-    elif isinstance(node[key], list) and node[key]:
+    elif op == "unwrap" and isinstance(node[key], list) and node[key]:
         node[key] = node[key][0]
     return doc
 
