@@ -790,7 +790,8 @@ def _check_record(rec, level: str, index: int | None = None) -> None:
 
 
 def _check(value, kind, key: str) -> str | None:
-    """What is wrong with ``value`` as a ``kind``, or None."""
+    """What is wrong with ``value`` as a ``kind`` other than a list of
+    records (:func:`_check_record` walks those), or None."""
     if type(kind) is list:
         if type(value) is not list:
             return f"{key} {reprlib.repr(value)} is not a list"
