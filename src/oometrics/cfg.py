@@ -124,12 +124,12 @@ class ControlFlowGraph:
 
     @classmethod
     def from_facts(cls, data: dict, interned: dict | None = None) -> "ControlFlowGraph":
-        """Build a graph from its facts form, as the facts schema has
-        checked it (``model.check_facts``).  ``interned``, a table that
-        belongs to one model build, maps the kinds and edges of each graph
-        already built to that graph: a record that repeats them gets the
-        same object, so the graph checks and the ev/iv reductions run once
-        per distinct graph.
+        """Build a graph from its facts form, once the facts table's ``cfg``
+        rule (``model.FACTS_SCHEMA``) has accepted it.  ``interned``, a
+        table that belongs to one model build, maps the kinds and edges of
+        each graph already built to that graph: a record that repeats them
+        gets the same object, so the graph checks and the ev/iv reductions
+        run once per distinct graph.
         """
         key = kinds, edges = tuple(data["kinds"]), tuple(map(tuple, data["edges"]))
         hit = None if interned is None else interned.get(key)

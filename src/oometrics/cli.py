@@ -117,6 +117,7 @@ def _parse_in_pool(files: list[Path], workers: int) -> list[tuple[str, Compilati
 class _LoadedInput:
     def __init__(self):
         self.class_records: list[dict] = []
+        self.sources: list[str] = []  # each class record's file
         self.halstead = {}
         self.source_texts: dict[str, str] = {}
         self.parse_errors: list[str] = []
@@ -127,13 +128,16 @@ def _load_input(paths: list[str], facts_path: str | None) -> _LoadedInput:
     json_paths = [p for p in paths if p.endswith(".json")]
     src_paths = [p for p in paths if not p.endswith(".json")]
     for jp in ([facts_path] if facts_path else []) + json_paths:
-        loaded.class_records.extend(load_facts(jp))
+        records = load_facts(jp)
+        loaded.class_records.extend(records)
+        loaded.sources.extend([jp] * len(records))
     files = _collect_sources(src_paths)
     for f, (text, facts) in zip(files, _parse_files(files)):
         if isinstance(facts, str):
             loaded.parse_errors.append(facts)
             continue
         loaded.class_records.extend(facts.classes)
+        loaded.sources.extend([str(f)] * len(facts.classes))
         loaded.source_texts[str(f)] = text
         loaded.halstead.update(facts.halstead)
     if not loaded.class_records and not loaded.parse_errors:
@@ -147,7 +151,7 @@ def _load_history(history_dir: str) -> HistoryTimeline:
         raise NoInput(f"history needs at least 2 facts files, found {len(files)} in {history_dir}")
     versions = []
     for f in files:
-        versions.append((f.stem, build_system_model(load_facts(f))))
+        versions.append((f.stem, build_system_model(load_facts(f), f)))
     return HistoryTimeline(tuple(versions))
 
 
@@ -169,12 +173,12 @@ def _evolution_section(history: HistoryTimeline) -> dict:
 def cmd_analyze(args) -> int:
     config = ToolConfig.load(args.config) if args.config else ToolConfig()
     loaded = _load_input(args.paths, args.facts)
-    model = build_system_model(loaded.class_records)
+    model = build_system_model(loaded.class_records, loaded.sources)
 
     baseline_model = None
     baseline_path = args.baseline or config.qmood_baseline
     if baseline_path:
-        baseline_model = build_system_model(load_facts(baseline_path))
+        baseline_model = build_system_model(load_facts(baseline_path), baseline_path)
 
     partial = bool(loaded.parse_errors)
     report = rpt.compute_report(
@@ -210,7 +214,7 @@ def cmd_kiviat(args) -> int:
 
     config = ToolConfig.load(args.config) if args.config else ToolConfig()
     loaded = _load_input(args.paths, args.facts)
-    model = build_system_model(loaded.class_records)
+    model = build_system_model(loaded.class_records, loaded.sources)
     rec = compute_class_record(model, args.class_name)
     rows = kiviat_rows(config.ranges, rec)
     svg = emit_kiviat_svg(rows, args.class_name)
@@ -224,7 +228,7 @@ def cmd_kiviat(args) -> int:
 
 def cmd_scatter(args) -> int:
     loaded = _load_input(args.paths, args.facts)
-    model = build_system_model(loaded.class_records)
+    model = build_system_model(loaded.class_records, loaded.sources)
     result = emit_scatter(scatter_rows_from_model(model))
     if args.out:
         Path(args.out).write_text(result.csv, encoding="utf-8")
@@ -256,7 +260,7 @@ def cmd_compare(args) -> int:
     metric_names = config.churn_metrics
 
     def build_matrix(path: str) -> dict[str, dict[str, float]]:
-        model = build_system_model(load_facts(path))
+        model = build_system_model(load_facts(path), path)
         matrix = {}
         for name in model.internal_class_names:
             rec = compute_class_record(model, name)
@@ -264,9 +268,11 @@ def cmd_compare(args) -> int:
             matrix[name] = {m: float(mnems[m] or 0) for m in metric_names}
         return matrix
 
-    baseline = fit_churn_baseline(build_matrix(args.baseline), metric_names)
-    earlier = score_build(Path(args.earlier).stem, build_matrix(args.earlier), baseline)
-    later = score_build(Path(args.later).stem, build_matrix(args.later), baseline)
+    # every input is read and checked before the baseline is fitted
+    base, first, second = [build_matrix(p) for p in (args.baseline, args.earlier, args.later)]
+    baseline = fit_churn_baseline(base, metric_names)
+    earlier = score_build(Path(args.earlier).stem, first, baseline)
+    later = score_build(Path(args.later).stem, second, baseline)
     cmp_result = churn_compare(earlier, later)
     if args.format == "json":
         import json

@@ -52,9 +52,9 @@ class MalformedGraph(MetricsError):
 
 
 class FactsError(MetricsError):
-    """A facts file that cannot be read, a facts document that
-    ``model.FACTS_SCHEMA`` rejects, or a class record the model cannot
-    hold; the message names the file, class, method and key it can."""
+    """A facts file that cannot be read, or a record that
+    ``model.FACTS_SCHEMA`` or the model rejects as the model reads it; the
+    message names the class, method and key it can, and the file."""
 
 
 class UndefinedMetric(MetricsError):

@@ -26,6 +26,7 @@ from typing import NamedTuple
 from . import cfg as cfgmod
 from .errors import SourceSyntaxError, UnbalancedBlock
 from .halstead import HalsteadCounts, halstead_counts, merge_counts
+from .model import _record
 
 MODIFIERS = {
     "public", "protected", "private", "static", "final", "abstract",
@@ -318,16 +319,14 @@ class Parser:
         file_lines, file_comments = _count_lines(self.text, self.comment_spans)
         method_counts: dict[str, dict[str, HalsteadCounts]] = {}
         for decl in self.decls:
-            builder = _ClassBuilder(self, decl)
-            record, counts = builder.build()
             if len(self.decls) == 1:
                 # one class per file: the whole file is the class, header
                 # comments and package line included (matches tool practice)
-                record["lines"] = file_lines
-                record["commentLines"] = file_comments
+                lines, comment_lines = file_lines, file_comments
             else:
-                record["lines"] = max(decl.end_line - decl.line + 1, 0)
-                record["commentLines"] = _comment_lines_in(self.comment_spans, decl.line, decl.end_line)
+                lines = max(decl.end_line - decl.line + 1, 0)
+                comment_lines = _comment_lines_in(self.comment_spans, decl.line, decl.end_line)
+            record, counts = _ClassBuilder(self, decl).build(lines, comment_lines)
             facts.classes.append(record)
             method_counts.setdefault(decl.name, {}).update(counts)
         facts.halstead = {cls: merge_counts(list(c.values())) for cls, c in method_counts.items() if c}
@@ -580,31 +579,17 @@ class _ClassBuilder:
             return self.known_types[head] + ref[len(head):]
         return ref
 
-    def build(self) -> tuple[dict, dict[str, HalsteadCounts]]:
+    def build(self, lines: int, comment_lines: int) -> tuple[dict, dict[str, HalsteadCounts]]:
         """The class record, and each method's Halstead counts by signature."""
-        record: dict = {
-            "name": self.decl.name,
-            "kind": self.decl.kind,
-            "extends": [self.resolve_type(s) for s in self.decl.supers],
-            "lines": 0,
-            "commentLines": 0,
-            "attributes": [],
-            "methods": [],
-        }
+        attributes: list[dict] = []
+        methods: list[dict] = []
         counts: dict[str, HalsteadCounts] = {}
         statements = 0
 
         for m in self.decl.members:
             if m.kind == "field":
                 for nm in m.param_names:
-                    record["attributes"].append(
-                        {
-                            "name": nm,
-                            "type": self.resolve_type(m.type),
-                            "visibility": m.visibility,
-                            "static": m.is_static,
-                        }
-                    )
+                    attributes.append(_record("attribute", nm, self.resolve_type(m.type), m.visibility, m.is_static))
                 if m.initializer_ranges:
                     statements += len(m.initializer_ranges)
                     self._field_init_scan = getattr(self, "_field_init_scan", None) or _BodyScanner(self, {})
@@ -636,39 +621,30 @@ class _ClassBuilder:
                 graph=graph,
                 lines=(m.end_line - m.line + 1) if m.end_line else None,
             )
-            record["methods"].append(mrec)
+            methods.append(mrec)
             counts[sig] = halstead_counts(self.p.toks, lo, hi)
 
         init_scan = getattr(self, "_field_init_scan", None)
         if init_scan is not None and (init_scan.invokes or init_scan.accesses):
-            record["methods"].append(
+            methods.append(
                 self._method_record(
                     name="<init-block-fields>", param_types=[], visibility="private",
                     is_abstract=False, is_static=False,
                     scan=init_scan, graph=None, lines=None,
                 )
             )
-        record["statements"] = statements
+        supers = [self.resolve_type(s) for s in self.decl.supers]
+        record = _record("class", self.decl.name, self.decl.kind, supers, lines, comment_lines, statements,
+                         attributes, methods)
         return record, counts
 
     def _method_record(self, name, param_types, visibility, is_abstract, is_static, scan, graph, lines) -> dict:
         merged: dict[str, int] = {}
         for target, cnt in scan.invokes:
             merged[target] = merged.get(target, 0) + cnt
-        rec = {
-            "name": name,
-            "paramTypes": param_types,
-            "visibility": visibility,
-            "abstract": is_abstract,
-            "static": is_static,
-            "accesses": sorted(set(scan.accesses)),
-            "invokes": [{"target": t, "count": c} for t, c in sorted(merged.items())],
-        }
-        if graph is not None:
-            rec["cfg"] = graph
-        if lines is not None:
-            rec["lines"] = lines
-        return rec
+        invokes = [_record("invocation", t, c) for t, c in sorted(merged.items())]
+        return _record("method", name, param_types, visibility, is_abstract, is_static, sorted(set(scan.accesses)),
+                       invokes, graph, lines)
 
 
 class _BodyScanner:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cfg import ControlFlowGraph
-from .errors import DuplicateClass, FactsError, InheritanceCycle, MalformedGraph, UnknownClass
+from .errors import DuplicateClass, FactsError, InheritanceCycle, MalformedGraph, MetricsError, UnknownClass
 
 PRIMITIVE_TYPES = {
     "void", "int", "long", "short", "byte", "char", "boolean", "float", "double", "var",
@@ -461,7 +461,7 @@ class _Resolver:
     """Reference resolution for one model build.  Each distinct reference
     string is resolved, and each distinct member reference split, once."""
 
-    def __init__(self, declared: dict[str, dict]):
+    def __init__(self, declared: dict[str, list]):
         self.declared = declared
         simple: dict[str, list[str]] = {}
         for qual in declared:
@@ -510,26 +510,29 @@ class _Resolver:
         return None if owner is None else (owner, tail)
 
 
-def build_system_model(class_records) -> SystemModel:
-    """Assemble and resolve a SystemModel from class records: the parser's,
-    or facts records that passed :func:`check_facts`, whose types and
-    ranges it trusts.
+def build_system_model(class_records, source=None) -> SystemModel:
+    """Read, check and resolve class records, from a facts file or the
+    parser (whose ``cfg`` is the ControlFlowGraph it built), into a model.
 
-    A method's ``cfg`` is either a ControlFlowGraph, used as it is, or its
-    facts form, built with ``ControlFlowGraph.from_facts``; methods whose
-    graphs have the same kinds and edges share one graph object, so its
-    checks and its ev/iv reductions run once per build.  Raises
-    DuplicateClass for colliding names, InheritanceCycle when the resolved
-    inheritance relation is cyclic, and MalformedGraph, naming the class
-    and method, for a facts graph that is not a valid CFG.
+    Each value is checked through :data:`FACTS_SCHEMA` as it is read: every
+    class record's own keys and name first, then each class's members and
+    invariants, in order.  Methods whose graphs have the same kinds and
+    edges share one graph object, so its checks and ev/iv reductions run
+    once per build.  A rejected record raises FactsError, or MalformedGraph
+    for a graph that is not a valid CFG, naming the class, method, key and
+    ``source``: the records' file, or a list of each record's file.
+    Colliding names raise DuplicateClass, a cycle InheritanceCycle.
     """
-    records = list(class_records)
-    declared: dict[str, dict] = {}
-    for rec in records:
-        name = rec["name"]
-        if name in declared:
-            raise DuplicateClass(name)
-        declared[name] = rec
+    declared: dict[str, list] = {}
+    for ci, rec in enumerate(class_records):
+        try:
+            values = _take(rec, "class")
+        except _Bad as bad:
+            index = ci - source.index(source[ci]) if type(source) is list else ci  # its place in its file
+            raise _fail(FactsError, _label("class", rec, index), bad.args[1], source, ci) from None
+        if values[0] in declared:
+            raise DuplicateClass(values[0])
+        declared[values[0]] = values
 
     resolver = _Resolver(declared)
     # one object per distinct graph and invocation edge, shared by the
@@ -538,79 +541,83 @@ def build_system_model(class_records) -> SystemModel:
     invocations: dict[tuple[str, str, int], Invocation] = {}
     classes: dict[str, ClassInfo] = {}
 
-    for name, rec in declared.items():
+    for ci, (name, kind, extends, lines, comment_lines, statements, attributes, methods) in enumerate(
+        declared.values()
+    ):
         supers = []
-        for sup in rec.get("extends", ()):
+        for sup in extends:
             resolved = resolver.resolve(sup)
             if resolved is not None and resolved not in supers:
                 supers.append(resolved)  # self-references surface as a cycle below
 
-        attrs = []
-        for a in rec.get("attributes", ()):
-            attrs.append(
-                AttributeInfo(
-                    name=a["name"],
-                    declared_type=resolver.resolve(a.get("type", "")) or a.get("type", ""),
-                    visibility=a.get("visibility", "default"),
-                    is_static=a.get("static", False),
-                )
-            )
+        try:
+            attrs = []
+            for ai, a in enumerate(attributes):
+                a_name, a_type, visibility, static = _take(a, "attribute")
+                attrs.append(AttributeInfo(name=a_name, declared_type=resolver.resolve(a_type) or a_type,
+                                           visibility=visibility, is_static=static))
 
-        methods = []
-        for m in rec.get("methods", ()):
-            params = tuple(resolver.resolve(p) or p for p in m.get("paramTypes", ()))
-            accesses: set[tuple[str, str]] = set()
-            for ref in m.get("accesses", ()):
-                found = resolver.member(ref, name)
-                if found is not None:
-                    accesses.add(found)
-            merged: dict[tuple[str, str], int] = {}
-            for inv in m.get("invokes", ()):
-                key = resolver.member(inv["target"], name, True)
-                if key is not None:
-                    merged[key] = merged.get(key, 0) + inv.get("count", 1)
-            invokes = []
-            for (c, m_), n in sorted(merged.items()):
-                edge = invocations.get((c, m_, n))
-                if edge is None:
-                    edge = invocations[c, m_, n] = Invocation(c, m_, n)
-                invokes.append(edge)
-            cfg = m.get("cfg")
-            if isinstance(cfg, ControlFlowGraph):
-                cfg = graphs.setdefault((cfg.kinds, cfg.edges), cfg)
-            elif cfg is not None:
-                try:
+            members = []
+            for mi, m in enumerate(methods):
+                m_name, param_types, visibility, abstract, static, refs, invokes, cfg, m_lines = _take(m, "method")
+                params = tuple(resolver.resolve(p) or p for p in param_types)
+                accesses: set[tuple[str, str]] = set()
+                for ref in refs:
+                    found = resolver.member(ref, name)
+                    if found is not None:
+                        accesses.add(found)
+                merged: dict[tuple[str, str], int] = {}
+                for ii, inv in enumerate(invokes):
+                    target, count = _take(inv, "invocation")
+                    key = resolver.member(target, name, True)
+                    if key is not None:
+                        merged[key] = merged.get(key, 0) + count
+                calls = []
+                for (c, m_), n in sorted(merged.items()):
+                    edge = invocations.get((c, m_, n))
+                    if edge is None:
+                        edge = invocations[c, m_, n] = Invocation(c, m_, n)
+                    calls.append(edge)
+                if type(cfg) is ControlFlowGraph:
+                    cfg = graphs.setdefault((cfg.kinds, cfg.edges), cfg)
+                elif cfg is not None:
                     cfg = ControlFlowGraph.from_facts(cfg, graphs)
-                except MalformedGraph as exc:
-                    raise MalformedGraph(f"{name}.{m['name']}({','.join(params)}): {exc}") from exc
-            methods.append(
-                MethodInfo(
-                    name=m["name"],
-                    parameter_types=params,
-                    visibility=m.get("visibility", "default"),
-                    is_abstract=m.get("abstract", False),
-                    is_static=m.get("static", False),
-                    accessed_attributes=tuple(sorted(accesses)),
-                    invocations=tuple(invokes),
-                    cfg=cfg,
-                    line_count=m.get("lines"),
+                members.append(
+                    MethodInfo(
+                        name=m_name,
+                        parameter_types=params,
+                        visibility=visibility,
+                        is_abstract=abstract,
+                        is_static=static,
+                        accessed_attributes=tuple(sorted(accesses)),
+                        invocations=tuple(calls),
+                        cfg=cfg,
+                        line_count=m_lines,
+                    )
                 )
+
+            if statements is None:
+                statements = sum(m.cfg.statement_node_count() for m in members if m.cfg is not None)
+            classes[name] = ClassInfo(
+                name=name,
+                kind=kind,
+                superclasses=tuple(supers),
+                methods=tuple(members),
+                attributes=tuple(attrs),
+                line_count=lines,
+                comment_lines=comment_lines,
+                statement_count=statements,
             )
-
-        statements = rec.get("statements")
-        if statements is None:
-            statements = sum(m.cfg.statement_node_count() for m in methods if m.cfg is not None)
-
-        classes[name] = ClassInfo(
-            name=name,
-            kind=rec.get("kind", "class"),
-            superclasses=tuple(supers),
-            methods=tuple(methods),
-            attributes=tuple(attrs),
-            line_count=rec.get("lines", 0),
-            comment_lines=rec.get("commentLines", 0),
-            statement_count=statements,
-        )
+        except _Bad as bad:
+            level, text = bad.args
+            where = name + (_label("attribute", a, ai) if level == "attribute" else _label("method", m, mi))
+            if level == "invocation":
+                where += _label("invocation", inv, ii)
+            raise _fail(FactsError, where, text, source, ci) from None
+        except MalformedGraph as exc:
+            raise _fail(MalformedGraph, name + _label("method", m, mi), exc, source, ci) from None
+        except FactsError as exc:  # the class's own invariants, named in the message
+            raise _fail(FactsError, "", exc, source, ci) from None
 
     for ext in sorted(resolver.externals):
         if ext not in classes:
@@ -652,65 +659,52 @@ def _check_acyclic(classes: dict[str, ClassInfo]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _record(level: str, *values) -> dict:
+    """A record of ``level``: ``values``, in the table's order, under its
+    keys; a None value (no graph, no line count) is left out."""
+    return {key: value for key, value in zip(FACTS_SCHEMA[level], values, strict=True) if value is not None}
+
+
 def class_to_record(info: ClassInfo) -> dict:
-    rec: dict = {
-        "name": info.name,
-        "kind": info.kind,
-        "extends": list(info.superclasses),
-        "lines": info.line_count,
-        "commentLines": info.comment_lines,
-        "statements": info.statement_count,
-        "attributes": [
-            {
-                "name": a.name,
-                "type": a.declared_type,
-                "visibility": a.visibility,
-                "static": a.is_static,
-            }
-            for a in info.attributes
-        ],
-        "methods": [],
-    }
-    for m in info.methods:
-        mrec: dict = {
-            "name": m.name,
-            "paramTypes": list(m.parameter_types),
-            "visibility": m.visibility,
-            "abstract": m.is_abstract,
-            "static": m.is_static,
-            "accesses": sorted(f"{owner}.{attr}" for owner, attr in set(m.accessed_attributes)),
-            "invokes": [
-                {"target": f"{inv.target_class}.{inv.target_method}", "count": inv.count}
-                for inv in sorted(
-                    m.invocations, key=lambda i: (i.target_class, i.target_method)
-                )
-            ],
-        }
-        if m.cfg is not None:
-            mrec["cfg"] = m.cfg.to_facts()
-        if m.line_count is not None:
-            mrec["lines"] = m.line_count
-        rec["methods"].append(mrec)
-    return rec
+    """The facts record that :func:`build_system_model` reads back to ``info``."""
+    methods = [
+        _record(
+            "method", m.name, list(m.parameter_types), m.visibility, m.is_abstract, m.is_static,
+            sorted(f"{owner}.{attr}" for owner, attr in set(m.accessed_attributes)),
+            [_record("invocation", f"{inv.target_class}.{inv.target_method}", inv.count)
+             for inv in sorted(m.invocations, key=lambda i: (i.target_class, i.target_method))],
+            None if m.cfg is None else m.cfg.to_facts(), m.line_count,
+        )
+        for m in info.methods
+    ]
+    attributes = [_record("attribute", a.name, a.declared_type, a.visibility, a.is_static) for a in info.attributes]
+    return _record("class", info.name, info.kind, list(info.superclasses), info.line_count, info.comment_lines,
+                   info.statement_count, attributes, methods)
 
 
 def model_to_facts(model: SystemModel) -> dict:
     """Serialize the system classes (stubs are reconstructed on load)."""
-    return {"classes": [class_to_record(c) for c in model.internal_classes]}
+    return _record("document", [class_to_record(c) for c in model.internal_classes])
 
 
 # ---------------------------------------------------------------------------
-# The facts schema: every facts document is checked here, and only here
+# The facts schema: one table reads, checks and writes every record
 # ---------------------------------------------------------------------------
 
 CLASS_KINDS = ("class", "interface", "abstract-class")
 
+#: the default of a key that every record of its level must have
+REQUIRED = object()
+
 
 def _graph(cfg) -> str | None:
-    """What is wrong with a method's ``cfg``, or None: it has exactly
-    ``nodes``, ``edges`` and ``kinds``, every edge is a pair of integer node
-    ids, every kind a string, and ``nodes`` the number of kinds.  Which
-    strings name a kind, and which ids a node, the graph checks."""
+    """What is wrong with a method's ``cfg``, or None: a graph the parser
+    built, or a record with exactly ``nodes``, ``edges`` and ``kinds``,
+    every edge a pair of integer node ids, every kind a string, and
+    ``nodes`` the number of kinds.  Which strings name a kind, and which ids
+    a node, the graph checks."""
+    if type(cfg) is ControlFlowGraph:
+        return None  # checked when the parser built it
     if type(cfg) is not dict or not cfg.keys() >= {"nodes", "edges", "kinds"}:
         return "cfg needs 'nodes', 'edges' and 'kinds'"
     if len(cfg) > 3:
@@ -729,30 +723,38 @@ def _graph(cfg) -> str | None:
     return None if nodes == len(kinds) else "kinds length disagrees with node count"
 
 
-#: The facts format.  Each record level maps its keys to (type, required).
-#: A type is an int n for an int of at least n (exact: never a float, a
-#: string or a bool), ``str`` or ``bool``; a tuple of the strings allowed;
-#: ``[level]`` for a list of records of that level, ``[str]`` for a list of
-#: strings; or a function that says what is wrong with a value, as
+#: The facts format.  Each record level maps its keys, in the order the
+#: model reads them, to (type, default); a key without a default is
+#: REQUIRED.  A type is an int n for an int of at least n (exact: never a
+#: float, a string or a bool), ``str`` or ``bool``; a tuple of the strings
+#: allowed; ``[level]`` for a list of records of that level, ``[str]`` for a
+#: list of strings; or a function that says what is wrong with a value, as
 #: :func:`_graph` does for a method's ``cfg``.  A key that its level does
-#: not list is an error.
+#: not list is an error.  :func:`build_system_model` reads every record
+#: through this table and :func:`class_to_record` writes every record from it.
 FACTS_SCHEMA: dict[str, dict[str, tuple]] = {
-    "document": {"classes": (["class"], True)},
+    "document": {"classes": (["class"], REQUIRED)},
     "class": {
-        "name": (str, True), "kind": (CLASS_KINDS, False), "extends": ([str], False), "lines": (0, False),
-        "commentLines": (0, False), "statements": (0, False), "attributes": (["attribute"], False),
-        "methods": (["method"], False),
+        "name": (str, REQUIRED), "kind": (CLASS_KINDS, "class"), "extends": ([str], ()), "lines": (0, 0),
+        "commentLines": (0, 0), "statements": (0, None), "attributes": (["attribute"], ()),
+        "methods": (["method"], ()),
     },
-    "attribute": {"name": (str, True), "type": (str, False), "visibility": (VISIBILITIES, False), "static": (bool, False)},
+    "attribute": {"name": (str, REQUIRED), "type": (str, ""), "visibility": (VISIBILITIES, "default"),
+                  "static": (bool, False)},
     "method": {
-        "name": (str, True), "paramTypes": ([str], False), "visibility": (VISIBILITIES, False),
-        "abstract": (bool, False), "static": (bool, False), "accesses": ([str], False),
-        "invokes": (["invocation"], False), "cfg": (_graph, False), "lines": (0, False),
+        "name": (str, REQUIRED), "paramTypes": ([str], ()), "visibility": (VISIBILITIES, "default"),
+        "abstract": (bool, False), "static": (bool, False), "accesses": ([str], ()),
+        "invokes": (["invocation"], ()), "cfg": (_graph, None), "lines": (0, None),
     },
-    "invocation": {"target": (str, True), "count": (1, False)},
+    "invocation": {"target": (str, REQUIRED), "count": (1, 1)},
 }
-_KINDS = {level: {key: kind for key, (kind, _) in keys.items()} for level, keys in FACTS_SCHEMA.items()}
-_NEEDS = {level: [key for key, (_, required) in keys.items() if required] for level, keys in FACTS_SCHEMA.items()}
+# per level: the keys a record must have, each key's place and type, the defaults in place order
+_READ = {
+    level: ([key for key, (_, default) in keys.items() if default is REQUIRED],
+            {key: (i, kind) for i, (key, (kind, _)) in enumerate(keys.items())},
+            [default for _, default in keys.values()])
+    for level, keys in FACTS_SCHEMA.items()
+}
 _TYPE_NAMES = {str: "a string", bool: "true or false"}
 # how a failure names the records it sits in: by name, else by place
 _LABELS = {"class": ("{}", "classes[{}]"), "method": (".{}", ".methods[{}]"),
@@ -760,38 +762,43 @@ _LABELS = {"class": ("{}", "classes[{}]"), "method": (".{}", ".methods[{}]"),
 
 
 class _Bad(Exception):
-    where = ""  # the records it sits in, outermost first
+    """What the facts table rejects: args are the record's level and the text."""
 
 
-def _check_record(rec, level: str, index: int | None = None) -> None:
-    """Raise _Bad unless ``rec`` is a good record of ``level``."""
-    kinds = _KINDS[level]
-    try:
-        if type(rec) is not dict:
-            raise _Bad(f"{level} {reprlib.repr(rec)} is not an object")
-        for key in _NEEDS[level]:
-            if key not in rec:
-                raise _Bad(f"{level} needs {key!r}")
-        for key, value in rec.items():
-            kind = kinds.get(key)
-            # the common cases inline: a string or bool, an int in range, a list of records
-            if type(value) is kind or type(kind) is int and type(value) is int and value >= kind:
-                continue
-            if type(kind) is list and type(kind[0]) is str and type(value) is list:
-                for i, item in enumerate(value):
-                    _check_record(item, kind[0], i)
-                continue
-            text = f"{level} has no key {key!r}" if kind is None else _check(value, kind, key)
-            if text is not None:
-                raise _Bad(text)
-    except _Bad as bad:
-        bad.where = _label(level, rec, index) + bad.where
-        raise
+def _take(rec, level: str) -> list:
+    """The values of a record of ``level`` in the table's order, each checked
+    as it is taken, an absent key's at its default; a list of records is
+    checked as a list, for the model to take its records.  Raises _Bad."""
+    needs, slots, defaults = _READ[level]
+    if type(rec) is not dict:
+        raise _Bad(level, f"{level} {reprlib.repr(rec)} is not an object")
+    for key in needs:
+        if key not in rec:
+            raise _Bad(level, f"{level} needs {key!r}")
+    values = defaults.copy()
+    for key, value in rec.items():
+        try:
+            i, kind = slots[key]
+        except KeyError:
+            raise _Bad(level, f"{level} has no key {key!r}") from None
+        values[i] = value
+        # the common cases inline: a string or bool, an int in range, one of
+        # the strings allowed, a list of records or of strings
+        if type(value) is kind or type(kind) is int and type(value) is int and value >= kind:
+            continue
+        if type(kind) is tuple and value in kind:
+            continue
+        if type(value) is list and type(kind) is list and (type(kind[0]) is str or {*map(type, value)} <= {kind[0]}):
+            continue
+        text = _check(value, kind, key)
+        if text is not None:
+            raise _Bad(level, text)
+    return values
 
 
 def _check(value, kind, key: str) -> str | None:
     """What is wrong with ``value`` as a ``kind`` other than a list of
-    records (:func:`_check_record` walks those), or None."""
+    records (the model takes those one by one), or None."""
     if type(kind) is list:
         if type(value) is not list:
             return f"{key} {reprlib.repr(value)} is not a list"
@@ -813,9 +820,8 @@ def _check(value, kind, key: str) -> str | None:
     return None
 
 
-def _label(level: str, rec, index: int | None) -> str:
-    if level not in _LABELS:
-        return ""
+def _label(level: str, rec, index: int) -> str:
+    """How an error names the record of ``level`` at ``index``."""
     name = rec.get("target" if level == "invocation" else "name") if type(rec) is dict else None
     if type(name) is not str:
         return _LABELS[level][1].format(index)
@@ -825,26 +831,31 @@ def _label(level: str, rec, index: int | None) -> str:
     return _LABELS[level][0].format(name)
 
 
-def check_facts(doc, source=None) -> list[dict]:
-    """The class records of a facts document that :data:`FACTS_SCHEMA`
-    accepts; anything else raises FactsError naming the class, method and
-    key, and ``source``, the file, where there is one."""
+def _fail(error: type, where: str, what, source, ci: int) -> MetricsError:
+    """An ``error`` saying ``what`` of the records at ``where``, in class record
+    ``ci``'s file: ``source``, or ``source[ci]`` for a list of files."""
+    source = source[ci] if type(source) is list else source
+    message = f"{where}: {what}" if where else str(what)
+    return error(message if source is None else f"{message} (in {source})")
+
+
+def _classes(doc, source=None) -> list:
+    """The class records of a facts document, whose own keys the table
+    checks; the records are checked as the model reads them."""
     try:
-        _check_record(doc, "document")
+        return _take(doc, "document")[0]
     except _Bad as bad:
-        message = f"{bad.where}: {bad}" if bad.where else str(bad)
-        raise FactsError(message if source is None else f"{message} (in {source})") from None
-    return doc["classes"]
+        raise _fail(FactsError, "", bad.args[1], source, 0) from None
 
 
-def facts_to_model(doc: dict) -> SystemModel:
-    return build_system_model(check_facts(doc))
+def facts_to_model(doc) -> SystemModel:
+    return build_system_model(_classes(doc))
 
 
-def load_facts(path) -> list[dict]:
-    """The checked class records of one facts file; a file that cannot be
-    read, is not JSON or fails :func:`check_facts` raises FactsError
-    naming it."""
+def load_facts(path) -> list:
+    """The class records of one facts file, for ``build_system_model(records,
+    path)`` to read and check.  A file that cannot be read, is not JSON or
+    is not a facts document raises FactsError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -852,7 +863,7 @@ def load_facts(path) -> list[dict]:
         raise FactsError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except OSError as exc:
         raise FactsError(str(exc)) from None
-    return check_facts(doc, path)
+    return _classes(doc, path)
 
 
 def dump_facts(doc: dict, path) -> None:

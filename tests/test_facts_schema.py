@@ -1,9 +1,11 @@
-"""The facts schema: every facts document is checked in one place, on every
-route that reads one, and every document the tool writes passes it."""
+"""The facts schema: every facts record is read and checked through one
+table, on every route that reads one; every error names its file, and every
+document the tool writes passes the table."""
 
 import copy
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,10 @@ import pytest
 from helpers import cfg_with_v, class_rec, method_rec, random_hierarchy, random_model
 from oometrics.cli import main
 from oometrics.javasrc import parse_source
-from oometrics.model import build_system_model, check_facts, dump_facts, load_facts, model_to_facts
+from oometrics.model import FACTS_SCHEMA, build_system_model, dump_facts, facts_to_model, load_facts, model_to_facts
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def _with_class(**changes) -> dict:
@@ -42,6 +45,9 @@ MALFORMED = {
     "param_types_a_string": (_with_method(paramTypes="int"), "p.A.m(?): paramTypes 'int' is not a list"),
     "extends_a_string": (_with_class(extends="p.Ok"), "p.A: extends 'p.Ok' is not a list"),
     "class_a_number": ({"classes": [1]}, "classes[0]: class 1 is not an object"),
+    # a record the model rejects names its file too
+    "duplicate_signature": (_with_class(methods=[method_rec("m", params=["int"]), method_rec("m", params=["int"])]),
+                            "p.A.m(int): duplicate method signature"),
 }
 
 
@@ -49,6 +55,8 @@ def _route(command: str, tmp_path: Path, doc) -> tuple[list[str], Path]:
     """Argv that reads ``doc`` as its last facts file, next to good ones."""
     good = tmp_path / "good.json"
     dump_facts({"classes": [class_rec("p.Ok"), class_rec("p.A")]}, good)
+    other = tmp_path / "other.json"  # declares no class that ``doc`` declares
+    dump_facts({"classes": [class_rec("q.Other")]}, other)
     history = tmp_path / "hist"
     history.mkdir()
     dump_facts({"classes": [class_rec("p.Ok")]}, history / "v1.json")
@@ -58,11 +66,15 @@ def _route(command: str, tmp_path: Path, doc) -> tuple[list[str], Path]:
         "analyze": ["analyze", "--facts", str(bad)],
         "evolve": ["evolve", "--history", str(history)],
         "compare": ["compare", str(good), str(good), "--baseline", str(bad)],
+        # two classes are too few to fit a baseline to: the builds are read first
+        "compare_later": ["compare", str(good), str(bad), "--baseline", str(good)],
+        # one build from two files
+        "analyze_merged": ["analyze", str(other), str(bad)],
     }[command]
     return argv, bad
 
 
-@pytest.mark.parametrize("command", ["analyze", "evolve", "compare"])
+@pytest.mark.parametrize("command", ["analyze", "analyze_merged", "evolve", "compare", "compare_later"])
 @pytest.mark.parametrize("shape", sorted(MALFORMED))
 def test_a_malformed_facts_document_exits_1_naming_file_class_method_and_key(shape, command, tmp_path, capsys):
     doc, message = MALFORMED[shape]
@@ -153,7 +165,7 @@ def _written_documents():
 def test_every_document_the_writer_makes_passes_the_schema_unchanged():
     for what, doc in _written_documents():
         before = copy.deepcopy(doc)
-        assert check_facts(doc) is doc["classes"], what
+        facts_to_model(doc)
         assert doc == before, what
 
 
@@ -162,3 +174,18 @@ def test_analyze_out_writes_facts_the_schema_accepts(tmp_path, capsys):
     capsys.readouterr()
     written = json.loads((tmp_path / "facts.json").read_text(encoding="utf-8"))
     assert load_facts(tmp_path / "facts.json") == written["classes"]
+
+
+def test_the_readme_facts_example_builds_and_uses_every_key_of_the_table():
+    text = README.read_text(encoding="utf-8").split("## Facts file", 1)[1]
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"\s*//[^\n]*", "", block))
+    model = facts_to_model(doc)
+    assert [c.name for c in model.classes] == ["pkg.Base", "pkg.Cls", "pkg.Other"]
+    assert [c.name for c in model.internal_classes] == ["pkg.Cls"]
+    cls = doc["classes"][0]
+    method = cls["methods"][0]
+    for level, records in [("document", [doc]), ("class", [cls]), ("attribute", cls["attributes"]),
+                           ("method", [method]), ("invocation", method["invokes"])]:
+        for rec in records:
+            assert list(rec) == list(FACTS_SCHEMA[level]), level

@@ -488,9 +488,10 @@ def test_cli_names_the_method_of_a_malformed_facts_graph(cfg, reason, tmp_path, 
 
 @pytest.mark.parametrize("rec, message", [
     (class_rec("p.A", methods=[method_rec("m", params=["int"]), method_rec("m", params=["int"])]),
-     "p.A.m(int): duplicate method signature"),
-    (class_rec("p.A", attributes=[{"name": "x"}, {"name": "x", "type": "int"}]), "p.A: duplicate attribute x"),
-    (class_rec("p.A", lines=3, comment_lines=5), "p.A: commentLines 5 exceeds lines 3"),
+     "p.A.m(int): duplicate method signature (in {facts})"),
+    (class_rec("p.A", attributes=[{"name": "x"}, {"name": "x", "type": "int"}]),
+     "p.A: duplicate attribute x (in {facts})"),
+    (class_rec("p.A", lines=3, comment_lines=5), "p.A: commentLines 5 exceeds lines 3 (in {facts})"),
     # the facts schema's rows name the file too
     (class_rec("p.A", methods=[method_rec("m", invokes=[("p.A.m", 2), ("p.A.m", -1)])]),
      "p.A.m(): invokes p.A.m: count -1 is below 1 (in {facts})"),
