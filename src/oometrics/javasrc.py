@@ -105,22 +105,15 @@ def tokenize(text: str, comment_spans: list[tuple[int, int]] | None = None) -> l
     return toks
 
 
-def count_lines(text: str) -> tuple[int, int]:
-    """(cl_line, cl_comm): physical lines, and lines carrying any comment
-    content.  Comment markers inside string/char literals do not count."""
-    spans: list[tuple[int, int]] = []
-    tokenize(text, spans)
-    return _count_lines(text, spans)
-
-
 def _count_lines(text: str, spans: list[tuple[int, int]]) -> tuple[int, int]:
+    """(cl_line, cl_comm): physical lines, and lines carrying any comment
+    content, given the comment ``spans`` :func:`tokenize` collected.  A
+    comment left open at the end of the file spans one line past it: that
+    line is not counted."""
     cl_line = text.count("\n")
     if text and not text.endswith("\n"):
         cl_line += 1
-    comm: set[int] = set()
-    for a, b in spans:
-        comm.update(range(a, b + 1))
-    return cl_line, len(comm)
+    return cl_line, _comment_lines_in(spans, 1, cl_line)
 
 
 # ---------------------------------------------------------------------------
@@ -164,32 +157,32 @@ class _ClassDecl:
     end_line: int = 0
 
 
-class Parser:
-    def __init__(self, text: str, path: str = "<source>"):
-        self.text = text
-        self.path = path
-        self.comment_spans: list[tuple[int, int]] = []
-        self.toks = tokenize(text, self.comment_spans)
-        self.i = 0
-        self.package = ""
-        self.imports: dict[str, str] = {}
-        self.decls: list[_ClassDecl] = []
+class _Cursor:
+    """A read position ``i`` over ``toks`` that reads nothing at or past
+    ``hi``: the end of the file for :class:`Parser`, the end of one method
+    body for :class:`_StatementParser`."""
 
-    # -- token helpers -------------------------------------------------------
+    def __init__(self, toks: list[Token], i: int, hi: int):
+        self.toks = toks
+        self.i = i
+        self.hi = hi
 
     def _tok(self, k: int = 0) -> Token | None:
         j = self.i + k
-        return self.toks[j] if j < len(self.toks) else None
+        return self.toks[j] if j < self.hi else None
 
     def _val(self, k: int = 0) -> str:
-        t = self._tok(k)
-        return t.value if t else ""
+        j = self.i + k
+        return self.toks[j].value if j < self.hi else ""
+
+    def _kind(self, k: int = 0) -> str:
+        j = self.i + k
+        return self.toks[j].kind if j < self.hi else ""
 
     def _line(self) -> int:
-        t = self._tok()
-        if t:
-            return t.line
-        return self.toks[-1].line if self.toks else 1
+        """The current token's line; past the end, the last readable one's."""
+        j = min(self.i, self.hi - 1)
+        return self.toks[j].line if j >= 0 else 1
 
     def _advance(self) -> Token:
         t = self._tok()
@@ -228,12 +221,28 @@ class Parser:
             self.i += 1
         return self.i - 1
 
+    def _skip_dims(self) -> None:
+        """Consume array brackets ``[]``, any number of pairs."""
+        while self._accept("["):
+            self._expect("]")
+
+
+class Parser(_Cursor):
+    def __init__(self, text: str, path: str = "<source>"):
+        self.text = text
+        self.path = path
+        self.comment_spans: list[tuple[int, int]] = []
+        toks = tokenize(text, self.comment_spans)
+        super().__init__(toks, 0, len(toks))
+        self.package = ""
+        self.imports: dict[str, str] = {}
+        self.decls: list[_ClassDecl] = []
+
     def _skip_annotations(self) -> None:
-        while self._val() == "@":
-            self.i += 1
-            if self._tok() and self._tok().kind == "ident":
+        while self._accept("@"):
+            if self._kind() == "ident":
                 self.i += 1
-                while self._val() == "." and self._tok(1) and self._tok(1).kind == "ident":
+                while self._val() == "." and self._kind(1) == "ident":
                     self.i += 2
             if self._val() == "(":
                 self._skip_balanced("(", ")")
@@ -266,7 +275,7 @@ class Parser:
         if t is None or t.kind != "ident":
             raise SourceSyntaxError(self._line(), "identifier", t.value if t else "end of file")
         parts = [self._advance().value]
-        while self._val() == "." and self._tok(1) and self._tok(1).kind == "ident":
+        while self._val() == "." and self._kind(1) == "ident":
             self.i += 1
             parts.append(self._advance().value)
         return ".".join(parts)
@@ -276,11 +285,8 @@ class Parser:
         array brackets dropped."""
         name = self._qualified_name()
         self._skip_generics()
-        while self._val() == "[":
-            self._expect("[")
-            self._expect("]")
-        if self._val() == "...":
-            self.i += 1
+        self._skip_dims()
+        self._accept("...")
         return name
 
     def _type_refs(self) -> list[str]:
@@ -293,14 +299,11 @@ class Parser:
     # -- compilation unit ----------------------------------------------------
 
     def parse(self) -> CompilationFacts:
-        if self._val() == "package":
-            self.i += 1
+        if self._accept("package"):
             self.package = self._qualified_name()
             self._expect(";")
-        while self._val() == "import":
-            self.i += 1
-            if self._val() == "static":
-                self.i += 1
+        while self._accept("import"):
+            self._accept("static")
             name = self._qualified_name()
             if self._val() == "." and self._val(1) == "*":
                 self.i += 2  # star imports carry no resolution info
@@ -340,8 +343,7 @@ class Parser:
             raise SourceSyntaxError(self._line(), {"class", "interface"}, kw or "end of file")
         start_line = self._line()
         self.i += 1
-        name_tok = self._tok()
-        if name_tok is None or name_tok.kind != "ident":
+        if self._kind() != "ident":
             raise SourceSyntaxError(self._line(), "type name")
         simple = self._advance().value
         self._skip_generics()
@@ -457,16 +459,13 @@ class Parser:
         names = [name]
         ranges: list[tuple[int, int]] = []
         while True:
-            while self._val() == "[":
-                self._expect("[")
-                self._expect("]")
+            self._skip_dims()
             if self._accept("="):
                 start = self.i
                 self._skip_field_initializer()
                 ranges.append((start, self.i))
             if self._accept(","):
-                nxt = self._tok()
-                if nxt is None or nxt.kind != "ident":
+                if self._kind() != "ident":
                     raise SourceSyntaxError(self._line(), "field name")
                 names.append(self._advance().value)
                 continue
@@ -506,11 +505,9 @@ class Parser:
                 pass
             ptype = self._type_ref()
             pname = ""
-            if self._tok() and self._tok().kind == "ident":
+            if self._kind() == "ident":
                 pname = self._advance().value
-            while self._val() == "[":
-                self._expect("[")
-                self._expect("]")
+            self._skip_dims()
             member.param_types.append(ptype)
             member.param_names.append(pname)
             if not self._accept(","):
@@ -544,8 +541,7 @@ def _visibility(mods: set[str]) -> str:
 def _comment_lines_in(spans: list[tuple[int, int]], lo: int, hi: int) -> int:
     lines: set[int] = set()
     for a, b in spans:
-        for ln in range(max(a, lo), min(b, hi) + 1):
-            lines.add(ln)
+        lines.update(range(max(a, lo), min(b, hi) + 1))
     return len(lines)
 
 
@@ -585,6 +581,7 @@ class _ClassBuilder:
         methods: list[dict] = []
         counts: dict[str, HalsteadCounts] = {}
         statements = 0
+        init_scan = None  # one scanner for every field initializer
 
         for m in self.decl.members:
             if m.kind == "field":
@@ -592,9 +589,10 @@ class _ClassBuilder:
                     attributes.append(_record("attribute", nm, self.resolve_type(m.type), m.visibility, m.is_static))
                 if m.initializer_ranges:
                     statements += len(m.initializer_ranges)
-                    self._field_init_scan = getattr(self, "_field_init_scan", None) or _BodyScanner(self, {})
+                    if init_scan is None:
+                        init_scan = _BodyScanner(self, {})
                     for lo, hi in m.initializer_ranges:
-                        self._field_init_scan.scan_expr(lo, hi)
+                        init_scan.scan_expr(lo, hi)
                 continue
 
             name = m.name
@@ -624,7 +622,6 @@ class _ClassBuilder:
             methods.append(mrec)
             counts[sig] = halstead_counts(self.p.toks, lo, hi)
 
-        init_scan = getattr(self, "_field_init_scan", None)
         if init_scan is not None and (init_scan.invokes or init_scan.accesses):
             methods.append(
                 self._method_record(
@@ -826,7 +823,7 @@ def _trampoline(gen):
             value = error = None
 
 
-class _StatementParser:
+class _StatementParser(_Cursor):
     """Statement-level recursive descent over a method body token range
     that lowers each statement to flowgraph nodes as it parses it.
 
@@ -840,9 +837,7 @@ class _StatementParser:
     """
 
     def __init__(self, toks: list[Token], lo: int, hi: int, scan: _BodyScanner):
-        self.toks = toks
-        self.i = lo
-        self.hi = hi
+        super().__init__(toks, lo, hi)
         self.scan = scan
         self.kinds: list[str] = [cfgmod.ENTRY]
         self.edges: list[tuple[int, int]] = []
@@ -851,36 +846,10 @@ class _StatementParser:
         self.pending_label: str | None = None  # taken by the next block or branching statement
         self.statement_count = 0  # executable statements, for cl_stat
 
-    def _val(self, k: int = 0) -> str:
-        j = self.i + k
-        return self.toks[j].value if j < self.hi else ""
-
-    def _kind(self, k: int = 0) -> str:
-        j = self.i + k
-        return self.toks[j].kind if j < self.hi else ""
-
-    def _line(self) -> int:
-        j = min(self.i, self.hi - 1)
-        return self.toks[j].line if 0 <= j < len(self.toks) else 1
-
     def _match_paren(self) -> tuple[int, int]:
         """At '(': return the inner token range and step past ')'."""
-        if self._val() != "(":
-            raise SourceSyntaxError(self._line(), "(", self._val())
-        depth = 0
-        start = self.i + 1
-        while self.i < self.hi:
-            v = self._val()
-            if v == "(":
-                depth += 1
-            elif v == ")":
-                depth -= 1
-                if depth == 0:
-                    end = self.i
-                    self.i += 1
-                    return start, end
-            self.i += 1
-        raise UnbalancedBlock(self._line())
+        lo = self.i + 1
+        return lo, self._skip_balanced("(", ")")
 
     # -- graph primitives ------------------------------------------------------
 
@@ -958,9 +927,7 @@ class _StatementParser:
                 self._rollback(mark)
                 pending = self._opaque(pending)
         if closing:
-            if self._val() != "}":
-                raise UnbalancedBlock(self._line())
-            self.i += 1
+            self._expect("}")
         return pending
 
     def parse_statement(self, pending: list[int]):
@@ -981,8 +948,7 @@ class _StatementParser:
             self.statement_count += 1
             head = self._node(cfgmod.DECISION, self._decisions(pending, d))
             out = yield self.parse_statement([head])
-            if self._val() == "else":
-                self.i += 1
+            if self._accept("else"):
                 return out + (yield self.parse_statement([head]))
             return out + [head]
         if v == "while":
@@ -1014,7 +980,7 @@ class _StatementParser:
             if self._kind() == "ident" and self._val() not in KEYWORDS:
                 label = self._val()
                 self.i += 1
-            self._accept_semi()
+            self._accept(";")
             frame = self._find_frame(label, want_break=v == "break")
             if frame is None:
                 return self._opaque(pending)  # no target: degrade
@@ -1041,10 +1007,14 @@ class _StatementParser:
             self.statement_count += 1
             return self._simple(pending, c, d)
         if v in ("class", "interface", "enum", "abstract", "final") and self._kind() == "ident":
-            # local type declaration: skip as opaque
+            # local type declaration: skip as opaque.  Without a '{' it runs
+            # to the end of the body, and is still not a failure of the
+            # statement around it; with one, its match is in the body,
+            # whose braces balance
             while self.i < self.hi and self._val() != "{":
                 self.i += 1
-            self._skip_braces()
+            if self.i < self.hi:
+                self._skip_balanced("{", "}")
             return self._opaque(pending)
         if self._kind() == "ident" and self._val() not in KEYWORDS and self._val(1) == ":" and self._val(2) != ":":
             frame = _Frame(self._val(), None)
@@ -1058,10 +1028,6 @@ class _StatementParser:
         return self._parse_simple(pending)
 
     # -- helpers ---------------------------------------------------------------
-
-    def _accept_semi(self) -> None:
-        if self._val() == ";":
-            self.i += 1
 
     def _skip_to_semi(self) -> None:
         """Advance past the statement-terminating ';' (depth 0)."""
@@ -1079,23 +1045,13 @@ class _StatementParser:
                 return
             self.i += 1
 
-    def _skip_braces(self) -> None:
-        if self._val() != "{":
-            return
-        depth = 0
-        while self.i < self.hi:
-            v = self._val()
-            if v == "{":
-                depth += 1
-            elif v == "}":
-                depth -= 1
-                if depth == 0:
-                    self.i += 1
-                    return
-            self.i += 1
-
     def _scan_for_header(self, lo: int, hi: int) -> int:
+        """Declare a for header's variables and count its decisions.  A
+        header with a ';' at depth 0 is classic, ``init; cond; update``,
+        even when a ternary's ':' precedes it; one without is enhanced,
+        ``Type name : expr``, split at its first ':' at depth 0."""
         toks = self.toks
+        splits: list[int] = []
         colon = None
         depth = 0
         for j in range(lo, hi):
@@ -1104,35 +1060,21 @@ class _StatementParser:
                 depth += 1
             elif v in ")]}":
                 depth -= 1
-            elif v == ":" and depth == 0:
-                colon = j
-                break
-        if colon is not None:
-            # enhanced for: Type name : expr
+            elif depth == 0:
+                if v == ";":
+                    splits.append(j)
+                elif v == ":" and colon is None:
+                    colon = j
+        if not splits and colon is not None:
             if colon - lo >= 2 and toks[colon - 1].kind == "ident":
                 var = toks[colon - 1].value
                 type_ref = _join_type(toks, lo, colon - 1)
                 if type_ref:
                     self.scan.declare(var, type_ref)
             return self.scan.scan_expr(colon + 1, hi)[0]
-        # classic for: pick apart init; cond; update
-        parts: list[tuple[int, int]] = []
-        start = lo
-        depth = 0
-        for j in range(lo, hi):
-            v = toks[j].value
-            if v in "([{":
-                depth += 1
-            elif v in ")]}":
-                depth -= 1
-            elif v == ";" and depth == 0:
-                parts.append((start, j))
-                start = j + 1
-        parts.append((start, hi))
+        self._maybe_declare_locals(lo, splits[0] if splits else hi)
         decisions = 0
-        for idx, (a, b) in enumerate(parts):
-            if idx == 0:
-                self._maybe_declare_locals(a, b)
+        for a, b in zip([lo] + [j + 1 for j in splits], splits + [hi]):
             decisions += self.scan.scan_expr(a, b)[0]
         return decisions
 
@@ -1159,12 +1101,10 @@ class _StatementParser:
         mark = len(self.kinds)
         body_out = yield self.parse_statement(pending)
         self.frames.pop()
-        if self._val() != "while":
-            raise SourceSyntaxError(self._line(), "while", self._val())
-        self.i += 1
+        self._expect("while")
         lo, hi = self._match_paren()
         d, _ = self.scan.scan_expr(lo, hi)
-        self._accept_semi()
+        self._accept(";")
         cond_entry = len(self.kinds)
         head = self._node(cfgmod.LOOP_HEAD, self._decisions(body_out, d))
         self.edges.append((head, mark if mark < cond_entry else cond_entry))
@@ -1176,9 +1116,7 @@ class _StatementParser:
         self.i += 1  # 'switch'
         lo, hi = self._match_paren()
         d, _ = self.scan.scan_expr(lo, hi)
-        if self._val() != "{":
-            raise SourceSyntaxError(self._line(), "{", self._val())
-        self.i += 1
+        self._expect("{")
         self._take_label()
         self.statement_count += 1
         head = self._node(cfgmod.SWITCH_HEAD, self._decisions(pending, d))
@@ -1196,15 +1134,13 @@ class _StatementParser:
                 while self.i < self.hi and self._val() not in (":", "{", "}"):
                     self.i += 1
                 self.scan.scan_expr(lo2, self.i)
-                if self._val() == ":":
-                    self.i += 1
+                self._accept(":")
                 labels += 1
                 continue
             if v == "default":
                 started = default = has_default = True
                 self.i += 1
-                if self._val() == ":":
-                    self.i += 1
+                self._accept(":")
                 continue
             if not started:  # stray tokens before the first label: skip
                 self.i += 1
@@ -1215,8 +1151,7 @@ class _StatementParser:
             carried = yield self.parse_statement(carried)
         carried = [head] * (labels + default) + carried
         self.frames.pop()
-        if self._val() == "}":
-            self.i += 1
+        self._accept("}")
         return carried + ([] if has_default else [head]) + frame.breaks
 
     def _parse_try(self, pending: list[int]):
@@ -1225,30 +1160,22 @@ class _StatementParser:
             lo, hi = self._match_paren()
             self._maybe_declare_locals(lo, hi)
             self.scan.scan_expr(lo, hi)
-        if self._val() != "{":
-            raise SourceSyntaxError(self._line(), "{", self._val())
-        self.i += 1
+        self._expect("{")
         self._take_label()
         self.statement_count += 1
         node = self._node(cfgmod.PLAIN, pending)
         out = yield self._statements([node])
-        while self._val() == "catch":
-            self.i += 1
+        while self._accept("catch"):
             lo, hi = self._match_paren()
             # catch (A | B name): type(s) and the variable
             names = [t for t in self.toks[lo:hi] if t.kind == "ident"]
             if len(names) >= 2:
                 self.scan.declare(names[-1].value, names[0].value)
-            if self._val() != "{":
-                raise SourceSyntaxError(self._line(), "{", self._val())
-            self.i += 1
+            self._expect("{")
             self.kinds[node] = cfgmod.DECISION  # a handler makes the try branch
             out = out + (yield self._statements([node]))
-        if self._val() == "finally":
-            self.i += 1
-            if self._val() != "{":
-                raise SourceSyntaxError(self._line(), "{", self._val())
-            self.i += 1
+        if self._accept("finally"):
+            self._expect("{")
             out = yield self._statements(out)
         return out
 

@@ -12,9 +12,17 @@ import pytest
 from helpers import random_class_source, random_soup_class_source
 from oometrics.cli import main
 from oometrics import javasrc
-from oometrics.errors import SourceSyntaxError
-from oometrics.javasrc import count_lines, parse_source, tokenize
+from oometrics.complexity import cyclomatic
+from oometrics.errors import MetricsError, SourceSyntaxError
+from oometrics.javasrc import _count_lines, parse_source, tokenize
 from oometrics.model import build_system_model, facts_to_model, model_to_facts
+
+
+def count_lines(text: str) -> tuple[int, int]:
+    """(cl_line, cl_comm) of a whole file, as the parser counts them."""
+    spans: list[tuple[int, int]] = []
+    tokenize(text, spans)
+    return _count_lines(text, spans)
 
 
 def test_figure_wmc_class_shape():
@@ -165,6 +173,9 @@ def test_count_lines_empty_and_basic():
     assert count_lines("a\nb") == (2, 0)
     assert count_lines("a\nb\n") == (2, 0)
     assert count_lines("// c\ncode\n/* x\ny */\n") == (4, 3)
+    # a comment left open at the end runs past the last newline: the line
+    # after it is not one of the file's
+    assert count_lines("code\n/* x\n") == (2, 1)
 
 
 def test_count_lines_synthesized_comment_ratio():
@@ -385,3 +396,89 @@ def test_statement_soup_analyzes_every_method(tmp_path, capsys):
     assert main(["analyze", str(tmp_path)]) == 0
     classes = json.loads(capsys.readouterr().out)["classes"]
     assert {c["name"]: len(c["metrics"]["methods"]) for c in classes} == bodies
+
+
+PINNED_BODIES = {
+    # body: (statements, kinds, sorted edges)
+    # a switch, try, catch or finally without its '{', and a do without its
+    # 'while': the statement up to the next ';' is one opaque node
+    **dict.fromkeys(
+        ["switch (x) y(); z();", "try y(); z();", "try { a(); } catch (E e) b(); z();",
+         "try { a(); } finally b(); z();", "do { a(); } until (c); z();"],
+        (2, ("entry", "plain", "call-bearing", "exit"), [(0, 1), (1, 2), (2, 3)])),
+    # an unclosed '(' takes the rest of the body into one opaque node
+    **dict.fromkeys(
+        ["if (c { a(); } z();", "while (c { a(); } z();", "synchronized (c { a(); } z();",
+         "try { a(); } catch (E e { b(); } z();"],
+        (1, ("entry", "plain", "exit"), [(0, 1), (1, 2)])),
+    # a local type is one opaque node; without a body it takes the rest
+    "class L; z();": (1, ("entry", "plain", "exit"), [(0, 1), (1, 2)]),
+    "class L z();": (1, ("entry", "plain", "exit"), [(0, 1), (1, 2)]),
+    "class L { int q; } z();": (2, ("entry", "plain", "call-bearing", "exit"), [(0, 1), (1, 2), (2, 3)]),
+    # ... and is not a failure of the statement around it
+    "if (c) class L; z();": (2, ("entry", "decision", "plain", "exit"), [(0, 1), (1, 2), (1, 3), (2, 3)]),
+    "try { a(); } catch (E e) { b(); } finally { c(); } z();": (
+        5, ("entry", "decision", "call-bearing", "call-bearing", "call-bearing", "call-bearing", "exit"),
+        [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6)]),
+    # a ';' at depth 0 makes a for header classic, even after a ternary's
+    # ':', which once made it an enhanced for that dropped the ternary
+    **dict.fromkeys(
+        ["for (i = 0; c ? i < 1 : i < 2; i++) { x(); }", "for (i = 0; (c ? i < 1 : i < 2); i++) { x(); }"],
+        (2, ("entry", "decision", "loop-head", "call-bearing", "exit"),
+         [(0, 1), (1, 2), (1, 2), (2, 3), (2, 4), (3, 1)])),
+}
+
+
+@pytest.mark.parametrize("body", list(PINNED_BODIES))
+def test_statement_shapes_lower_to_pinned_graphs(body):
+    (rec,) = parse_source(f"class W {{ void m(int x, boolean c, int i) {{ {body} }} }}", "W.java").classes
+    g = rec["methods"][0]["cfg"]
+    assert (rec["statements"], g.kinds, sorted(g.edges)) == PINNED_BODIES[body]
+    if body.startswith("for"):
+        assert cyclomatic(g) == 3
+
+
+def test_a_comment_open_at_the_end_of_a_file_counts_its_own_lines(tmp_path, capsys):
+    # the open comment's span once ran one line past the file, so its
+    # class had more comment lines than lines and the whole batch exited 1
+    (tmp_path / "A.java").write_text("class A { int f() { return 1; } } /* x\n")
+    (tmp_path / "Clean.java").write_text("class Clean { int f(int a) { return a + 1; } }")
+    assert main(["analyze", str(tmp_path)]) == 0
+    classes = {c["name"]: c["metrics"] for c in json.loads(capsys.readouterr().out)["classes"]}
+    assert sorted(classes) == ["A", "Clean"]
+    assert (classes["A"]["cl_line"], classes["A"]["cl_comm"]) == (1, 1)
+
+
+MUTATION_PIECES = ["(", ")", "{", "}", "[", "]", ";", ":", '"', "'", "/*", "*/", "//", "@", "<", ">"]
+
+
+def _mutate(rng: random.Random, src: str) -> str:
+    """Three random edits: delete a character, or insert or overwrite one
+    of the pieces that open, close or end something."""
+    for _ in range(3):
+        p = rng.randrange(len(src))
+        edit, piece = rng.choice(("delete", "insert", "overwrite")), rng.choice(MUTATION_PIECES)
+        if edit == "delete":
+            src = src[:p] + src[p + 1:]
+        elif edit == "insert":
+            src = src[:p] + piece + src[p:]
+        else:
+            src = src[:p] + piece + src[p + 1:]
+    return src
+
+
+def test_mutated_sources_parse_or_fail_with_a_syntax_error():
+    # unbalanced brackets, quotes and comments: the parser and the model
+    # either succeed or raise an error of the toolkit, never anything else
+    rng = random.Random(17)
+    for k in range(300):
+        make = random_soup_class_source if k % 2 else random_class_source
+        src, _ = make(rng, name="X", n_methods=rng.randrange(1, 4))
+        try:
+            records = parse_source(_mutate(rng, src), "X.java").classes
+        except SourceSyntaxError:
+            continue
+        try:
+            build_system_model(records, "X.java")
+        except MetricsError as exc:
+            assert "X.java" in str(exc)
