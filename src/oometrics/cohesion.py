@@ -121,43 +121,3 @@ def class_cohesion(info: ClassInfo) -> dict[str, int | float | UndefinedMetric]:
         out["coh"] = UndefinedMetric("Coh", "needs methods and attributes")
     return out
 
-
-def _defined(values: dict[str, int | float | UndefinedMetric], name: str) -> int | float:
-    value = values[name]
-    if isinstance(value, UndefinedMetric):
-        raise value
-    return value
-
-
-_LCOM_FIELDS = {"CK": "lcom_ck", "LH": "lcom_lh", "HM": "lcom_hm", "HS": "lcom_hs"}
-
-
-def lcom(info: ClassInfo, variant: str = "CK") -> int | float:
-    """Lack of cohesion of methods.
-
-    CK: max(P - Q, 0) over attribute-disjoint vs attribute-sharing pairs.
-    LH: connected components over attribute-share edges.
-    HM: components over attribute-share plus intra-class call edges.
-    HS: (m - mean attribute usage) / (m - 1), Henderson-Sellers form.
-    """
-    if variant not in _LCOM_FIELDS:
-        raise UndefinedMetric(f"LCOM-{variant}", "unknown variant")
-    return _defined(class_cohesion(info), _LCOM_FIELDS[variant])
-
-
-def coh(info: ClassInfo) -> float:
-    """Briand et al.: sum of per-attribute access counts over m*a."""
-    return _defined(class_cohesion(info), "coh")
-
-
-def tcc_lcc(info: ClassInfo) -> tuple[float, float]:
-    """Tight/loose class cohesion: directly / transitively attribute-connected
-    method pairs over all pairs."""
-    values = class_cohesion(info)
-    return _defined(values, "tcc"), _defined(values, "lcc")
-
-
-def similarity_cohesion(info: ClassInfo) -> float:
-    """Mean pairwise Jaccard similarity of attribute sets; disjoint-empty
-    pairs contribute 0."""
-    return _defined(class_cohesion(info), "sim_cohesion")

@@ -6,7 +6,8 @@ initializer blocks, and the structured statement set (if/else, while, do,
 for, enhanced for, switch, break/continue with labels, return, throw,
 try/catch/finally, blocks, locals, expression statements).  Generics,
 annotations and lambdas are tolerated and skipped; inner classes are
-flattened to ``Outer.Inner``.  Unsupported constructs inside method bodies,
+flattened to ``Outer.Inner``.  A string or char literal is an operand,
+never a bracket, separator or keyword.  Unsupported constructs inside method bodies,
 and jumps with no enclosing target, degrade to opaque statements; only
 malformed declarations raise.  Each method body is lowered to its
 control-flow graph, and its statements counted, in the pass that parses it.
@@ -157,23 +158,47 @@ class _ClassDecl:
     end_line: int = 0
 
 
+#: the structural value of a string or char literal: its opening quote,
+#: which no bracket, separator or keyword has
+_LITERAL_VALUES = {"str": '"', "char": "'"}
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
+_TYPE_ARG_CLOSERS = {">": 1, ">>": 2, ">>>": 3}  # levels each closes
+_NOT_IN_TYPE_ARGS = frozenset({";", "{", "&&", "||"})
+_SEMI = frozenset({";"})
+_FOR_SEPARATORS = frozenset({";", ":"})
+_DECLARATOR_SEPARATORS = frozenset({"=", ",", ";"})
+_FIELD_DECLARATOR_ENDS = frozenset({",", ";"})
+_AFTER_LOCAL_NAME = frozenset({"=", ";", ",", "[", ""})  # "" is the end of the range
+
+
 class _Cursor:
     """A read position ``i`` over ``toks`` that reads nothing at or past
     ``hi``: the end of the file for :class:`Parser`, the end of one method
-    body for :class:`_StatementParser`."""
+    body for :class:`_StatementParser`, the end of a bracketed header for
+    a cursor over that header.  Structure is read from ``vals``, the
+    tokens' structural values: a token's value, or for a literal its
+    opening quote, so literal text never counts as a bracket, separator
+    or keyword."""
 
-    def __init__(self, toks: list[Token], i: int, hi: int):
+    def __init__(self, toks: list[Token], vals: list[str], i: int, hi: int):
         self.toks = toks
+        self.vals = vals
         self.i = i
         self.hi = hi
+
+    def _sub(self, lo: int, hi: int) -> _Cursor:
+        """A cursor over tokens [lo, hi)."""
+        return _Cursor(self.toks, self.vals, lo, hi)
 
     def _tok(self, k: int = 0) -> Token | None:
         j = self.i + k
         return self.toks[j] if j < self.hi else None
 
     def _val(self, k: int = 0) -> str:
+        """The structural value ``k`` tokens on; "" past the end."""
         j = self.i + k
-        return self.toks[j].value if j < self.hi else ""
+        return self.vals[j] if j < self.hi else ""
 
     def _kind(self, k: int = 0) -> str:
         j = self.i + k
@@ -197,34 +222,97 @@ class _Cursor:
             return True
         return False
 
-    def _expect(self, value: str) -> Token:
-        t = self._tok()
-        if t is None or t.value != value:
+    def _expect(self, value: str) -> None:
+        if self._val() != value:
+            t = self._tok()
             raise SourceSyntaxError(self._line(), value, t.value if t else "end of file")
         self.i += 1
-        return t
 
     def _skip_balanced(self, open_c: str, close_c: str) -> int:
-        """Consume from the current opening delimiter to its match; returns
-        the index of the closing token."""
+        """Consume from the current opening delimiter to its match, counting
+        only that pair; returns the index of the closing token."""
         start_line = self._line()
         self._expect(open_c)
-        depth = 1
+        vals, i, hi, depth = self.vals, self.i, self.hi, 1
         while depth:
-            t = self._tok()
-            if t is None:
+            if i >= hi:
+                self.i = i
                 raise UnbalancedBlock(start_line)
-            if t.value == open_c:
+            v = vals[i]
+            if v == open_c:
                 depth += 1
-            elif t.value == close_c:
+            elif v == close_c:
                 depth -= 1
-            self.i += 1
-        return self.i - 1
+            i += 1
+        self.i = i
+        return i - 1
+
+    def _walk_to(self, stops: frozenset[str]) -> str:
+        """Step to the first token at depth 0 whose value is in ``stops``,
+        or to the first closer that closes nothing, and return its value;
+        "" at the end.  Each ``()``, ``[]`` or ``{}`` group is skipped
+        whole, any closer closing the innermost open group."""
+        vals, i, hi, depth = self.vals, self.i, self.hi, 0
+        while i < hi:
+            v = vals[i]
+            if v in _OPENERS:
+                depth += 1
+            elif v in _CLOSERS:
+                if not depth:
+                    break
+                depth -= 1
+            elif not depth and v in stops:
+                break
+            i += 1
+        self.i = i
+        return vals[i] if i < hi else ""
 
     def _skip_dims(self) -> None:
         """Consume array brackets ``[]``, any number of pairs."""
         while self._accept("["):
             self._expect("]")
+
+    def _skip_type_args(self) -> bool:
+        """At '<': consume the type-argument section, where ``>>`` and
+        ``>>>`` close two and three levels.  False when it meets ``;``,
+        ``{``, ``&&``, ``||`` or the end first, or closes more levels than
+        it opened."""
+        depth = 0
+        while True:
+            v = self._val()
+            if v == "<":
+                depth += 1
+            elif v in _TYPE_ARG_CLOSERS:
+                depth -= _TYPE_ARG_CLOSERS[v]
+            elif not v or v in _NOT_IN_TYPE_ARGS:
+                return False
+            self.i += 1
+            if depth <= 0:
+                return depth == 0
+
+    def _qualified_name(self) -> str:
+        t = self._tok()
+        if t is None or t.kind != "ident":
+            raise SourceSyntaxError(self._line(), "identifier", t.value if t else "end of file")
+        parts = [self._advance().value]
+        while self._val() == "." and self._kind(1) == "ident":
+            self.i += 1
+            parts.append(self._advance().value)
+        return ".".join(parts)
+
+    def _local_type(self) -> str:
+        """Step over a local variable's type, ``[final] Name[.Name]*[<...>][[]]*``,
+        and return its element name; "" when no such type starts here."""
+        self._accept("final")
+        v = self._val()
+        if self._kind() != "ident" or v in KEYWORDS and v not in PRIMITIVES:
+            return ""
+        name = self._qualified_name()
+        if self._val() == "<" and not self._skip_type_args():
+            return ""
+        while self._val() == "[" and self._val(1) == "]":
+            self.i += 2
+        return name
 
 
 class Parser(_Cursor):
@@ -233,7 +321,7 @@ class Parser(_Cursor):
         self.path = path
         self.comment_spans: list[tuple[int, int]] = []
         toks = tokenize(text, self.comment_spans)
-        super().__init__(toks, 0, len(toks))
+        super().__init__(toks, [_LITERAL_VALUES.get(t.kind, t.value) for t in toks], 0, len(toks))
         self.package = ""
         self.imports: dict[str, str] = {}
         self.decls: list[_ClassDecl] = []
@@ -250,35 +338,11 @@ class Parser(_Cursor):
     def _skip_generics(self) -> None:
         """Consume a <...> section if one starts here.  Caller must ensure a
         type position; '<' in expressions is never passed through this."""
-        if self._val() != "<":
-            return
-        depth = 0
-        while True:
+        if self._val() == "<" and not self._skip_type_args():
             t = self._tok()
             if t is None:
                 raise UnbalancedBlock(self._line())
-            v = t.value
-            if v == "<":
-                depth += 1
-            elif v == ">":
-                depth -= 1
-            elif v == ">>":
-                depth -= 2
-            elif v == ">>>":
-                depth -= 3
-            self.i += 1
-            if depth <= 0:
-                return
-
-    def _qualified_name(self) -> str:
-        t = self._tok()
-        if t is None or t.kind != "ident":
-            raise SourceSyntaxError(self._line(), "identifier", t.value if t else "end of file")
-        parts = [self._advance().value]
-        while self._val() == "." and self._kind(1) == "ident":
-            self.i += 1
-            parts.append(self._advance().value)
-        return ".".join(parts)
+            raise SourceSyntaxError(t.line, ">", t.value)
 
     def _type_ref(self) -> str:
         """Type reference eroded to its raw element name: generics stripped,
@@ -390,14 +454,14 @@ class Parser(_Cursor):
     def _parse_class_body(self, decl: _ClassDecl) -> None:
         init_count = 0
         while True:
-            t = self._tok()
-            if t is None:
+            v = self._val()
+            if not v:
                 raise UnbalancedBlock(decl.line)
-            if t.value == "}":
-                decl.end_line = t.line
+            if v == "}":
+                decl.end_line = self._line()
                 self.i += 1
                 return
-            if t.value == ";":
+            if v == ";":
                 self.i += 1
                 continue
             mods = self._modifiers()
@@ -462,7 +526,11 @@ class Parser(_Cursor):
             self._skip_dims()
             if self._accept("="):
                 start = self.i
-                self._skip_field_initializer()
+                v = self._walk_to(_FIELD_DECLARATOR_ENDS)
+                if not v:
+                    raise UnbalancedBlock(self._line())
+                if v not in _FIELD_DECLARATOR_ENDS:
+                    raise SourceSyntaxError(self._line(), _FIELD_DECLARATOR_ENDS, v)
                 ranges.append((start, self.i))
             if self._accept(","):
                 if self._kind() != "ident":
@@ -475,23 +543,6 @@ class Parser(_Cursor):
         member.param_names = names  # all declarators of this statement
         member.initializer_ranges = ranges
         decl.members.append(member)
-
-    def _skip_field_initializer(self) -> None:
-        depth = 0
-        while True:
-            t = self._tok()
-            if t is None:
-                raise UnbalancedBlock(self._line())
-            v = t.value
-            if v in "([{":
-                depth += 1
-            elif v in ")]}":
-                if depth == 0:
-                    raise SourceSyntaxError(t.line, {";", ","}, v)
-                depth -= 1
-            elif depth == 0 and v in (",", ";"):
-                return
-            self.i += 1
 
     def _finish_callable(self, decl: _ClassDecl, member: _Member, mods: set[str]) -> None:
         member.visibility = _visibility(mods)
@@ -607,7 +658,7 @@ class _ClassBuilder:
             lo = hi = 0  # a bodiless method counts zero
             if m.body is not None:
                 lo, hi = m.body
-                graph, count = _StatementParser(self.p.toks, lo, hi, scan).parse_block_body()
+                graph, count = _StatementParser(self.p, lo, hi, scan).parse_block_body()
                 statements += count
             mrec = self._method_record(
                 name=name,
@@ -659,7 +710,7 @@ class _BodyScanner:
 
     def scan_expr(self, lo: int, hi: int) -> tuple[int, bool]:
         """Scan tokens [lo, hi); returns (extra decision count, has_call)."""
-        toks = self.cb.p.toks
+        toks, vals = self.cb.p.toks, self.cb.p.vals
         decisions = 0
         has_call = False
         i = lo
@@ -679,17 +730,17 @@ class _BodyScanner:
                 while j < hi and toks[j].kind == "ident" and toks[j].value not in KEYWORDS:
                     parts.append(toks[j].value)
                     j += 1
-                    if j < hi and toks[j].value == "." :
+                    if j < hi and vals[j] == ".":
                         j += 1
                     else:
                         break
-                if parts and j < hi and toks[j].value == "(":
+                if parts and j < hi and vals[j] == "(":
                     target = self.cb.resolve_type(".".join(parts))
                     self.invokes.append((f"{target}.<init>", 1))
                     has_call = True
                 i = j if j > i + 1 else i + 1
                 continue
-            if t.value in ("this", "super") and i + 1 < hi and toks[i + 1].value == ".":
+            if t.value in ("this", "super") and i + 1 < hi and vals[i + 1] == ".":
                 chain = [t.value]
                 j = i + 1
             elif t.value in KEYWORDS:
@@ -698,10 +749,10 @@ class _BodyScanner:
             else:
                 chain = [t.value]
                 j = i + 1
-            while j + 1 < hi and toks[j].value == "." and toks[j + 1].kind == "ident":
+            while j + 1 < hi and vals[j] == "." and toks[j + 1].kind == "ident":
                 chain.append(toks[j + 1].value)
                 j += 2
-            is_call = j < hi and toks[j].value == "("
+            is_call = j < hi and vals[j] == "("
             if is_call:
                 has_call = True
                 self._record_call(chain)
@@ -836,8 +887,8 @@ class _StatementParser(_Cursor):
     instead of called, so nesting depth costs heap, not interpreter stack.
     """
 
-    def __init__(self, toks: list[Token], lo: int, hi: int, scan: _BodyScanner):
-        super().__init__(toks, lo, hi)
+    def __init__(self, parser: Parser, lo: int, hi: int, scan: _BodyScanner):
+        super().__init__(parser.toks, parser.vals, lo, hi)
         self.scan = scan
         self.kinds: list[str] = [cfgmod.ENTRY]
         self.edges: list[tuple[int, int]] = []
@@ -1030,19 +1081,12 @@ class _StatementParser(_Cursor):
     # -- helpers ---------------------------------------------------------------
 
     def _skip_to_semi(self) -> None:
-        """Advance past the statement-terminating ';' (depth 0)."""
-        depth = 0
-        while self.i < self.hi:
-            v = self._val()
-            if v in "([{":
-                depth += 1
-            elif v in ")]}":
-                if depth == 0 and v == "}":
-                    return  # let the caller see the closing brace
-                depth = max(depth - 1, 0)  # a stray ')' or ']' is skipped
-            elif v == ";" and depth == 0:
-                self.i += 1
-                return
+        """Advance past the statement-terminating ';' at depth 0.  Stop at
+        a '}' that closes nothing, for the caller to see; skip a stray ')'
+        or ']'."""
+        while (v := self._walk_to(_SEMI)) in (")", "]"):
+            self.i += 1
+        if v == ";":
             self.i += 1
 
     def _scan_for_header(self, lo: int, hi: int) -> int:
@@ -1050,31 +1094,22 @@ class _StatementParser(_Cursor):
         header with a ';' at depth 0 is classic, ``init; cond; update``,
         even when a ternary's ':' precedes it; one without is enhanced,
         ``Type name : expr``, split at its first ':' at depth 0."""
-        toks = self.toks
+        head = self._sub(lo, hi)
         splits: list[int] = []
         colon = None
-        depth = 0
-        for j in range(lo, hi):
-            v = toks[j].value
-            if v in "([{":
-                depth += 1
-            elif v in ")]}":
-                depth -= 1
-            elif depth == 0:
-                if v == ";":
-                    splits.append(j)
-                elif v == ":" and colon is None:
-                    colon = j
+        while (v := head._walk_to(_FOR_SEPARATORS)) in _FOR_SEPARATORS:
+            if v == ";":
+                splits.append(head.i)
+            elif colon is None:
+                colon = head.i
+            head.i += 1
         if not splits and colon is not None:
-            if colon - lo >= 2 and toks[colon - 1].kind == "ident":
-                var = toks[colon - 1].value
-                type_ref = _join_type(toks, lo, colon - 1)
-                if type_ref:
-                    self.scan.declare(var, type_ref)
+            self._declare_locals(self._sub(lo, colon))
             return self.scan.scan_expr(colon + 1, hi)[0]
-        self._maybe_declare_locals(lo, splits[0] if splits else hi)
+        head.i = lo
+        self._declare_locals(head)  # the init's expressions start after its first name
         decisions = 0
-        for a, b in zip([lo] + [j + 1 for j in splits], splits + [hi]):
+        for a, b in zip([head.i] + [j + 1 for j in splits], splits + [hi]):
             decisions += self.scan.scan_expr(a, b)[0]
         return decisions
 
@@ -1158,8 +1193,13 @@ class _StatementParser(_Cursor):
         self.i += 1  # 'try'
         if self._val() == "(":
             lo, hi = self._match_paren()
-            self._maybe_declare_locals(lo, hi)
-            self.scan.scan_expr(lo, hi)
+            resources = self._sub(lo, hi)
+            while resources.i < hi:
+                self._declare_locals(resources)
+                start = resources.i
+                resources._walk_to(_SEMI)
+                self.scan.scan_expr(start, resources.i)
+                resources.i += 1
         self._expect("{")
         self._take_label()
         self.statement_count += 1
@@ -1167,10 +1207,11 @@ class _StatementParser(_Cursor):
         out = yield self._statements([node])
         while self._accept("catch"):
             lo, hi = self._match_paren()
-            # catch (A | B name): type(s) and the variable
-            names = [t for t in self.toks[lo:hi] if t.kind == "ident"]
-            if len(names) >= 2:
-                self.scan.declare(names[-1].value, names[0].value)
+            param = self._sub(lo, hi)
+            type_ref = param._local_type()
+            while param._accept("|"):  # catch (A | B e): e is typed by A
+                param._local_type()
+            self._declare_names(param, type_ref, lo)
             self._expect("{")
             self.kinds[node] = cfgmod.DECISION  # a handler makes the try branch
             out = out + (yield self._statements([node]))
@@ -1182,116 +1223,45 @@ class _StatementParser(_Cursor):
     def _parse_simple(self, pending: list[int]) -> list[int]:
         """Local declaration or expression statement, up to ';'.  A
         declaration without an initializer is a node but not a statement."""
-        start = self.i
-        is_decl, has_init = self._maybe_declare_locals_stmt()
+        has_init = self._declare_locals(self)
         lo = self.i
         self._skip_to_semi()
-        end = self.i - 1 if self.i > lo and self.toks[self.i - 1].value == ";" else self.i
-        d, c = self.scan.scan_expr(start if not is_decl else lo, end)
-        if has_init or not is_decl:
+        end = self.i - 1 if self.i > lo and self.vals[self.i - 1] == ";" else self.i
+        d, c = self.scan.scan_expr(lo, end)
+        if has_init is not False:
             self.statement_count += 1
         return self._simple(pending, c, d)
 
-    def _maybe_declare_locals_stmt(self) -> tuple[bool, bool]:
-        """Detect 'Type name (= init)? (, name ...)* ;' at the cursor.
+    def _declare_locals(self, cur: _Cursor) -> bool | None:
+        """Declare the variables of a local declaration at ``cur``:
+        ``[final] Type name [= init] (, name [= init])*`` in a statement, a
+        for init or a try resource, or ``Type name`` before an enhanced
+        for's ':'.  See :meth:`_declare_names` for the result."""
+        start = cur.i
+        return self._declare_names(cur, cur._local_type(), start)
 
-        On a match, declares the variables and leaves the cursor after the
-        declarator names so initializer expressions still get scanned.
-        Returns (is_declaration, any_initializer).
-        """
-        j = self.i
-        toks = self.toks
-        if j >= self.hi or toks[j].kind != "ident":
-            return False, False
-        if toks[j].value == "final":
-            j += 1
-        k = j
-        if k >= self.hi or toks[k].kind != "ident" or toks[k].value in KEYWORDS and toks[k].value not in PRIMITIVES:
-            if k >= self.hi or toks[k].value not in PRIMITIVES:
-                return False, False
-        # type: qualified name
-        k += 1
-        while k + 1 < self.hi and toks[k].value == "." and toks[k + 1].kind == "ident":
-            k += 2
-        # generics in declaration position
-        if k < self.hi and toks[k].value == "<":
-            depth = 0
-            k2 = k
-            while k2 < self.hi:
-                v = toks[k2].value
-                if v == "<":
-                    depth += 1
-                elif v == ">":
-                    depth -= 1
-                elif v == ">>":
-                    depth -= 2
-                elif v in (";", "{", "&&", "||") or depth < 0:
-                    return False, False
-                k2 += 1
-                if depth == 0:
-                    break
-            else:
-                return False, False
-            k = k2
-        while k + 1 < self.hi and toks[k].value == "[" and toks[k + 1].value == "]":
-            k += 2
-        if k >= self.hi or toks[k].kind != "ident" or toks[k].value in KEYWORDS:
-            return False, False
-        if k + 1 < self.hi and toks[k + 1].value not in ("=", ";", ",", "["):
-            return False, False
-        type_ref = _join_type(toks, self.i + (1 if toks[self.i].value == "final" else 0), k)
-        if not type_ref:
-            return False, False
-        # declare each declarator
-        names = [toks[k].value]
-        has_init = False
-        m = k + 1
-        depth = 0
-        while m < self.hi:
-            v = toks[m].value
-            if v in "([{":
-                depth += 1
-            elif v in ")]}":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif depth == 0 and v == "=":
+    def _declare_names(self, cur: _Cursor, type_ref: str, start: int) -> bool | None:
+        """Declare the names that follow ``type_ref`` at ``cur`` up to the
+        ';', unmatched closer or end that ends them.  Returns whether any
+        has an initializer, with ``cur`` just past the first name, where
+        the initializers start; None, with ``cur`` back at ``start``, when
+        no declared name follows a type."""
+        v = cur._val()
+        if not type_ref or cur._kind() != "ident" or v in KEYWORDS or cur._val(1) not in _AFTER_LOCAL_NAME:
+            cur.i = start
+            return None
+        cur.i += 1
+        names, after, has_init = [v], cur.i, False
+        while (v := cur._walk_to(_DECLARATOR_SEPARATORS)) in ("=", ","):
+            cur.i += 1
+            if v == "=":
                 has_init = True
-            elif depth == 0 and v == ",":
-                if m + 1 < self.hi and toks[m + 1].kind == "ident":
-                    names.append(toks[m + 1].value)
-            elif depth == 0 and v == ";":
-                break
-            m += 1
-        for nm in names:
-            self.scan.declare(nm, type_ref)
-        self.i = k + 1  # expressions from the first declarator onward get scanned
-        return True, has_init
-
-    def _maybe_declare_locals(self, lo: int, hi: int) -> None:
-        """Best-effort declaration extraction inside for-init / resources."""
-        toks = self.toks
-        j = lo
-        if j < hi and toks[j].kind == "ident" and toks[j].value == "final":
-            j += 1
-        if j + 1 < hi and toks[j].kind == "ident" and toks[j + 1].kind == "ident":
-            self.scan.declare(toks[j + 1].value, toks[j].value)
-
-
-def _join_type(toks: list[Token], lo: int, hi: int) -> str:
-    """Raw element type name from a declaration token span."""
-    parts = []
-    for t in toks[lo:hi]:
-        if t.kind == "ident":
-            if t.value in ("final",):
-                continue
-            parts.append(t.value)
-        elif t.value == "." and parts:
-            parts.append(".")
-        elif t.value in ("<", "["):
-            break
-    name = "".join(parts)
-    return name.rstrip(".")
+            elif cur._kind() == "ident":
+                names.append(cur._val())
+        for name in names:
+            self.scan.declare(name, type_ref)
+        cur.i = after
+        return has_init
 
 
 def parse_source(text: str, path: str = "<source>") -> CompilationFacts:

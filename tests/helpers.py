@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from oometrics.cohesion import class_cohesion
+from oometrics.errors import UndefinedMetric
 from oometrics.model import ClassInfo, SystemModel, build_system_model, model_to_facts
 
 
@@ -549,3 +551,49 @@ def random_soup_class_source(rng: random.Random, name="Soup", n_methods=3):
     methods = [f"    int m{i}(int x0, int x1, int x2) {soup.block(4)}\n" for i in range(n_methods)]
     helpers = "    abstract int helper();\n    int helper2() { return 1; }\n"
     return f"abstract class {name} {{\n{helpers}{''.join(methods)}}}\n", n_methods + 1
+
+
+# ---------------------------------------------------------------------------
+# Single cohesion values, read from cohesion.class_cohesion
+# ---------------------------------------------------------------------------
+
+
+def _defined(values: dict[str, int | float | UndefinedMetric], name: str) -> int | float:
+    value = values[name]
+    if isinstance(value, UndefinedMetric):
+        raise value
+    return value
+
+
+_LCOM_FIELDS = {"CK": "lcom_ck", "LH": "lcom_lh", "HM": "lcom_hm", "HS": "lcom_hs"}
+
+
+def lcom(info: ClassInfo, variant: str = "CK") -> int | float:
+    """Lack of cohesion of methods.
+
+    CK: max(P - Q, 0) over attribute-disjoint vs attribute-sharing pairs.
+    LH: connected components over attribute-share edges.
+    HM: components over attribute-share plus intra-class call edges.
+    HS: (m - mean attribute usage) / (m - 1), Henderson-Sellers form.
+    """
+    if variant not in _LCOM_FIELDS:
+        raise UndefinedMetric(f"LCOM-{variant}", "unknown variant")
+    return _defined(class_cohesion(info), _LCOM_FIELDS[variant])
+
+
+def coh(info: ClassInfo) -> float:
+    """Briand et al.: sum of per-attribute access counts over m*a."""
+    return _defined(class_cohesion(info), "coh")
+
+
+def tcc_lcc(info: ClassInfo) -> tuple[float, float]:
+    """Tight/loose class cohesion: directly / transitively attribute-connected
+    method pairs over all pairs."""
+    values = class_cohesion(info)
+    return _defined(values, "tcc"), _defined(values, "lcc")
+
+
+def similarity_cohesion(info: ClassInfo) -> float:
+    """Mean pairwise Jaccard similarity of attribute sets; disjoint-empty
+    pairs contribute 0."""
+    return _defined(class_cohesion(info), "sim_cohesion")

@@ -15,10 +15,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    coh,
+    lcom,
     lexical_analyzer_model,
     neural_network_model,
     random_cohesion_class,
     random_method_source,
+    similarity_cohesion,
+    tcc_lcc,
 )
 from oometrics import ck, cohesion
 from oometrics.complexity import class_wmc, cyclomatic, essential, module_design, quadrant
@@ -198,7 +202,7 @@ def test_criterion_7_cohesion_oracle_equivalence():
                     q += 1
                 else:
                     p += 1
-        assert cohesion.lcom(info, "CK") == max(p - q, 0)
+        assert lcom(info, "CK") == max(p - q, 0)
 
         def comps(extra=frozenset()):
             parent = list(range(m))
@@ -217,7 +221,7 @@ def test_criterion_7_cohesion_oracle_equivalence():
                 parent[find(x)] = find(y)
             return len({find(i2) for i2 in range(m)})
 
-        assert cohesion.lcom(info, "LH") == comps()
+        assert lcom(info, "LH") == comps()
 
         methods = info.regular_methods
         calls = set()
@@ -230,16 +234,16 @@ def test_criterion_7_cohesion_oracle_equivalence():
                     for jdx in by_name.get(inv.method_name, ()):
                         if idx != jdx:
                             calls.add((idx, jdx))
-        assert cohesion.lcom(info, "HM") == comps(frozenset(calls))
+        assert lcom(info, "HM") == comps(frozenset(calls))
 
         if m >= 2 and a >= 1:
             usage = sum(sum(1 for s in sets if att.name in s) for att in info.attributes)
-            assert cohesion.lcom(info, "HS") == (m - usage / a) / (m - 1)
-            assert cohesion.coh(info) == usage / (m * a)
+            assert lcom(info, "HS") == (m - usage / a) / (m - 1)
+            assert coh(info) == usage / (m * a)
         if m >= 2:
             total = m * (m - 1) // 2
             direct = sum(1 for x in range(m) for y in range(x + 1, m) if sets[x] & sets[y])
-            tcc, lcc = cohesion.tcc_lcc(info)
+            tcc, lcc = tcc_lcc(info)
             assert tcc == direct / total
             reach = [[bool(sets[x] & sets[y]) and x != y for y in range(m)] for x in range(m)]
             for k in range(m):
@@ -255,7 +259,7 @@ def test_criterion_7_cohesion_oracle_equivalence():
                 for x in range(m)
                 for y in range(x + 1, m)
             )
-            assert cohesion.similarity_cohesion(info) == sim / total
+            assert similarity_cohesion(info) == sim / total
     _passed(7, "cohesion equals brute-force oracles on 200 classes")
 
 

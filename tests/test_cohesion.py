@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import attr_rec, class_rec, method_rec, random_cohesion_class
+from helpers import attr_rec, class_rec, coh, lcom, method_rec, random_cohesion_class, similarity_cohesion, tcc_lcc
 from oometrics import cohesion
 from oometrics.errors import UndefinedMetric
 from oometrics.model import build_system_model
@@ -26,39 +26,39 @@ def _cls(attr_names, method_accesses, calls=()):
 
 def test_maximal_cohesion_all_variants():
     info = _cls(["x"], [{"x"}, {"x"}, {"x"}])
-    assert cohesion.lcom(info, "CK") == 0  # P=0 Q=3
-    assert cohesion.lcom(info, "LH") == 1
-    assert cohesion.lcom(info, "HM") == 1
-    assert cohesion.lcom(info, "HS") == 0.0  # (3 - 3)/2
-    assert cohesion.coh(info) == 1.0
-    assert cohesion.tcc_lcc(info) == (1.0, 1.0)
-    assert cohesion.similarity_cohesion(info) == 1.0
+    assert lcom(info, "CK") == 0  # P=0 Q=3
+    assert lcom(info, "LH") == 1
+    assert lcom(info, "HM") == 1
+    assert lcom(info, "HS") == 0.0  # (3 - 3)/2
+    assert coh(info) == 1.0
+    assert tcc_lcc(info) == (1.0, 1.0)
+    assert similarity_cohesion(info) == 1.0
 
 
 def test_minimal_cohesion_all_variants():
     info = _cls(["a", "b", "c"], [{"a"}, {"b"}, {"c"}])
-    assert cohesion.lcom(info, "CK") == 3
-    assert cohesion.lcom(info, "LH") == 3
-    assert cohesion.lcom(info, "HS") == 1.0  # (3 - 1)/2
-    assert cohesion.tcc_lcc(info) == (0.0, 0.0)
-    assert cohesion.similarity_cohesion(info) == 0.0
+    assert lcom(info, "CK") == 3
+    assert lcom(info, "LH") == 3
+    assert lcom(info, "HS") == 1.0  # (3 - 1)/2
+    assert tcc_lcc(info) == (0.0, 0.0)
+    assert similarity_cohesion(info) == 0.0
 
 
 def test_hm_call_edges_merge_components():
     info = _cls(["a", "b"], [{"a"}, {"b"}], calls=[(0, 1)])
-    assert cohesion.lcom(info, "LH") == 2
-    assert cohesion.lcom(info, "HM") == 1
+    assert lcom(info, "LH") == 2
+    assert lcom(info, "HM") == 1
 
 
 def test_coh_no_access_zero():
     info = _cls(["a"], [set(), set()])
-    assert cohesion.coh(info) == 0.0
+    assert coh(info) == 0.0
 
 
 def test_tcc_lcc_chain():
     # m0-x-m1, m1-y-m2: direct pairs 2/3, transitive closes the third
     info = _cls(["x", "y"], [{"x"}, {"x", "y"}, {"y"}])
-    tcc, lcc = cohesion.tcc_lcc(info)
+    tcc, lcc = tcc_lcc(info)
     assert tcc == pytest.approx(2 / 3)
     assert lcc == 1.0
 
@@ -66,27 +66,27 @@ def test_tcc_lcc_chain():
 def test_similarity_jaccard_hand_case():
     # one shared of two attrs each: |I|=1, |U|=3 -> 1/3
     info = _cls(["a", "b", "c"], [{"a", "b"}, {"b", "c"}])
-    assert cohesion.similarity_cohesion(info) == pytest.approx(1 / 3)
+    assert similarity_cohesion(info) == pytest.approx(1 / 3)
 
 
 def test_identical_attribute_sets_similarity_one():
     info = _cls(["a", "b"], [{"a", "b"}, {"a", "b"}])
-    assert cohesion.similarity_cohesion(info) == 1.0
+    assert similarity_cohesion(info) == 1.0
 
 
 def test_undefined_preconditions():
     one_method = _cls(["a"], [{"a"}])
     with pytest.raises(UndefinedMetric):
-        cohesion.lcom(one_method, "HS")
+        lcom(one_method, "HS")
     with pytest.raises(UndefinedMetric):
-        cohesion.tcc_lcc(one_method)
+        tcc_lcc(one_method)
     with pytest.raises(UndefinedMetric):
-        cohesion.similarity_cohesion(one_method)
+        similarity_cohesion(one_method)
     no_attrs = _cls([], [{"x"}, {"y"}])
     with pytest.raises(UndefinedMetric):
-        cohesion.coh(no_attrs)
+        coh(no_attrs)
     with pytest.raises(UndefinedMetric):
-        cohesion.lcom(no_attrs, "HS")
+        lcom(no_attrs, "HS")
 
 
 def test_constructors_excluded():
@@ -205,20 +205,20 @@ def test_all_variants_match_oracles_on_200_random_classes():
         rec = random_cohesion_class(rng, model_name=f"R{i}")
         info = build_system_model([rec]).get(f"R{i}")
         oracle = _oracle_all(info)
-        assert cohesion.lcom(info, "CK") == oracle["CK"]
-        assert cohesion.lcom(info, "LH") == oracle["LH"]
-        assert cohesion.lcom(info, "HM") == oracle["HM"]
+        assert lcom(info, "CK") == oracle["CK"]
+        assert lcom(info, "LH") == oracle["LH"]
+        assert lcom(info, "HM") == oracle["HM"]
         if "HS" in oracle:
-            assert cohesion.lcom(info, "HS") == pytest.approx(oracle["HS"])
-            assert cohesion.coh(info) == pytest.approx(oracle["Coh"])
+            assert lcom(info, "HS") == pytest.approx(oracle["HS"])
+            assert coh(info) == pytest.approx(oracle["Coh"])
         if "TCC" in oracle:
-            tcc, lcc = cohesion.tcc_lcc(info)
+            tcc, lcc = tcc_lcc(info)
             assert tcc == pytest.approx(oracle["TCC"])
             assert lcc == pytest.approx(oracle["LCC"])
-            assert cohesion.similarity_cohesion(info) == pytest.approx(oracle["SIM"])
+            assert similarity_cohesion(info) == pytest.approx(oracle["SIM"])
             assert tcc <= lcc
         # HM components never exceed LH components
-        assert cohesion.lcom(info, "HM") <= cohesion.lcom(info, "LH")
+        assert lcom(info, "HM") <= lcom(info, "LH")
 
 
 def test_ck_zero_when_every_pair_shares():
@@ -226,11 +226,11 @@ def test_ck_zero_when_every_pair_shares():
     for _ in range(20):
         m = rng.randrange(2, 6)
         info = _cls(["shared"], [{"shared"} for _ in range(m)])
-        assert cohesion.lcom(info, "CK") == 0
+        assert lcom(info, "CK") == 0
 
 
 def test_renaming_invariance():
     info1 = _cls(["a", "b"], [{"a"}, {"a", "b"}, {"b"}])
     info2 = _cls(["zz", "qq"], [{"zz"}, {"zz", "qq"}, {"qq"}])
-    assert cohesion.coh(info1) == cohesion.coh(info2)
-    assert cohesion.similarity_cohesion(info1) == cohesion.similarity_cohesion(info2)
+    assert coh(info1) == coh(info2)
+    assert similarity_cohesion(info1) == similarity_cohesion(info2)

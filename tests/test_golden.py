@@ -57,6 +57,7 @@ CASES: dict[str, tuple[list[str], tuple[str, ...]]] = {
     "analyze_lexer_source_out": (["analyze", "lexer_source", "--out", "lexout"],
                                  ("lexout/report.json", "lexout/facts.json")),
     "scatter_lexer_source": (["scatter", "lexer_source"], ()),
+    "analyze_literal_source": (["analyze", "literal_source"], ()),
 }
 
 SUBPROCESS_CASE = "analyze_multiple_inheritance"
@@ -130,6 +131,46 @@ class Helper extends Shapes {
 """
 
 
+# Bracket and separator text in string and char literals: in field
+# initializers, conditions, case labels and expression statements.  None of
+# it is structure, so every member parses.
+LITERAL_SHAPES = """package lit;
+
+public class Literals {
+    private String open = "{", close = "}";
+    private String[] seps = { ";", ",", "(", ")", "" };
+    private char semi = ';';
+
+    public int kind(String s, char c) {
+        if (s.equals("(") || s.equals("[")) { return 1; }
+        switch (c) {
+            case '{': return 2;
+            case '}': return 3;
+            case ':': break;
+            default: close = ")";
+        }
+        switch (s) { case "]": return 4; case "?": return 5; }
+        "}".length();
+        String t = "" + open + ";";
+        log("a, b; c)", '<');
+        return t.length() > 0 ? 6 : 0;
+    }
+
+    void log(String m, char c) { }
+}
+
+class Reader extends Literals {
+    int count(String text) {
+        int n = 0;
+        for (int i = 0; i < text.length(); i++) {
+            if (text.charAt(i) == '(' && text.charAt(i) != ')') { n++; }
+        }
+        return n + kind("<", '>');
+    }
+}
+"""
+
+
 def write_inputs(dest: Path) -> None:
     def facts(name: str, records_or_model) -> None:
         path = dest / name
@@ -164,6 +205,8 @@ def write_inputs(dest: Path) -> None:
     (dest / "lexer_source" / "Shapes.java").write_text(LEXER_SHAPES, encoding="utf-8")
     (dest / "lexer_source" / "Unclosed.java").write_text(
         "class Unclosed {\n    int m() { return 1; }\n    /* never closed\n}\n", encoding="utf-8")
+    (dest / "literal_source").mkdir()
+    (dest / "literal_source" / "Literals.java").write_text(LITERAL_SHAPES, encoding="utf-8")
 
 
 def digest(rc: int, out: str, err: str, files: dict[str, bytes]) -> str:
@@ -220,6 +263,14 @@ def test_golden_digest_holds_under_another_hash_seed(inputs, golden):
     proc = subprocess.run([sys.executable, "-m", "oometrics.cli", *argv], cwd=inputs, env=env,
                           capture_output=True, text=True, timeout=60)
     assert digest(proc.returncode, proc.stdout, proc.stderr, {}) == golden[SUBPROCESS_CASE]
+
+
+def test_literal_source_parses_every_file(inputs, monkeypatch, capsys):
+    monkeypatch.chdir(inputs)
+    assert main(["analyze", "literal_source"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "parseErrors" not in report
+    assert sorted(c["name"] for c in report["classes"]) == ["lit.Literals", "lit.Reader"]
 
 
 def test_every_case_has_a_digest(golden):

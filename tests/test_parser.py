@@ -4,6 +4,7 @@ determinism, and the facts round trip on generated classes."""
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -426,16 +427,108 @@ PINNED_BODIES = {
         ["for (i = 0; c ? i < 1 : i < 2; i++) { x(); }", "for (i = 0; (c ? i < 1 : i < 2); i++) { x(); }"],
         (2, ("entry", "decision", "loop-head", "call-bearing", "exit"),
          [(0, 1), (1, 2), (1, 2), (2, 3), (2, 4), (3, 1)])),
+    # a string or char literal is never a bracket or separator: each of
+    # these once failed the statement, or read its neighbours as one
+    "char c = '{'; y();": (2, ("entry", "plain", "call-bearing", "exit"), [(0, 1), (1, 2), (2, 3)]),
+    '"}".length();': (1, ("entry", "call-bearing", "exit"), [(0, 1), (1, 2)]),
+    'if (s.equals("(")) { x(); } y();': (
+        3, ("entry", "decision", "call-bearing", "call-bearing", "exit"), [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)]),
+    'String s = ""; y(); z();': (
+        3, ("entry", "plain", "call-bearing", "call-bearing", "exit"), [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    # '>>' and '>>>' close two and three levels of a local's type
+    # arguments: a declaration without an initializer is no statement
+    **dict.fromkeys(
+        ["Map<K, List<V>> m; y();", "Map<K, List<List<V>>> m; y();"],
+        (1, ("entry", "plain", "call-bearing", "exit"), [(0, 1), (1, 2), (2, 3)])),
+    # catch parameters, try resources and for inits declare their names
+    # as statement declarations do (their invokes are in PINNED_INVOKES)
+    "try { a(); } catch (java.io.IOException e) { e.getMessage(); }": (
+        3, ("entry", "decision", "call-bearing", "call-bearing", "exit"), [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
+    "try (Res r = open(); Res s = open()) { r.close(); s.close(); }": (
+        3, ("entry", "plain", "call-bearing", "call-bearing", "exit"), [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "for (Map.Entry<K, V> e = first(); e != null; e = e.next()) { e.getKey(); }": (
+        2, ("entry", "loop-head", "call-bearing", "exit"), [(0, 1), (1, 2), (1, 3), (2, 1)]),
 }
+
+
+def _pinned_method(body: str) -> tuple[dict, dict]:
+    (rec,) = parse_source(f"class W {{ void m(int x, boolean c, int i) {{ {body} }} }}", "W.java").classes
+    return rec, rec["methods"][0]
 
 
 @pytest.mark.parametrize("body", list(PINNED_BODIES))
 def test_statement_shapes_lower_to_pinned_graphs(body):
-    (rec,) = parse_source(f"class W {{ void m(int x, boolean c, int i) {{ {body} }} }}", "W.java").classes
-    g = rec["methods"][0]["cfg"]
+    rec, method = _pinned_method(body)
+    g = method["cfg"]
     assert (rec["statements"], g.kinds, sorted(g.edges)) == PINNED_BODIES[body]
-    if body.startswith("for"):
+    if "?" in body:
         assert cyclomatic(g) == 3
+
+
+PINNED_INVOKES = {
+    # body: invokes; a local's calls resolve through its declared type
+    "try { a(); } catch (java.io.IOException e) { e.getMessage(); }": {
+        "W.a": 1, "java.io.IOException.getMessage": 1},
+    "try { a(); } catch (final IOException | RuntimeException e) { e.getMessage(); }": {
+        "W.a": 1, "IOException.getMessage": 1},
+    "try (Res r = open(); Res s = open()) { r.close(); s.close(); }": {"Res.close": 2, "W.open": 2},
+    "for (Map.Entry<K, V> e = first(); e != null; e = e.next()) { e.getKey(); }": {
+        "Map.Entry.getKey": 1, "Map.Entry.next": 1, "W.first": 1},
+    "for (Map.Entry<K, V> e : entries()) { e.getKey(); }": {"Map.Entry.getKey": 1, "W.entries": 1},
+    "for (Res a = open(), b = open(); c; ) { b.close(); }": {"Res.close": 1, "W.open": 2},
+}
+
+
+@pytest.mark.parametrize("body", list(PINNED_INVOKES))
+def test_locals_outside_statements_resolve_calls(body):
+    _, method = _pinned_method(body)
+    assert {inv["target"]: inv["count"] for inv in method["invokes"]} == PINNED_INVOKES[body]
+    assert method["accesses"] == []
+
+
+@pytest.mark.parametrize("src", [
+    'class A { String f() { return "{"; } void g() { x(); } }',
+    'class A { String s = ")"; int q; void g() { x(); } }',
+])
+def test_a_literal_bracket_in_one_member_leaves_the_others_whole(src):
+    (rec,) = parse_source(src, "A.java").classes
+    g = rec["methods"][-1]
+    assert (g["name"], g["invokes"]) == ("g", [{"target": "A.x", "count": 1}])
+
+
+# bracket and separator text, for string literals and, one character
+# long, for char literals
+LITERAL_PIECES = ["{", "}", "(", ")", "[", "]", ";", ",", ":", "=", "<", ">", "?", "&&", "||", ""]
+_METHOD_HEAD = re.compile(r"^(    \S[^\n]*?\)\s*\{)", re.M)
+
+
+def _with_literals(src: str, typ: str, literal: str) -> str:
+    """``src`` with a local first in every method body and a field, each
+    of type ``typ`` set to ``literal``."""
+    src = _METHOD_HEAD.sub(lambda m: f"{m.group(1)} {typ} s0 = {literal};", src)
+    return src.replace("{\n", f"{{\n    {typ} f0 = {literal};\n", 1)
+
+
+def _structure(src: str) -> list:
+    return [
+        (c["name"], c["statements"], [
+            (m["name"], "cfg" in m and (m["cfg"].kinds, sorted(m["cfg"].edges)), m["invokes"], m["accesses"])
+            for m in c["methods"]])
+        for c in parse_source(src, "Lit.java").classes
+    ]
+
+
+def test_literal_text_is_never_structure():
+    rng = random.Random(31)
+    for k in range(200):  # 100 classes of each generator
+        make = random_soup_class_source if k % 2 else random_class_source
+        src, _ = make(rng, name="Lit", n_methods=rng.randrange(1, 4))
+        piece = LITERAL_PIECES[k // 2 % len(LITERAL_PIECES)]
+        assert _structure(_with_literals(src, "String", f'"{piece}"')) == \
+            _structure(_with_literals(src, "String", '"x"')), piece
+        if len(piece) == 1:
+            assert _structure(_with_literals(src, "char", f"'{piece}'")) == \
+                _structure(_with_literals(src, "char", "'x'")), piece
 
 
 def test_a_comment_open_at_the_end_of_a_file_counts_its_own_lines(tmp_path, capsys):
