@@ -29,6 +29,7 @@ from .evolution import (
     weighted_enom,
     yw_rank,
 )
+from .halstead import HalsteadCounts, merge_counts
 from .javasrc import CompilationFacts, parse_source
 from .model import build_system_model, dump_facts, load_facts, model_to_facts
 from .quality import ToolConfig
@@ -118,7 +119,7 @@ class _LoadedInput:
     def __init__(self):
         self.class_records: list[dict] = []
         self.sources: list[str] = []  # each class record's file
-        self.halstead = {}
+        self.halstead: HalsteadCounts | None = None  # over every parsed file
         self.source_texts: dict[str, str] = {}
         self.parse_errors: list[str] = []
 
@@ -132,6 +133,7 @@ def _load_input(paths: list[str], facts_path: str | None) -> _LoadedInput:
         loaded.class_records.extend(records)
         loaded.sources.extend([jp] * len(records))
     files = _collect_sources(src_paths)
+    counts = []
     for f, (text, facts) in zip(files, _parse_files(files)):
         if isinstance(facts, str):
             loaded.parse_errors.append(facts)
@@ -139,7 +141,10 @@ def _load_input(paths: list[str], facts_path: str | None) -> _LoadedInput:
         loaded.class_records.extend(facts.classes)
         loaded.sources.extend([str(f)] * len(facts.classes))
         loaded.source_texts[str(f)] = text
-        loaded.halstead.update(facts.halstead)
+        if facts.halstead is not None:
+            counts.append(facts.halstead)
+    if counts:
+        loaded.halstead = merge_counts(counts)
     if not loaded.class_records and not loaded.parse_errors:
         raise NoInput("no source files or facts found in: " + ", ".join(paths or ["<none>"]))
     return loaded
@@ -184,7 +189,7 @@ def cmd_analyze(args) -> int:
     report = rpt.compute_report(
         model,
         config=config,
-        halstead_by_class=loaded.halstead,
+        halstead=loaded.halstead,
         source_texts=loaded.source_texts or None,
         baseline_model=baseline_model,
         partial=partial,

@@ -125,9 +125,9 @@ class CompilationFacts:
     path: str
     package: str
     classes: list[dict] = field(default_factory=list)
-    #: class name -> its methods' Halstead counts, merged; a class without
-    #: methods has no entry, a method without a body counts zero
-    halstead: dict[str, HalsteadCounts] = field(default_factory=dict)
+    #: the Halstead counts of every method body in the file, merged; None
+    #: for a file without methods, and a method without a body counts zero
+    halstead: HalsteadCounts | None = None
 
 
 @dataclass
@@ -384,7 +384,7 @@ class Parser(_Cursor):
 
         facts = CompilationFacts(self.path, self.package)
         file_lines, file_comments = _count_lines(self.text, self.comment_spans)
-        method_counts: dict[str, dict[str, HalsteadCounts]] = {}
+        method_counts: list[HalsteadCounts] = []
         for decl in self.decls:
             if len(self.decls) == 1:
                 # one class per file: the whole file is the class, header
@@ -393,10 +393,9 @@ class Parser(_Cursor):
             else:
                 lines = max(decl.end_line - decl.line + 1, 0)
                 comment_lines = _comment_lines_in(self.comment_spans, decl.line, decl.end_line)
-            record, counts = _ClassBuilder(self, decl).build(lines, comment_lines)
-            facts.classes.append(record)
-            method_counts.setdefault(decl.name, {}).update(counts)
-        facts.halstead = {cls: merge_counts(list(c.values())) for cls, c in method_counts.items() if c}
+            facts.classes.append(_ClassBuilder(self, decl).build(lines, comment_lines, method_counts))
+        if method_counts:
+            facts.halstead = merge_counts(method_counts)
         return facts
 
     def _parse_type_decl(self, outer: _ClassDecl | None, mods: set[str]) -> None:
@@ -626,11 +625,10 @@ class _ClassBuilder:
             return self.known_types[head] + ref[len(head):]
         return ref
 
-    def build(self, lines: int, comment_lines: int) -> tuple[dict, dict[str, HalsteadCounts]]:
-        """The class record, and each method's Halstead counts by signature."""
+    def build(self, lines: int, comment_lines: int, counts: list[HalsteadCounts]) -> dict:
+        """The class record; each method's Halstead counts go on ``counts``."""
         attributes: list[dict] = []
         methods: list[dict] = []
-        counts: dict[str, HalsteadCounts] = {}
         statements = 0
         init_scan = None  # one scanner for every field initializer
 
@@ -647,7 +645,6 @@ class _ClassBuilder:
                 continue
 
             name = m.name
-            sig = f"{name}({','.join(self.resolve_type(t) for t in m.param_types)})"
             env = {
                 pn: self.resolve_type(pt)
                 for pn, pt in zip(m.param_names, m.param_types)
@@ -671,7 +668,7 @@ class _ClassBuilder:
                 lines=(m.end_line - m.line + 1) if m.end_line else None,
             )
             methods.append(mrec)
-            counts[sig] = halstead_counts(self.p.toks, lo, hi)
+            counts.append(halstead_counts(self.p.toks, lo, hi))
 
         if init_scan is not None and (init_scan.invokes or init_scan.accesses):
             methods.append(
@@ -682,9 +679,8 @@ class _ClassBuilder:
                 )
             )
         supers = [self.resolve_type(s) for s in self.decl.supers]
-        record = _record("class", self.decl.name, self.decl.kind, supers, lines, comment_lines, statements,
-                         attributes, methods)
-        return record, counts
+        return _record("class", self.decl.name, self.decl.kind, supers, lines, comment_lines, statements,
+                       attributes, methods)
 
     def _method_record(self, name, param_types, visibility, is_abstract, is_static, scan, graph, lines) -> dict:
         merged: dict[str, int] = {}
@@ -1057,11 +1053,13 @@ class _StatementParser(_Cursor):
             d, c = self.scan.scan_expr(lo, self.i - 1)
             self.statement_count += 1
             return self._simple(pending, c, d)
-        if v in ("class", "interface", "enum", "abstract", "final") and self._kind() == "ident":
-            # local type declaration: skip as opaque.  Without a '{' it runs
-            # to the end of the body, and is still not a failure of the
-            # statement around it; with one, its match is in the body,
-            # whose braces balance
+        local_type = ("class", "interface", "enum")
+        if (v in local_type or v in ("abstract", "final") and self._val(1) in local_type) and self._kind() == "ident":
+            # local type declaration (a final local variable is a simple
+            # statement): skip as opaque.  Without a '{' it runs to the end
+            # of the body, and is still not a failure of the statement
+            # around it; with one, its match is in the body, whose braces
+            # balance
             while self.i < self.hi and self._val() != "{":
                 self.i += 1
             if self.i < self.hi:

@@ -5,9 +5,8 @@ MI uses base-2 logarithms:
 
     MI = 171 - 5.2*log2(V) - 0.23*G - 16.2*log2(LOC) + 50*sin(sqrt(2.4*CM))
 
-with CM a percentage and the sine argument in radians.  ``log_base="e"``
-switches both logarithms to the natural log (the classic Oman form) for
-comparison.  When CM is not supplied the sine term is dropped entirely.
+with CM a percentage and the sine argument in radians.  When CM is not
+supplied the sine term is dropped entirely.
 
 The SIG model rates volume, complexity-per-unit, unit size and
 duplication on a ++/+/o/-/-- scale and reports unit testing as
@@ -39,7 +38,6 @@ def maintainability_index(
     G: float,
     LOC: float,
     CM: float | None = 0.0,
-    log_base: str = "2",
 ) -> float:
     """Composite maintainability; lower is worse, classic ceiling 171."""
     if V <= 0:
@@ -48,8 +46,7 @@ def maintainability_index(
         raise DomainError(f"LOC must be positive, got {LOC}")
     if G < 1:
         raise DomainError(f"cyclomatic complexity starts at 1, got {G}")
-    log = math.log2 if log_base == "2" else math.log
-    mi = 171.0 - 5.2 * log(V) - 0.23 * G - 16.2 * log(LOC)
+    mi = 171.0 - 5.2 * math.log2(V) - 0.23 * G - 16.2 * math.log2(LOC)
     if CM is not None:
         if not 0 <= CM <= 100:
             raise DomainError(f"comment percentage out of [0, 100]: {CM}")

@@ -122,25 +122,6 @@ class ClassInfo:
         return tuple(m for m in self.methods if not m.is_initializer)
 
 
-@dataclass(frozen=True)
-class AncestorChain:
-    """Resolvable transitive superclasses, nearest first.  External parents
-    are excluded from ``names``; the deepest declared depth of an external
-    parent encountered along any chain lands in ``external_depth``."""
-
-    names: tuple[str, ...]
-    external_depth: int = 0
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __len__(self):
-        return len(self.names)
-
-    def __contains__(self, item):
-        return item in self.names
-
-
 @dataclass(frozen=True, slots=True)
 class HierarchyRow:
     """One class's inheritance facts, as the metrics read them.
@@ -188,18 +169,39 @@ class SystemModel:
     """Immutable graph of classes and their relations.
 
     Construct via :func:`build_system_model`; direct instantiation skips
-    reference resolution.
+    reference resolution.  Either way a class on an inheritance cycle
+    raises InheritanceCycle.
     """
 
     def __init__(self, classes: dict[str, ClassInfo]):
         self._classes = dict(classes)
-        self._children: dict[str, tuple[str, ...]] = {}
         kids: dict[str, list[str]] = {name: [] for name in self._classes}
         for info in self._classes.values():
             for sup in info.superclasses:
                 if sup in kids:
                     kids[sup].append(info.name)
         self._children = {name: tuple(sorted(v)) for name, v in kids.items()}
+
+        # the one walk over the inheritance graph: a breadth-first
+        # topological sort, parents first, which never reaches a class on a
+        # cycle or below one
+        waiting = {name: sum(1 for s in info.superclasses if s in kids) for name, info in self._classes.items()}
+        order = [name for name in sorted(self._classes) if waiting[name] == 0]
+        for name in order:  # grows while iterated
+            for kid in self._children[name]:
+                waiting[kid] -= 1
+                if waiting[kid] == 0:
+                    order.append(kid)
+        if len(order) < len(self._classes):
+            # every class left has a superclass left: walk up the first one
+            # from the first class left until a class repeats
+            trail: dict[str, int] = {}
+            name = next(name for name in self._classes if waiting[name])
+            while name not in trail:
+                trail[name] = len(trail)
+                name = next(s for s in self._classes[name].superclasses if waiting.get(s))
+            raise InheritanceCycle(list(trail)[trail[name]:] + [name])
+        self._order = order
 
     # -- basic access --------------------------------------------------------
 
@@ -253,34 +255,26 @@ class SystemModel:
                 todo.extend(self._children.get(cur, ()))
         return frozenset(seen)
 
-    def ancestors(self, name: str) -> AncestorChain:
-        """Transitive resolvable superclasses of ``name``, nearest first."""
-        info = self.get(name)
+    def ancestors(self, name: str) -> tuple[str, ...]:
+        """Transitive system superclasses of ``name``, nearest first; an
+        external stub is left out."""
         names: list[str] = []
         seen = {name}
-        ext_depth = 0
-        layer = list(info.superclasses)
-        while layer:
-            nxt: list[str] = []
-            for sup in layer:
-                if sup in seen or sup not in self._classes:
-                    continue
-                sup_info = self._classes[sup]
-                if sup_info.is_external:
-                    ext_depth = max(ext_depth, sup_info.external_depth)
-                    seen.add(sup)
-                    continue
-                seen.add(sup)
+        todo = list(self.get(name).superclasses)
+        for sup in todo:  # grows while iterated: breadth first
+            if sup in seen or sup not in self._classes:
+                continue
+            seen.add(sup)
+            if not self._classes[sup].is_external:
                 names.append(sup)
-                nxt.extend(sup_info.superclasses)
-            layer = nxt
-        return AncestorChain(tuple(names), ext_depth)
+                todo.extend(self._classes[sup].superclasses)
+        return tuple(names)
 
     @cached_property
     def hierarchy(self) -> dict[str, HierarchyRow]:
         """Every class's inheritance facts, built on first use in two passes
-        over the classes (see :func:`hierarchy_rows`)."""
-        return hierarchy_rows(self._classes, self._children)
+        over the parents-first order (see :func:`hierarchy_rows`)."""
+        return hierarchy_rows(self._classes, self._children, self._order)
 
     # -- the uses relation -----------------------------------------------------
 
@@ -356,8 +350,12 @@ class SystemModel:
         return tuple(collected.values())
 
 
-def hierarchy_rows(classes: dict[str, ClassInfo], children: dict[str, tuple[str, ...]]) -> dict[str, HierarchyRow]:
-    """All inheritance facts in two passes over a parents-first order.
+def hierarchy_rows(
+    classes: dict[str, ClassInfo], children: dict[str, tuple[str, ...]], order: list[str]
+) -> dict[str, HierarchyRow]:
+    """All inheritance facts in two passes over ``order``, every class after
+    its superclasses: the order :class:`SystemModel` finds when it is built,
+    by the same walk that rejects a cycle.
 
     The backward pass ORs each class's descendants into its parents as a
     Python-int bitset and keeps their count; a class's set is dropped once
@@ -368,13 +366,6 @@ def hierarchy_rows(classes: dict[str, ClassInfo], children: dict[str, tuple[str,
     class without ancestors holds only zeros.  Ancestor sets stay: about
     N*N/16 bytes for one chain of N classes.
     """
-    waiting = {name: sum(1 for s in info.superclasses if s in classes) for name, info in classes.items()}
-    order = [name for name in sorted(classes) if waiting[name] == 0]
-    for name in order:  # grows while iterated: a breadth-first topological sort
-        for kid in children[name]:
-            waiting[kid] -= 1
-            if waiting[kid] == 0:
-                order.append(kid)
     index = {name: i for i, name in enumerate(order)}
     parents = [
         [index[s] for s in classes[name].superclasses if s in classes and not classes[s].is_external]
@@ -548,7 +539,7 @@ def build_system_model(class_records, source=None) -> SystemModel:
         for sup in extends:
             resolved = resolver.resolve(sup)
             if resolved is not None and resolved not in supers:
-                supers.append(resolved)  # self-references surface as a cycle below
+                supers.append(resolved)  # a self-reference is a cycle the model rejects
 
         try:
             attrs = []
@@ -623,35 +614,7 @@ def build_system_model(class_records, source=None) -> SystemModel:
         if ext not in classes:
             classes[ext] = ClassInfo(name=ext, is_external=True)
 
-    _check_acyclic(classes)
     return SystemModel(classes)
-
-
-def _check_acyclic(classes: dict[str, ClassInfo]) -> None:
-    """Depth-first search over resolvable superclasses; iterative, so a
-    deep chain cannot exhaust the interpreter stack."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in classes}
-    for root in classes:
-        if color[root] != WHITE or classes[root].is_external:
-            continue
-        color[root] = GREY
-        trail = [root]
-        pending = [iter(classes[root].superclasses)]
-        while pending:
-            for sup in pending[-1]:
-                if sup not in classes or classes[sup].is_external:
-                    continue
-                if color[sup] == GREY:
-                    raise InheritanceCycle(trail[trail.index(sup):] + [sup])
-                if color[sup] == WHITE:
-                    color[sup] = GREY
-                    trail.append(sup)
-                    pending.append(iter(classes[sup].superclasses))
-                    break
-            else:
-                pending.pop()
-                color[trail.pop()] = BLACK
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import cohesion, qmood
 from .ck import KIVIAT_ORDER, ClassMetricsRecord, cbo, dit, logiscope_mnemonics, mpc, rfc
 from .complexity import complexity_triple, cyclomatic, quadrant
 from .errors import DegenerateSystem, EmptyModel, MetricsError, UndefinedMetric, WrongAxisCount
-from .halstead import HalsteadCounts, merge_counts
+from .halstead import HalsteadCounts
 from .maintain import maintainability_index, sig_rating
 from .model import SystemModel
 from .mood import mood
@@ -75,7 +75,7 @@ def _config_fingerprint(config: ToolConfig) -> str:
 def compute_report(
     model: SystemModel,
     config: ToolConfig | None = None,
-    halstead_by_class: dict[str, HalsteadCounts] | None = None,
+    halstead: HalsteadCounts | None = None,
     source_texts: dict[str, str] | None = None,
     baseline_model: SystemModel | None = None,
     partial: bool = False,
@@ -135,7 +135,7 @@ def compute_report(
     system["mood"] = factors.as_percentages() if factors else None
 
     system["sig"] = sig_rating(model, source_texts=source_texts, bands=config.sig_bands).as_dict()
-    system["mi"] = _system_mi(model, halstead_by_class)
+    system["mi"] = _system_mi(model, halstead)
 
     report = {
         "schemaVersion": SCHEMA_VERSION,
@@ -167,12 +167,11 @@ def _record_dict(rec: ClassMetricsRecord) -> dict:
     return out
 
 
-def _system_mi(model: SystemModel, halstead_by_class: dict[str, HalsteadCounts] | None) -> dict | None:
+def _system_mi(model: SystemModel, counts: HalsteadCounts | None) -> dict | None:
     """System MI from totals; needs token-level input, so facts-only runs
     report it as unavailable."""
-    if not halstead_by_class:
+    if counts is None:
         return None
-    counts = merge_counts(list(halstead_by_class.values()))
     loc = sum(c.line_count for c in model.internal_classes)
     comments = sum(c.comment_lines for c in model.internal_classes)
     methods = [m for c in model.internal_classes for m in c.member_functions if m.cfg is not None]

@@ -83,7 +83,11 @@ def test_counts_over_a_range_equal_counts_over_its_slice():
     assert halstead_counts(toks, lo, hi).n2 == halstead_counts(toks, lo, hi - 1).n2 + 1
 
 
-def test_parser_merges_each_class_over_its_method_bodies():
-    # no entry for a class without methods; a bodiless method counts zero
-    src = "abstract class A { int x; } abstract class B { abstract void n(); int m() { return f(1); } int k; }"
-    assert parse_source(src, "A.java").halstead == {"B": halstead_counts(tokenize("return f(1);"))}
+def test_parser_merges_every_method_body_of_the_file():
+    # one total over both classes' bodies; a bodiless method counts zero
+    src = "class A { int x; void p() { g(2); } } abstract class B { abstract void n(); int m() { return f(1); } }"
+    bodies = [halstead_counts(tokenize(body)) for body in ("g(2);", "return f(1);")]
+    assert parse_source(src, "A.java").halstead == merge_counts(bodies)
+    assert parse_source("abstract class B { abstract void n(); }", "B.java").halstead == HalsteadCounts(0, 0, 0, 0)
+    # a file without methods has no total
+    assert parse_source("class A { int x; } class C { }", "A.java").halstead is None

@@ -71,12 +71,6 @@ def test_mi_optional_comment_term_dropped():
     assert without == pytest.approx(_mi_reference(100, 5, 100, None))
 
 
-def test_mi_natural_log_variant():
-    v = maintainability_index(100, 5, 100, 0, log_base="e")
-    expected = 171 - 5.2 * math.log(100) - 0.23 * 5 - 16.2 * math.log(100)
-    assert v == pytest.approx(expected)
-
-
 # ---------------------------------------------------------------------------
 # SIG
 # ---------------------------------------------------------------------------

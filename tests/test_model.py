@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import cfg_with_v, class_rec, hand_built_hierarchies, method_rec, random_hierarchy, random_model
+from helpers import attr_rec, cfg_with_v, class_rec, hand_built_hierarchies, method_rec, random_hierarchy, random_model
 from oometrics import ck
 from oometrics import model as modelmod
 from oometrics.cfg import ControlFlowGraph
@@ -44,8 +44,9 @@ def test_repeated_extends_entry_is_one_parent():
 
 
 def test_self_extends_is_a_cycle():
-    with pytest.raises(InheritanceCycle):
+    with pytest.raises(InheritanceCycle) as exc:
         build_system_model([class_rec("C", extends=["C"])])
+    assert str(exc.value) == "inheritance cycle: C -> C"
 
 
 def test_longer_cycle_reported_with_path():
@@ -55,11 +56,23 @@ def test_longer_cycle_reported_with_path():
             class_rec("B", extends=["C"]),
             class_rec("C", extends=["A"]),
         ])
-    assert len(exc.value.path) >= 3
+    assert str(exc.value) == "inheritance cycle: A -> B -> C -> A"
+
+
+def test_cycle_reported_from_where_the_walk_meets_it():
+    # D is left below the cycle; the path starts where the walk up from D
+    # first repeats a class
+    with pytest.raises(InheritanceCycle) as exc:
+        build_system_model([
+            class_rec("D", extends=["A"]),
+            class_rec("A", extends=["B"]),
+            class_rec("B", extends=["A"]),
+        ])
+    assert exc.value.path == ["A", "B", "A"]
 
 
 def test_cycle_through_a_deep_chain_reported_with_path():
-    # the DFS is iterative: a 1,500-class cycle is an InheritanceCycle,
+    # the walk is iterative: a 1,500-class cycle is an InheritanceCycle,
     # not a RecursionError
     depth = 1500
     with pytest.raises(InheritanceCycle) as exc:
@@ -215,6 +228,70 @@ def test_hierarchy_table_matches_walk_oracles():
             assert ck.dit(model, c) == row.depth
 
 
+def _dfs_cycle(parents: dict[str, list[str]]) -> list[str] | None:
+    """The cycle an iterative depth-first search meets first, roots and
+    parents taken in order, or None: the path the model must report."""
+    white, grey, black = 0, 1, 2
+    color = dict.fromkeys(parents, white)
+    for root in parents:
+        if color[root] != white:
+            continue
+        color[root] = grey
+        trail = [root]
+        pending = [iter(parents[root])]
+        while pending:
+            for sup in pending[-1]:
+                if color[sup] == grey:
+                    return trail[trail.index(sup):] + [sup]
+                if color[sup] == white:
+                    color[sup] = grey
+                    trail.append(sup)
+                    pending.append(iter(parents[sup]))
+                    break
+            else:
+                pending.pop()
+                color[trail.pop()] = black
+    return None
+
+
+def _random_extends_records(rng: random.Random) -> list[dict]:
+    """1-12 classes, each extending 0-3 names drawn from the class names,
+    itself, an external name and an unknown name, in shuffled order."""
+    names = [f"p.C{i}" for i in range(rng.randrange(1, 13))]
+    records = []
+    for name in names:
+        pool = names + [name, "X.Ext", "Gone"]
+        methods = [method_rec(f"m{k}", visibility=rng.choice(["public", "private"])) for k in range(rng.randrange(3))]
+        attrs = [attr_rec(f"a{k}", visibility=rng.choice(["public", "private"])) for k in range(rng.randrange(3))]
+        extends = [rng.choice(pool) for _ in range(rng.choice((0, 0, 0, 1, 1, 2, 3)))]
+        records.append(class_rec(name, extends=extends, methods=methods, attributes=attrs))
+    rng.shuffle(records)
+    return records
+
+
+def test_cycle_path_and_rows_match_a_depth_first_oracle():
+    rng = random.Random(5)
+    cyclic = 0
+    for _ in range(1000):
+        records = _random_extends_records(rng)
+        parents = {
+            rec["name"]: [s for s in dict.fromkeys(rec["extends"]) if s.startswith("p.")] for rec in records
+        }
+        expected = _dfs_cycle(parents)
+        if expected is not None:
+            cyclic += 1
+            with pytest.raises(InheritanceCycle) as exc:
+                build_system_model(records)
+            assert exc.value.path == expected
+            continue
+        model = build_system_model(records)
+        rows = model.hierarchy
+        for c in model.internal_class_names:
+            assert {k: getattr(rows[c], k) for k in _row_oracle(model, c)} == _row_oracle(model, c), c
+            assert rows[c].ancestor_bits == sum(1 << rows[a].index for a in model.ancestors(c))
+    assert 100 < cyclic < 900  # both kinds drawn
+
+
 def test_private_override_is_an_override_and_never_new():
     model = hand_built_hierarchies()[2]
     kid, grand = model.hierarchy["Kid"], model.hierarchy["Grand"]
@@ -230,7 +307,7 @@ def test_external_parent_depth_counts_and_adds_no_ancestor():
     assert ck.dit(model, "A") == 3
     assert ck.dit(model, "B") == 4
     assert model.hierarchy["B"].ancestor_count == 1
-    assert model.ancestors("B").external_depth == 3
+    assert model.ancestors("B") == ("A",)
 
 
 def test_uses_matches_exhaustive_edge_scan():

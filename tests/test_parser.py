@@ -416,6 +416,7 @@ PINNED_BODIES = {
     "class L; z();": (1, ("entry", "plain", "exit"), [(0, 1), (1, 2)]),
     "class L z();": (1, ("entry", "plain", "exit"), [(0, 1), (1, 2)]),
     "class L { int q; } z();": (2, ("entry", "plain", "call-bearing", "exit"), [(0, 1), (1, 2), (2, 3)]),
+    "final class L { void q() {} } y();": (2, ("entry", "plain", "call-bearing", "exit"), [(0, 1), (1, 2), (2, 3)]),
     # ... and is not a failure of the statement around it
     "if (c) class L; z();": (2, ("entry", "decision", "plain", "exit"), [(0, 1), (1, 2), (1, 3), (2, 3)]),
     "try { a(); } catch (E e) { b(); } finally { c(); } z();": (
@@ -448,6 +449,10 @@ PINNED_BODIES = {
         3, ("entry", "plain", "call-bearing", "call-bearing", "exit"), [(0, 1), (1, 2), (2, 3), (3, 4)]),
     "for (Map.Entry<K, V> e = first(); e != null; e = e.next()) { e.getKey(); }": (
         2, ("entry", "loop-head", "call-bearing", "exit"), [(0, 1), (1, 2), (1, 3), (2, 1)]),
+    # a final local is a local declaration like any other, never a local type
+    "final int k = 1; y(); if (c) { z(); }": (
+        4, ("entry", "plain", "call-bearing", "decision", "call-bearing", "exit"),
+        [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]),
 }
 
 
@@ -476,6 +481,7 @@ PINNED_INVOKES = {
         "Map.Entry.getKey": 1, "Map.Entry.next": 1, "W.first": 1},
     "for (Map.Entry<K, V> e : entries()) { e.getKey(); }": {"Map.Entry.getKey": 1, "W.entries": 1},
     "for (Res a = open(), b = open(); c; ) { b.close(); }": {"Res.close": 1, "W.open": 2},
+    "final int k = 1; y(); if (c) { z(); }": {"W.y": 1, "W.z": 1},
 }
 
 
