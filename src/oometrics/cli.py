@@ -249,9 +249,7 @@ def cmd_evolve(args) -> int:
     history = _load_history(args.history)
     section = _evolution_section(history)
     if args.format == "json":
-        import json
-
-        sys.stdout.write(json.dumps(section, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(rpt.serialize_report(section))
     else:
         print("versions: " + " -> ".join(section["versions"]))
         print(f"{'class':40} {'ENOM':>6} {'LENOM':>10} {'EENOM':>10}")
@@ -280,8 +278,6 @@ def cmd_compare(args) -> int:
     later = score_build(Path(args.later).stem, second, baseline)
     cmp_result = churn_compare(earlier, later)
     if args.format == "json":
-        import json
-
         doc = {
             "earlier": {"id": earlier.build_id, "R": cmp_result.r_earlier, "meanRho": earlier.mean_rho},
             "later": {"id": later.build_id, "R": cmp_result.r_later, "meanRho": later.mean_rho},
@@ -289,7 +285,7 @@ def cmd_compare(args) -> int:
             "removed": list(cmp_result.removed),
             "verdict": cmp_result.verdict,
         }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(rpt.serialize_report(doc))
     else:
         print(f"R({earlier.build_id}) = {cmp_result.r_earlier:.4f}")
         print(f"R({later.build_id}) = {cmp_result.r_later:.4f}")

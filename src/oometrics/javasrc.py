@@ -21,7 +21,9 @@ taken over each method body's token range.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import cfg as cfgmod
@@ -106,15 +108,19 @@ def tokenize(text: str, comment_spans: list[tuple[int, int]] | None = None) -> l
     return toks
 
 
-def _count_lines(text: str, spans: list[tuple[int, int]]) -> tuple[int, int]:
-    """(cl_line, cl_comm): physical lines, and lines carrying any comment
-    content, given the comment ``spans`` :func:`tokenize` collected.  A
-    comment left open at the end of the file spans one line past it: that
-    line is not counted."""
-    cl_line = text.count("\n")
-    if text and not text.endswith("\n"):
-        cl_line += 1
-    return cl_line, _comment_lines_in(spans, 1, cl_line)
+def _comment_table(text: str, spans: list[tuple[int, int]]) -> list[int]:
+    """Running comment-line counts, one entry per physical line after entry
+    0: entry k is how many of lines 1..k carry any comment content, given
+    the comment ``spans`` :func:`tokenize` collected, so the table's last
+    index is cl_line and lines lo..hi hold ``t[hi] - t[lo - 1]``.  A comment
+    left open at the end of the file spans one line past it: that line is
+    not counted."""
+    n = text.count("\n") + (1 if text and not text.endswith("\n") else 0)
+    flags = bytearray(n + 1)
+    for a, b in spans:
+        b = min(b, n)
+        flags[a:b + 1] = b"\1" * (b + 1 - a)
+    return list(accumulate(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +331,7 @@ class Parser(_Cursor):
         self.package = ""
         self.imports: dict[str, str] = {}
         self.decls: list[_ClassDecl] = []
+        self.known_types: dict[str, str] = {}  # simple or full declared name -> full name
 
     def _skip_annotations(self) -> None:
         while self._accept("@"):
@@ -383,17 +390,16 @@ class Parser(_Cursor):
             self._parse_type_decl(None, self._modifiers())
 
         facts = CompilationFacts(self.path, self.package)
-        file_lines, file_comments = _count_lines(self.text, self.comment_spans)
+        comments = _comment_table(self.text, self.comment_spans)
+        self.known_types = {d.simple_name: d.name for d in self.decls} | {d.name: d.name for d in self.decls}
         method_counts: list[HalsteadCounts] = []
         for decl in self.decls:
-            if len(self.decls) == 1:
-                # one class per file: the whole file is the class, header
-                # comments and package line included (matches tool practice)
-                lines, comment_lines = file_lines, file_comments
-            else:
-                lines = max(decl.end_line - decl.line + 1, 0)
-                comment_lines = _comment_lines_in(self.comment_spans, decl.line, decl.end_line)
-            facts.classes.append(_ClassBuilder(self, decl).build(lines, comment_lines, method_counts))
+            # one type in the file: the whole file is the class, header
+            # comments and package line included (matches tool practice);
+            # else the class's own lines, its inner types' included
+            lo, hi = (1, len(comments) - 1) if len(self.decls) == 1 else (decl.line, decl.end_line)
+            builder = _ClassBuilder(self, decl)
+            facts.classes.append(builder.build(hi - lo + 1, comments[hi] - comments[lo - 1], method_counts))
         if method_counts:
             facts.halstead = merge_counts(method_counts)
         return facts
@@ -438,6 +444,20 @@ class Parser(_Cursor):
         self._expect("{")
         self.decls.append(decl)
         self._parse_class_body(decl)
+
+    def _resolve_type(self, ref: str) -> str:
+        """A type name as written here, resolved against the file's
+        declarations and imports; left as written when neither has it."""
+        if ref in PRIMITIVES:
+            return ref
+        if ref in self.known_types:
+            return self.known_types[ref]
+        if ref in self.imports:
+            return self.imports[ref]
+        head = ref.split(".", 1)[0]
+        if head in self.known_types and "." in ref:
+            return self.known_types[head] + ref[len(head):]
+        return ref
 
     def _modifiers(self) -> set[str]:
         mods: set[str] = set()
@@ -588,13 +608,6 @@ def _visibility(mods: set[str]) -> str:
     return "default"
 
 
-def _comment_lines_in(spans: list[tuple[int, int]], lo: int, hi: int) -> int:
-    lines: set[int] = set()
-    for a, b in spans:
-        lines.update(range(max(a, lo), min(b, hi) + 1))
-    return len(lines)
-
-
 # ---------------------------------------------------------------------------
 # Per-class build: bodies -> statements, calls, accesses, CFGs
 # ---------------------------------------------------------------------------
@@ -609,21 +622,7 @@ class _ClassBuilder:
             if m.kind == "field":
                 for nm in m.param_names:
                     self.fields[nm] = m.type
-        self.known_types = {d.simple_name: d.name for d in parser.decls}
-        self.known_types.update({d.name: d.name for d in parser.decls})
         self.method_names = {m.name for m in decl.members if m.kind == "method"}
-
-    def resolve_type(self, ref: str) -> str:
-        if ref in PRIMITIVES:
-            return ref
-        if ref in self.known_types:
-            return self.known_types[ref]
-        if ref in self.p.imports:
-            return self.p.imports[ref]
-        head = ref.split(".", 1)[0]
-        if head in self.known_types and "." in ref:
-            return self.known_types[head] + ref[len(head):]
-        return ref
 
     def build(self, lines: int, comment_lines: int, counts: list[HalsteadCounts]) -> dict:
         """The class record; each method's Halstead counts go on ``counts``."""
@@ -631,11 +630,12 @@ class _ClassBuilder:
         methods: list[dict] = []
         statements = 0
         init_scan = None  # one scanner for every field initializer
+        resolve = self.p._resolve_type
 
         for m in self.decl.members:
             if m.kind == "field":
                 for nm in m.param_names:
-                    attributes.append(_record("attribute", nm, self.resolve_type(m.type), m.visibility, m.is_static))
+                    attributes.append(_record("attribute", nm, resolve(m.type), m.visibility, m.is_static))
                 if m.initializer_ranges:
                     statements += len(m.initializer_ranges)
                     if init_scan is None:
@@ -646,7 +646,7 @@ class _ClassBuilder:
 
             name = m.name
             env = {
-                pn: self.resolve_type(pt)
+                pn: resolve(pt)
                 for pn, pt in zip(m.param_names, m.param_types)
                 if pn
             }
@@ -659,7 +659,7 @@ class _ClassBuilder:
                 statements += count
             mrec = self._method_record(
                 name=name,
-                param_types=[self.resolve_type(t) for t in m.param_types],
+                param_types=[resolve(t) for t in m.param_types],
                 visibility=m.visibility,
                 is_abstract=m.is_abstract,
                 is_static=m.is_static,
@@ -678,15 +678,12 @@ class _ClassBuilder:
                     scan=init_scan, graph=None, lines=None,
                 )
             )
-        supers = [self.resolve_type(s) for s in self.decl.supers]
+        supers = [resolve(s) for s in self.decl.supers]
         return _record("class", self.decl.name, self.decl.kind, supers, lines, comment_lines, statements,
                        attributes, methods)
 
     def _method_record(self, name, param_types, visibility, is_abstract, is_static, scan, graph, lines) -> dict:
-        merged: dict[str, int] = {}
-        for target, cnt in scan.invokes:
-            merged[target] = merged.get(target, 0) + cnt
-        invokes = [_record("invocation", t, c) for t, c in sorted(merged.items())]
+        invokes = [_record("invocation", t, c) for t, c in sorted(Counter(scan.invokes).items())]
         return _record("method", name, param_types, visibility, is_abstract, is_static, sorted(set(scan.accesses)),
                        invokes, graph, lines)
 
@@ -697,16 +694,17 @@ class _BodyScanner:
 
     def __init__(self, cb: _ClassBuilder, env: dict[str, str]):
         self.cb = cb
+        self.p = cb.p
         self.env = env  # local/parameter name -> resolved type
-        self.invokes: list[tuple[str, int]] = []
+        self.invokes: list[str] = []  # one target per call
         self.accesses: list[str] = []
 
     def declare(self, name: str, type_ref: str) -> None:
-        self.env[name] = self.cb.resolve_type(type_ref)
+        self.env[name] = self.p._resolve_type(type_ref)
 
     def scan_expr(self, lo: int, hi: int) -> tuple[int, bool]:
         """Scan tokens [lo, hi); returns (extra decision count, has_call)."""
-        toks, vals = self.cb.p.toks, self.cb.p.vals
+        toks, vals = self.p.toks, self.p.vals
         decisions = 0
         has_call = False
         i = lo
@@ -731,8 +729,8 @@ class _BodyScanner:
                     else:
                         break
                 if parts and j < hi and vals[j] == "(":
-                    target = self.cb.resolve_type(".".join(parts))
-                    self.invokes.append((f"{target}.<init>", 1))
+                    target = self.p._resolve_type(".".join(parts))
+                    self.invokes.append(f"{target}.<init>")
                     has_call = True
                 i = j if j > i + 1 else i + 1
                 continue
@@ -760,7 +758,7 @@ class _BodyScanner:
     def _owner_of(self, receiver: list[str]) -> str | None:
         """Resolve a receiver chain to a class name, or None when static
         typing cannot tell."""
-        cb = self.cb
+        cb, p = self.cb, self.p
         if not receiver:
             return cb.decl.name
         head = receiver[0]
@@ -770,20 +768,20 @@ class _BodyScanner:
         elif head == "super":
             if cb.decl.extends_target is None:
                 return None
-            base = cb.resolve_type(cb.decl.extends_target)
+            base = p._resolve_type(cb.decl.extends_target)
         elif head in self.env:
             base = self.env[head]
         elif head in cb.fields:
-            base = cb.resolve_type(cb.fields[head])
+            base = p._resolve_type(cb.fields[head])
             self.accesses.append(f"{cb.decl.name}.{head}")
-        elif head in cb.known_types or head in cb.p.imports:
-            base = cb.resolve_type(head)
+        elif head in p.known_types or head in p.imports:
+            base = p._resolve_type(head)
         else:
             dotted = ".".join(receiver)
-            if dotted in cb.known_types or dotted in cb.p.imports:
-                return cb.resolve_type(dotted)
+            if dotted in p.known_types or dotted in p.imports:
+                return p._resolve_type(dotted)
             if head[:1].isupper():
-                base = cb.resolve_type(head)
+                base = p._resolve_type(head)
             else:
                 return None
         if rest:
@@ -800,13 +798,13 @@ class _BodyScanner:
             # inherited method; attribute it to the superclass when there is
             # one, otherwise keep it on this class
             if self.cb.decl.extends_target is not None:
-                owner = self.cb.resolve_type(self.cb.decl.extends_target)
-                self.invokes.append((f"{owner}.{method}", 1))
+                owner = self.p._resolve_type(self.cb.decl.extends_target)
+                self.invokes.append(f"{owner}.{method}")
                 return
         owner = self._owner_of(receiver)
         if owner is None or owner in PRIMITIVES:
             return
-        self.invokes.append((f"{owner}.{method}", 1))
+        self.invokes.append(f"{owner}.{method}")
 
     def _record_access(self, chain: list[str]) -> None:
         if len(chain) == 1:

@@ -15,7 +15,7 @@ from oometrics.cli import main
 from oometrics import javasrc
 from oometrics.complexity import cyclomatic
 from oometrics.errors import MetricsError, SourceSyntaxError
-from oometrics.javasrc import _count_lines, parse_source, tokenize
+from oometrics.javasrc import _comment_table, parse_source, tokenize
 from oometrics.model import build_system_model, facts_to_model, model_to_facts
 
 
@@ -23,7 +23,16 @@ def count_lines(text: str) -> tuple[int, int]:
     """(cl_line, cl_comm) of a whole file, as the parser counts them."""
     spans: list[tuple[int, int]] = []
     tokenize(text, spans)
-    return _count_lines(text, spans)
+    table = _comment_table(text, spans)
+    return len(table) - 1, table[-1]
+
+
+def comment_lines_in(spans: list[tuple[int, int]], lo: int, hi: int) -> int:
+    """Oracle: the lines lo..hi that some comment span covers, one by one."""
+    lines: set[int] = set()
+    for a, b in spans:
+        lines.update(range(max(a, lo), min(b, hi) + 1))
+    return len(lines)
 
 
 def test_figure_wmc_class_shape():
@@ -201,6 +210,109 @@ def test_count_lines_concatenation_additivity():
 def test_line_with_code_and_comment_counts_both():
     cl_line, cl_comm = count_lines("int x = 1; // trailing\n")
     assert (cl_line, cl_comm) == (1, 1)
+
+
+def _random_spans(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Comment spans over an n-line file: several on one line, overlapping
+    ones, and at times one left open that runs one line past the end."""
+    spans = []
+    for _ in range(rng.randrange(0, 12)):
+        a = spans[-1][0] if spans and rng.random() < 0.3 else rng.randint(1, n)
+        spans.append((a, min(n, a + rng.choice((0, 0, 1, 3, 10)))))
+    if rng.random() < 0.3:
+        spans.append((rng.randint(1, n), n + 1))
+    return sorted(spans)
+
+
+def _random_ranges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Class line ranges: the whole file, one-line ones, and ranges nested
+    in or overlapping another."""
+    ranges = [(1, n), (rng.randint(1, n),) * 2]
+    for _ in range(6):
+        lo, hi = rng.choice(ranges)
+        a = rng.randint(lo, hi)
+        ranges.append((a, rng.randint(a, hi)))  # nested
+        b = rng.randint(a, n)
+        ranges.append((a, b))  # overlapping or nested, as it falls
+    return ranges
+
+
+def test_comment_table_matches_the_line_by_line_oracle():
+    rng = random.Random(22)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        spans = _random_spans(rng, n)
+        table = _comment_table("x\n" * n if rng.random() < 0.5 else "x\n" * (n - 1) + "x", spans)
+        assert len(table) == n + 1
+        for lo, hi in _random_ranges(rng, n):
+            assert table[hi] - table[lo - 1] == comment_lines_in(spans, lo, hi), (spans, lo, hi)
+
+
+def _line_counts(src: str) -> dict[str, tuple[int, int]]:
+    return {c["name"]: (c["lines"], c["commentLines"]) for c in parse_source(src).classes}
+
+
+def test_several_types_count_their_own_spans_and_one_type_the_whole_file():
+    nested = """// before
+/* before,
+   two lines */
+class Outer {
+    // inside the outer class
+    static class Inner {
+        /* inside the inner class */ void m() { }
+    }
+    // between
+    enum Color { RED, /* inside the enum */ GREEN }
+    int x; /* after the enum */
+}
+// after
+"""
+    # the outer class counts its inner types' comments; no class gets the
+    # whole file, the enum being a type declaration too
+    assert _line_counts(nested) == {"Outer": (9, 5), "Outer.Inner": (3, 1), "Outer.Color": (1, 1)}
+    single = """/* header
+ * comment */
+package p;
+
+// the class
+public class Only {
+    int x; // trailing
+}
+"""
+    assert _line_counts(single) == {"p.Only": (8, 4)}
+
+
+def _opcodes(fn) -> int:
+    """Interpreter opcodes that ``fn()`` executes."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["top-level", "nested"])
+def test_parse_work_grows_linearly_with_the_classes_in_a_file(nested):
+    def source(n: int) -> str:
+        body = "\n".join(f"class C{i} {{ /* c */ void m() {{ x(); }} }}" for i in range(n))
+        return f"class Outer {{\n{body}\n}}\n" if nested else body + "\n"
+
+    small, large = (_opcodes(lambda: parse_source(source(n))) for n in (100, 200))
+    assert large / small <= 2.2, (small, large)
 
 
 def test_parse_deterministic():
