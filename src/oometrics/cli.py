@@ -20,6 +20,7 @@ import threading
 from pathlib import Path
 
 from . import report as rpt
+from .ck import logiscope_mnemonics
 from .errors import EncodingError, MetricsError, NoInput, SourceSyntaxError
 from .evolution import (
     HistoryTimeline,
@@ -155,8 +156,9 @@ def _load_history(history_dir: str) -> HistoryTimeline:
     if len(files) < 2:
         raise NoInput(f"history needs at least 2 facts files, found {len(files)} in {history_dir}")
     versions = []
-    for f in files:
-        versions.append((f.stem, build_system_model(load_facts(f), f)))
+    for f in files:  # each version is checked as a whole model, then only its method counts are kept
+        model = build_system_model(load_facts(f), f)
+        versions.append((f.stem, {c.name: len(c.regular_methods) for c in model.internal_classes}))
     return HistoryTimeline(tuple(versions))
 
 
@@ -264,12 +266,8 @@ def cmd_compare(args) -> int:
 
     def build_matrix(path: str) -> dict[str, dict[str, float]]:
         model = build_system_model(load_facts(path), path)
-        matrix = {}
-        for name in model.internal_class_names:
-            rec = compute_class_record(model, name)
-            mnems = rec.mnemonics()
-            matrix[name] = {m: float(mnems[m] or 0) for m in metric_names}
-        return matrix
+        mnemonics = {name: logiscope_mnemonics(model, name) for name in model.internal_class_names}
+        return {name: {m: float(row[m] or 0) for m in metric_names} for name, row in mnemonics.items()}
 
     # every input is read and checked before the baseline is fitted
     base, first, second = [build_matrix(p) for p in (args.baseline, args.earlier, args.later)]

@@ -9,26 +9,29 @@ Code churn: Munson-style relative complexity. Modules are standardized
 against a baseline build, scored on the baseline correlation matrix's
 principal components (Kaiser rule: eigenvalue > 1), combined as
 rho_i = sum_j lambda_j * d_ij, then linearly rescaled so the baseline
-lands on mean 50, standard deviation 10.
+lands on mean 50, standard deviation 10.  The correlation matrix is p x p
+for p churn metrics (at most the 13 class mnemonics), so its eigenproblem
+is solved in plain Python by cyclic Jacobi rotations, with sums taken by
+``math.fsum``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
+import operator
+import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import BadRange, BaselineMismatch, DegenerateBaseline
-from .model import SystemModel
-
-if TYPE_CHECKING:
-    import numpy as np  # imported where used: only churn needs it, and it is slow to load
 
 
 @dataclass(frozen=True)
 class HistoryTimeline:
-    """Ordered (version id, model) snapshots; classes matched by name."""
+    """Ordered (version id, {class: declared method count}) snapshots;
+    classes matched by name."""
 
-    versions: tuple[tuple[str, SystemModel], ...]
+    versions: tuple[tuple[str, dict[str, int]], ...]
 
     def __post_init__(self):
         if len({v for v, _ in self.versions}) != len(self.versions):
@@ -43,19 +46,10 @@ class HistoryTimeline:
 
     def nom_series(self, class_name: str) -> list[int]:
         """Declared method count per version; absent class counts 0."""
-        series = []
-        for _, model in self.versions:
-            if class_name in model:
-                series.append(len(model.get(class_name).regular_methods))
-            else:
-                series.append(0)
-        return series
+        return [counts.get(class_name, 0) for _, counts in self.versions]
 
     def all_class_names(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for _, model in self.versions:
-            names.update(model.internal_class_names)
-        return tuple(sorted(names))
+        return tuple(sorted({name for _, counts in self.versions for name in counts}))
 
 
 def _check_window(n: int, j: int, k: int) -> None:
@@ -74,16 +68,10 @@ def weighted_enom(h: HistoryTimeline, class_name: str, j: int, k: int, mode: str
     """LATEST: weight 2^(i-k); EARLIEST: weight 2^(k-i+1)."""
     _check_window(len(h), j, k)
     series = h.nom_series(class_name)
-    total = 0.0
-    for i in range(j + 1, k + 1):
-        change = abs(series[i - 1] - series[i - 2])
-        if mode == "LATEST":
-            total += change * 2.0 ** (i - k)
-        elif mode == "EARLIEST":
-            total += change * 2.0 ** (k - i + 1)
-        else:
-            raise ValueError(f"unknown mode: {mode}")
-    return total
+    if mode not in ("LATEST", "EARLIEST"):
+        raise ValueError(f"unknown mode: {mode}")
+    exponent = (lambda i: i - k) if mode == "LATEST" else (lambda i: k - i + 1)
+    return sum(abs(series[i - 1] - series[i - 2]) * 2.0 ** exponent(i) for i in range(j + 1, k + 1))
 
 
 def yw_rank(h: HistoryTimeline, window: tuple[int, int] | None = None) -> list[tuple[str, float, int]]:
@@ -93,9 +81,7 @@ def yw_rank(h: HistoryTimeline, window: tuple[int, int] | None = None) -> list[t
         raise BadRange(1, len(h))
     j, k = window if window is not None else (1, len(h))
     _check_window(len(h), j, k)
-    rows = []
-    for name in h.all_class_names():
-        rows.append((name, weighted_enom(h, name, j, k, "LATEST"), enom(h, name, j, k)))
+    rows = [(name, weighted_enom(h, name, j, k, "LATEST"), enom(h, name, j, k)) for name in h.all_class_names()]
     rows.sort(key=lambda r: (-r[1], -r[2], r[0]))
     return rows
 
@@ -110,10 +96,10 @@ class ChurnBaseline:
     """Standardization and PCA parameters fitted on one build."""
 
     metric_names: tuple[str, ...]
-    means: np.ndarray
-    stds: np.ndarray
-    eigenvalues: np.ndarray  # retained, descending
-    components: np.ndarray  # column j = eigenvector of eigenvalues[j]
+    means: tuple[float, ...]
+    stds: tuple[float, ...]
+    eigenvalues: tuple[float, ...]  # retained, descending
+    components: tuple[tuple[float, ...], ...]  # components[j] = eigenvector of eigenvalues[j]
     rho_mean: float
     rho_std: float
 
@@ -128,10 +114,6 @@ class ChurnBuildRecord:
     def mean_rho(self) -> float:
         return sum(self.rho.values()) / len(self.rho) if self.rho else 0.0
 
-    @property
-    def total(self) -> float:
-        return sum(self.rho.values())
-
 
 @dataclass(frozen=True)
 class ChurnComparison:
@@ -143,82 +125,106 @@ class ChurnComparison:
     verdict: str  # later-more-complex | earlier-more-complex | neutral
 
 
-def _as_matrix(build: dict[str, dict[str, float]], metric_names: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
-    import numpy as np
-
+def _as_matrix(build: dict[str, dict[str, float]], metric_names: tuple[str, ...]) -> tuple[list[str], list[tuple]]:
     modules = sorted(build)
     rows = []
     for m in modules:
         try:
-            rows.append([float(build[m][name]) for name in metric_names])
+            rows.append(tuple(float(build[m][name]) for name in metric_names))
         except KeyError as exc:
             raise BaselineMismatch(f"module {m} lacks metric {exc.args[0]}") from None
-    return modules, np.asarray(rows, dtype=float)
+    return modules, rows
+
+
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and population standard deviation."""
+    mean = math.fsum(values) / len(values)
+    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+
+
+def _standardized(rows, means, stds) -> list[list[float]]:
+    return [[(x - m) / s for x, m, s in zip(row, means, stds)] for row in rows]
+
+
+def _scores(z, eigenvalues, components) -> list[float]:
+    """Raw relative complexity of each standardized row: sum_j lambda_j * d_ij,
+    where d_ij is the row's score on component j."""
+    return [
+        math.fsum(lam * math.fsum(map(operator.mul, row, c)) for lam, c in zip(eigenvalues, components))
+        for row in z
+    ]
+
+
+def _eigh(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues of the symmetric matrix ``a`` and their unit eigenvectors
+    (``vectors[j]`` belongs to ``values[j]``), by cyclic Jacobi rotations
+    that run until no off-diagonal entry is left that the diagonal can feel."""
+    n = len(a)
+    a = [list(row) for row in a]
+    vectors = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(100):
+        if not any(a[p][q] for p in range(n) for q in range(p + 1, n)):
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = 100.0 * abs(a[p][q])
+                if abs(a[p][p]) + g != abs(a[p][p]) or abs(a[q][q]) + g != abs(a[q][q]):
+                    theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                    c = 1.0 / math.hypot(t, 1.0)
+                    s = t * c
+                    for row in a:  # a J, then J^T (a J); the eigenvector rows take J^T as well
+                        row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                    for m in (a, vectors):
+                        rp, rq = m[p], m[q]
+                        m[p], m[q] = [c * x - s * y for x, y in zip(rp, rq)], [s * x + c * y for x, y in zip(rp, rq)]
+                a[p][q] = a[q][p] = 0.0
+    return [a[i][i] for i in range(n)], vectors
 
 
 def fit_churn_baseline(build: dict[str, dict[str, float]], metric_names) -> ChurnBaseline:
     """Fit standardization and PCA on the designated baseline build.
 
     Raises DegenerateBaseline for zero-variance metrics, fewer modules than
-    metrics, or a flat score vector that cannot be rescaled.
+    metrics, or a flat score vector that cannot be rescaled.  When retained
+    eigenvalues repeat, their eigenvectors are any basis of a shared
+    subspace, so the components, and with them rho, are not defined.
     """
-    import numpy as np
-
     names = tuple(metric_names)
-    modules, x = _as_matrix(build, names)
-    n, p = x.shape
+    _, rows = _as_matrix(build, names)
+    n, p = len(rows), len(names)
     if n < p:
         raise DegenerateBaseline(f"{n} modules for {p} metrics")
-    means = x.mean(axis=0)
-    stds = x.std(axis=0)  # population convention throughout
-    flat = [names[i] for i in range(p) if stds[i] == 0.0]
+    means, stds = zip(*map(_mean_std, zip(*rows)))  # population convention throughout
+    flat = [name for name, s in zip(names, stds) if s == 0.0]
     if flat:
         raise DegenerateBaseline(f"zero-variance metrics: {', '.join(flat)}")
-    z = (x - means) / stds
-    corr = (z.T @ z) / n
-    eigvals, eigvecs = np.linalg.eigh(corr)
-    order = np.argsort(eigvals)[::-1]
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    keep = eigvals > 1.0  # Kaiser rule
-    if not keep.any():
-        keep = np.zeros_like(keep)
-        keep[0] = True  # degenerate spread: keep the dominant component
-    lam = eigvals[keep]
-    comp = eigvecs[:, keep]
-    comp = comp * np.sign(comp.sum(axis=0) + 1e-300)  # deterministic orientation
-    raw = (z @ comp) @ lam
-    rho_std = float(raw.std())
+    z = _standardized(rows, means, stds)
+    columns = list(zip(*z))
+    values, vectors = _eigh([[math.fsum(map(operator.mul, a, b)) / n for b in columns] for a in columns])
+    order = sorted(range(p), key=values.__getitem__, reverse=True)
+    keep = [j for j in order if values[j] > 1.0] or order[:1]  # Kaiser rule, else the dominant component
+    eigenvalues = tuple(values[j] for j in keep)
+    # deterministic orientation: each component's entries sum to >= 0
+    components = tuple(tuple(-x if sum(vectors[j]) + 1e-300 < 0 else x for x in vectors[j]) for j in keep)
+    rho_mean, rho_std = _mean_std(_scores(z, eigenvalues, components))
     if rho_std == 0.0:
         raise DegenerateBaseline("flat relative-complexity scores on baseline")
-    return ChurnBaseline(
-        metric_names=names,
-        means=means,
-        stds=stds,
-        eigenvalues=lam,
-        components=comp,
-        rho_mean=float(raw.mean()),
-        rho_std=rho_std,
-    )
+    return ChurnBaseline(names, means, stds, eigenvalues, components, rho_mean, rho_std)
 
 
 def relative_complexity(build: dict[str, dict[str, float]], baseline: ChurnBaseline) -> dict[str, float]:
     """Per-module rho on the baseline scale (baseline mean 50, stddev 10)."""
-    modules, x = _as_matrix(build, baseline.metric_names)
-    z = (x - baseline.means) / baseline.stds
-    raw = (z @ baseline.components) @ baseline.eigenvalues
-    scaled = 50.0 + 10.0 * (raw - baseline.rho_mean) / baseline.rho_std
-    return {m: float(v) for m, v in zip(modules, scaled)}
+    b = baseline
+    modules, rows = _as_matrix(build, b.metric_names)
+    raw = _scores(_standardized(rows, b.means, b.stds), b.eigenvalues, b.components)
+    return {m: 50.0 + 10.0 * (r - b.rho_mean) / b.rho_std for m, r in zip(modules, raw)}
 
 
 def baseline_fingerprint(baseline: ChurnBaseline) -> str:
-    import hashlib
-
-    import numpy as np
-
-    h = hashlib.sha256()
-    h.update(",".join(baseline.metric_names).encode())
-    for arr in (baseline.means, baseline.stds, baseline.eigenvalues, baseline.components):
-        h.update(np.asarray(arr).tobytes())
+    h = hashlib.sha256(",".join(baseline.metric_names).encode())
+    for values in (baseline.means, baseline.stds, baseline.eigenvalues, *baseline.components):
+        h.update(struct.pack(f"{len(values)}d", *values))
     return h.hexdigest()[:16]
 
 

@@ -264,11 +264,10 @@ def test_criterion_7_cohesion_oracle_equivalence():
 
 
 def test_criterion_8_evolution_closed_forms():
-    from helpers import class_rec, method_rec
     from oometrics.evolution import HistoryTimeline, enom, weighted_enom
 
     def version(nom):
-        return build_system_model([class_rec("C", methods=[method_rec(f"m{i}") for i in range(nom)])])
+        return {"C": nom}
 
     rng = random.Random(8001)
     for _ in range(100):

@@ -1,13 +1,15 @@
 """Evolution metrics: change sums, Yesterday's Weather ranking, and the
-relative-complexity churn pipeline against a hand-rolled eigensolver."""
+relative-complexity churn pipeline against a hand-rolled eigensolver and
+against the numpy fit it replaced."""
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import class_rec, method_rec
+from oometrics import evolution
 from oometrics.errors import BadRange, BaselineMismatch, DegenerateBaseline
 from oometrics.evolution import (
     ChurnBuildRecord,
@@ -20,24 +22,13 @@ from oometrics.evolution import (
     weighted_enom,
     yw_rank,
 )
-from oometrics.model import build_system_model
-
-
-def _version(nom_by_class):
-    records = []
-    for name, nom in nom_by_class.items():
-        records.append(class_rec(name, methods=[method_rec(f"m{i}") for i in range(nom)]))
-    return build_system_model(records)
 
 
 def _history(series_by_class):
     n = len(next(iter(series_by_class.values())))
-    versions = []
-    for i in range(n):
-        versions.append(
-            (f"v{i + 1}", _version({c: s[i] for c, s in series_by_class.items()}))
-        )
-    return HistoryTimeline(tuple(versions))
+    return HistoryTimeline(tuple(
+        (f"v{i + 1}", {c: s[i] for c, s in series_by_class.items()}) for i in range(n)
+    ))
 
 
 def test_enom_hand_case():
@@ -282,11 +273,13 @@ def test_single_component_ordering_matches_score():
     if len(baseline.eigenvalues) == 1:
         rho = relative_complexity(build, baseline)
         mods = sorted(build)
-        x = np.array([[build[m][k] for k in METRICS] for m in mods])
-        z = (x - baseline.means) / baseline.stds
-        scores = z @ baseline.components[:, 0]
+        scores = {
+            m: sum((build[m][k] - mu) / sd * c
+                   for k, mu, sd, c in zip(METRICS, baseline.means, baseline.stds, baseline.components[0]))
+            for m in mods
+        }
         order_rho = sorted(mods, key=lambda m: rho[m])
-        order_score = [mods[i] for i in np.argsort(scores)]
+        order_score = sorted(mods, key=lambda m: scores[m])
         assert order_rho == order_score
 
 
@@ -316,6 +309,102 @@ def test_degenerate_baselines():
     tiny = {"M0": {"a": 1.0, "b": 2.0, "c": 3.0}, "M1": {"a": 2.0, "b": 1.0, "c": 0.0}}
     with pytest.raises(DegenerateBaseline):
         fit_churn_baseline(tiny, METRICS)
+
+
+def test_flat_scores_are_degenerate(monkeypatch):
+    # the dominant component's scores vary whenever the metrics do, so only
+    # an eigensolver that returned a null vector flattens them
+    monkeypatch.setattr(evolution, "_eigh", lambda a: ([2.0] + [0.0] * (len(a) - 1), [[0.0] * len(a) for _ in a]))
+    with pytest.raises(DegenerateBaseline, match="flat"):
+        fit_churn_baseline(_random_build(random.Random(64)), METRICS)
+
+
+def test_degenerate_spread_keeps_the_dominant_component():
+    # uncorrelated unit columns: the correlation matrix is the identity, so
+    # no eigenvalue exceeds 1 and the Kaiser rule alone would keep nothing
+    build = {f"M{i}": {"a": a, "b": b} for i, (a, b) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)])}
+    baseline = fit_churn_baseline(build, ("a", "b"))
+    assert baseline.eigenvalues == (1.0,)
+    assert baseline.rho_std == 1.0
+    assert sorted(relative_complexity(build, baseline).values()) == [40.0, 40.0, 60.0, 60.0]
+
+
+def _numpy_fit(build, metric_names):
+    """The numpy fit the pipeline once ran: standardize, correlation matrix,
+    ``eigh``, Kaiser rule, column-sum orientation, raw score mean and spread."""
+    modules = sorted(build)
+    x = np.asarray([[float(build[m][k]) for k in metric_names] for m in modules])
+    means = x.mean(axis=0)
+    stds = x.std(axis=0)
+    z = (x - means) / stds
+    corr = (z.T @ z) / len(modules)
+    eigvals, eigvecs = np.linalg.eigh(corr)
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    keep = eigvals > 1.0
+    if not keep.any():
+        keep = np.zeros_like(keep)
+        keep[0] = True
+    lam = eigvals[keep]
+    comp = eigvecs[:, keep]
+    comp = comp * np.sign(comp.sum(axis=0) + 1e-300)
+    raw = (z @ comp) @ lam
+    return SimpleNamespace(means=means, stds=stds, all_eigenvalues=eigvals, eigenvalues=lam, components=comp,
+                           rho_mean=float(raw.mean()), rho_std=float(raw.std()))
+
+
+def _numpy_rho(build, fit, metric_names):
+    modules = sorted(build)
+    x = np.asarray([[float(build[m][k]) for k in metric_names] for m in modules])
+    raw = (((x - fit.means) / fit.stds) @ fit.components) @ fit.eigenvalues
+    return dict(zip(modules, 50.0 + 10.0 * (raw - fit.rho_mean) / fit.rho_std))
+
+
+def _well_posed(fit):
+    """Every retained eigenvalue set apart from its successor and from the
+    Kaiser cut, and every component's sign fixed by a clear column sum: only
+    then is the fit defined beyond rounding."""
+    vals = fit.all_eigenvalues
+    k = len(fit.eigenvalues)
+    return (
+        all(vals[j] - vals[j + 1] > 1e-3 for j in range(min(k, len(vals) - 1)))
+        and all(abs(v - 1.0) > 1e-6 for v in vals)
+        and all(abs(s) > 1e-6 for s in fit.components.sum(axis=0))
+    )
+
+
+def test_fit_matches_numpy_oracle_on_random_builds():
+    rng = random.Random(65)
+    checked = 0
+    for case in range(300):
+        p = 2 + case % 12
+        n = rng.randrange(p, 4 * p + 8)
+        names = tuple(f"k{j}" for j in range(p))
+        correlated = case // 12 % 2 == 0
+        loadings = [[rng.uniform(-3, 3) for _ in range(2)] for _ in range(p)]
+        scales = [(10 ** rng.uniform(0, 3), rng.uniform(-50, 50)) for _ in range(p)]
+        build = {}
+        for i in range(n):
+            factors = (rng.gauss(0, 1), rng.gauss(0, 1))
+            row = {}
+            for j, name in enumerate(names):
+                signal = sum(l * f for l, f in zip(loadings[j], factors)) if correlated else 0.0
+                row[name] = scales[j][0] * (signal + rng.gauss(0, 1)) + scales[j][1]
+            build[f"M{i}"] = row
+        want = _numpy_fit(build, names)
+        if not _well_posed(want):
+            continue
+        checked += 1
+        got = fit_churn_baseline(build, names)
+        assert got.eigenvalues == pytest.approx(list(want.eigenvalues), rel=1e-12, abs=0)
+        assert got.rho_std == pytest.approx(want.rho_std, rel=1e-12, abs=0)
+        # zero in exact arithmetic (the standardized columns are centred), so
+        # it is held to the scale of the scores
+        assert abs(got.rho_mean - want.rho_mean) <= 1e-12 * want.rho_std
+        want_rho = _numpy_rho(build, want, names)
+        for m, rho in relative_complexity(build, got).items():
+            assert rho == pytest.approx(want_rho[m], rel=1e-12, abs=0)
+    assert checked >= 200
 
 
 # ---------------------------------------------------------------------------

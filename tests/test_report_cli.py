@@ -336,17 +336,54 @@ def test_cli_analyzes_a_1500_deep_inheritance_chain(tmp_path, capsys):
     assert leaf["name"] == "K999" and leaf["metrics"]["mfa"] == 999 / 1001
 
 
-def test_analyze_never_loads_numpy():
+def _churn_builds(tmp_path) -> Path:
+    """v0..v2: three random 24-class builds, each enough to fit a churn baseline."""
+    builds = tmp_path / "builds"
+    builds.mkdir()
+    for k in range(3):
+        model = random_model(random.Random(100 + k), n_classes=24, max_methods=6, max_attrs=4, p_edge=0.1, p_inherit=0.5)
+        dump_facts(model_to_facts(model), builds / f"v{k}.json")
+    return builds
+
+
+NUMPY_FREE_COMMANDS = {
+    # command -> (argv over the builds directory, text its stdout holds)
+    "analyze": (lambda b: ["analyze", str(FIXTURES / "metric_test"), "--format", "text"], "classes analyzed: 13"),
+    "kiviat": (lambda b: ["kiviat", "--facts", str(b / "v0.json"), "--class-name", "C0"], "<svg"),
+    "scatter": (lambda b: ["scatter", str(FIXTURES / "metric_test")], "method,class,v,ev,quadrant"),
+    "evolve": (lambda b: ["evolve", "--history", str(b)], '"versions"'),
+    "compare": (lambda b: ["compare", str(b / "v1.json"), str(b / "v2.json"), "--baseline", str(b / "v0.json")],
+                '"verdict"'),
+}
+
+
+@pytest.mark.parametrize("command", NUMPY_FREE_COMMANDS)
+def test_no_command_loads_numpy(command, tmp_path):
     code = (
         "import sys\n"
         "from oometrics.cli import main\n"
-        f"rc = main(['analyze', {str(FIXTURES / 'metric_test')!r}, '--format', 'text'])\n"
+        "rc = main(sys.argv[1:])\n"
         "sys.exit(rc if 'numpy' not in sys.modules else 99)\n"
     )
+    argv, shown = NUMPY_FREE_COMMANDS[command]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, *argv(_churn_builds(tmp_path))],
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert "classes analyzed: 13" in proc.stdout
+    assert shown in proc.stdout
+
+
+def test_compare_json_is_the_same_under_two_hash_seeds(tmp_path):
+    builds = _churn_builds(tmp_path)
+    argv = NUMPY_FREE_COMMANDS["compare"][0](builds)
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "oometrics.cli", *argv], capture_output=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["verdict"]
+    assert outs[0] == outs[1]
 
 
 def _write_history(tmp_path) -> Path:
