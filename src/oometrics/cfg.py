@@ -16,7 +16,7 @@ finishes the graph.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import MalformedGraph
 
@@ -32,10 +32,6 @@ JUMP = "jump"
 
 NODE_KINDS = {ENTRY, EXIT, PLAIN, DECISION, LOOP_HEAD, SWITCH_HEAD, CALL_BEARING, RETURN, JUMP}
 
-#: kinds that stand for one executable statement (used as a fallback when a
-#: facts file carries no explicit statement count)
-STATEMENT_KINDS = {PLAIN, DECISION, LOOP_HEAD, SWITCH_HEAD, CALL_BEARING, RETURN, JUMP}
-
 
 @dataclass(frozen=True, slots=True)
 class ControlFlowGraph:
@@ -43,17 +39,11 @@ class ControlFlowGraph:
     edges: tuple[tuple[int, int], ...]
     entry: int
     exit: int
-    #: set only by :func:`build_cfg`, whose prune has already walked forward
-    #: from the entry and reached every node: validation then walks only
-    #: backward from the exit
-    entry_reaches_all: InitVar[bool] = False
     # what is known of the graph beyond its value: set once, never compared
-    _forward_checked: bool = field(default=False, init=False, repr=False, compare=False)
     _ev: int | None = field(default=None, init=False, repr=False, compare=False)
     _iv: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, entry_reaches_all: bool):
-        object.__setattr__(self, "_forward_checked", entry_reaches_all)
+    def __post_init__(self):
         self.validate()
 
     @property
@@ -68,6 +58,13 @@ class ControlFlowGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @property
+    def statement_node_count(self) -> int:
+        """Nodes that stand for an executable statement (the fallback when a
+        facts file carries no statement count): every node but the one
+        entry and the one exit, so no kind is scanned."""
+        return len(self.kinds) - 2
 
     @property
     def ev(self) -> int:
@@ -106,13 +103,10 @@ class ControlFlowGraph:
                 raise MalformedGraph(f"edge ({a},{b}) out of range")
             fwd[a].append(b)
             rev[b].append(a)
-        if not self._forward_checked and len(_reachable(fwd, self.entry)) != n:
+        if len(_reachable(fwd, self.entry)) != n:
             raise MalformedGraph("not all nodes reachable from entry")
         if len(_reachable(rev, self.exit)) != n:
             raise MalformedGraph("exit not reachable from all nodes")
-
-    def statement_node_count(self) -> int:
-        return sum(1 for k in self.kinds if k in STATEMENT_KINDS)
 
     def to_facts(self) -> dict:
         """Facts-file representation: {"nodes": n, "edges": [[a,b],...], "kinds": [...]}."""
@@ -169,10 +163,7 @@ def build_cfg(kinds: list[str], edges: list[tuple[int, int]], pending: list[int]
     for a, c in edges:
         fwd[a].append(c)
     live = _reachable(fwd, 0)
-    # live nodes are reached through live nodes only, so the pruned graph
-    # reaches all of them from its entry; the exit was added unreached
-    entry_reaches_all = exit_ in live
-    live.add(exit_)
+    live.add(exit_)  # even when no path reaches it: validation rejects that
     order = sorted(live)
     remap = {old: new for new, old in enumerate(order)}
     kinds = kinds + [EXIT]
@@ -181,5 +172,4 @@ def build_cfg(kinds: list[str], edges: list[tuple[int, int]], pending: list[int]
         edges=tuple((remap[a], remap[c]) for a, c in edges if a in live and c in live),
         entry=0,
         exit=remap[exit_],
-        entry_reaches_all=entry_reaches_all,
     )

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexity import class_wmc
-from .errors import DegenerateSystem, UnknownClass
-from .model import CouplingRow, SystemModel
+from .errors import DegenerateSystem
+from .model import SystemModel
 
 KIVIAT_ORDER = (
     "cl_comf", "cl_comm", "cl_data", "cl_data_publ", "cl_func", "cl_func_publ",
@@ -79,17 +79,11 @@ class ClassMetricsRecord:
         return {m: getattr(self, m) for m in KIVIAT_ORDER}
 
 
-def _coupling(model: SystemModel, c: str) -> CouplingRow:
-    """``c``'s row of the coupling table; a library stub has none."""
-    if model.get(c).is_external:
-        raise UnknownClass(c)
-    return model.coupling[c]
-
-
 def cbo(model: SystemModel, c: str) -> int:
     """|{d != c : uses(c,d) or uses(d,c)}| over system classes; import and
     export coupling both count."""
-    row = _coupling(model, c)
+    model.get(c)
+    row = model.coupling[c]
     return len(row.used | row.users)
 
 
@@ -119,8 +113,8 @@ def mpc(model: SystemModel, c: str) -> int:
 
 
 def dit(model: SystemModel, c: str) -> int:
-    """Longest superclass path length; unresolved/external parents
-    contribute their declared external depth instead of an edge."""
+    """Longest superclass path length over system classes; a library
+    parent (a name in ``model.externals``) adds no edge."""
     model.get(c)
     return model.hierarchy[c].depth
 
@@ -128,7 +122,7 @@ def dit(model: SystemModel, c: str) -> int:
 def coupling_factor(model: SystemModel) -> float:
     """Client-server relationships outside inheritance, against the maximum
     possible: sum(client) / (TC^2 - TC - 2*sum(|descendants|))."""
-    tc = model.total_classes
+    tc = len(model)
     if tc < 2:
         raise DegenerateSystem(f"coupling factor needs at least 2 classes, have {tc}")
     rows = model.hierarchy
@@ -152,7 +146,7 @@ def coupling_factor(model: SystemModel) -> float:
 def logiscope_mnemonics(model: SystemModel, c: str) -> dict[str, float | int | None]:
     """The thirteen class mnemonics in canonical order."""
     info = model.get(c)
-    coupling = _coupling(model, c)
+    coupling = model.coupling[c]
     funcs = info.member_functions
     comf = info.comment_lines / info.line_count if info.line_count > 0 else None
     return {

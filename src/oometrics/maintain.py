@@ -198,7 +198,7 @@ def sig_rating(
             if m.cfg is None:
                 continue
             any_units = True
-            size = float(m.line_count if m.line_count else m.cfg.statement_node_count())
+            size = float(m.line_count if m.line_count else m.cfg.statement_node_count)
             v = cyclomatic(m.cfg)
             risk_loc[_risk_band(v, cfg["complexityRisk"])] += size
             size_loc[_risk_band(size, cfg["unitSizeRisk"])] += size

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+from collections.abc import Iterable
 from itertools import chain
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -89,8 +90,6 @@ class ClassInfo:
     line_count: int = 0
     comment_lines: int = 0
     statement_count: int = 0
-    is_external: bool = False
-    external_depth: int = 0
 
     def __post_init__(self):
         if self.comment_lines > self.line_count:
@@ -133,8 +132,7 @@ class HierarchyRow:
     ``len(ancestors(c))``, ``inherited_method_count`` and
     ``inherited_attribute_count`` are ``len(inherited_methods(c))`` and
     ``len(inherited_attributes(c))``.  ``descendant_count`` counts the
-    classes that have this class among their ancestors, which for a model
-    from :func:`build_system_model` (stubs have no parents) is
+    classes that have this class among their ancestors:
     ``len(descendants(c))``.  ``override_count`` is the number of declared
     regular methods whose signature an ancestor passes down, whatever their
     own visibility; ``new_method_count`` the declared non-private,
@@ -166,15 +164,20 @@ class CouplingRow:
 
 
 class SystemModel:
-    """Immutable graph of classes and their relations.
+    """Immutable graph of the system's classes and their relations.
 
-    Construct via :func:`build_system_model`; direct instantiation skips
-    reference resolution.  Either way a class on an inheritance cycle
-    raises InheritanceCycle.
+    A library class is no class of the model: ``externals`` holds, sorted,
+    the names of the referenced classes that no class declares (library
+    stubs), and every query takes system classes only.  Construct via
+    :func:`build_system_model`; direct instantiation skips reference
+    resolution.  Either way a class on an inheritance cycle raises
+    InheritanceCycle.
     """
 
-    def __init__(self, classes: dict[str, ClassInfo]):
+    def __init__(self, classes: dict[str, ClassInfo], externals: Iterable[str]):
         self._classes = dict(classes)
+        self._names = tuple(sorted(self._classes))
+        self.externals = tuple(sorted(externals))
         kids: dict[str, list[str]] = {name: [] for name in self._classes}
         for info in self._classes.values():
             for sup in info.superclasses:
@@ -186,7 +189,7 @@ class SystemModel:
         # topological sort, parents first, which never reaches a class on a
         # cycle or below one
         waiting = {name: sum(1 for s in info.superclasses if s in kids) for name, info in self._classes.items()}
-        order = [name for name in sorted(self._classes) if waiting[name] == 0]
+        order = [name for name in self._names if waiting[name] == 0]
         for name in order:  # grows while iterated
             for kid in self._children[name]:
                 waiting[kid] -= 1
@@ -218,46 +221,34 @@ class SystemModel:
             raise UnknownClass(name) from None
 
     @property
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._classes))
-
-    @property
-    def classes(self) -> tuple[ClassInfo, ...]:
-        return tuple(self._classes[n] for n in self.class_names)
-
-    @property
     def internal_class_names(self) -> tuple[str, ...]:
-        return tuple(n for n in self.class_names if not self._classes[n].is_external)
+        """The system classes' names, sorted."""
+        return self._names
 
     @property
     def internal_classes(self) -> tuple[ClassInfo, ...]:
-        return tuple(c for c in self.classes if not c.is_external)
-
-    @property
-    def total_classes(self) -> int:
-        """TC: system classes only, external stubs excluded."""
-        return len(self.internal_class_names)
+        return tuple(self._classes[n] for n in self._names)
 
     # -- inheritance ---------------------------------------------------------
 
     def children(self, name: str) -> tuple[str, ...]:
         self.get(name)
-        return self._children.get(name, ())
+        return self._children[name]
 
     def descendants(self, name: str) -> frozenset[str]:
         self.get(name)
         seen: set[str] = set()
-        todo = list(self._children.get(name, ()))
+        todo = list(self._children[name])
         while todo:
             cur = todo.pop()
             if cur not in seen:
                 seen.add(cur)
-                todo.extend(self._children.get(cur, ()))
+                todo.extend(self._children[cur])
         return frozenset(seen)
 
     def ancestors(self, name: str) -> tuple[str, ...]:
-        """Transitive system superclasses of ``name``, nearest first; an
-        external stub is left out."""
+        """Transitive system superclasses of ``name``, nearest first; a
+        library parent is no class of the model and is left out."""
         names: list[str] = []
         seen = {name}
         todo = list(self.get(name).superclasses)
@@ -265,9 +256,8 @@ class SystemModel:
             if sup in seen or sup not in self._classes:
                 continue
             seen.add(sup)
-            if not self._classes[sup].is_external:
-                names.append(sup)
-                todo.extend(self._classes[sup].superclasses)
+            names.append(sup)
+            todo.extend(self._classes[sup].superclasses)
         return tuple(names)
 
     @cached_property
@@ -279,9 +269,9 @@ class SystemModel:
     # -- the uses relation -----------------------------------------------------
 
     def used_classes(self, name: str) -> frozenset[str]:
-        """All classes ``name`` uses: invocation targets, accessed-attribute
-        owners, attribute types, parameter types.  Externals included;
-        callers filter.  Plain ``extends`` is not use."""
+        """The system classes ``name`` uses: invocation targets,
+        accessed-attribute owners, attribute types, parameter types.
+        Library classes are left out.  Plain ``extends`` is not use."""
         info = self.get(name)
         out: set[str] = set()
         for attr in info.attributes:
@@ -305,7 +295,7 @@ class SystemModel:
         """Every system class's used and user system classes, built on
         first use from one :meth:`used_classes` call per system class."""
         names = self.internal_class_names
-        used = {c: frozenset(d for d in self.used_classes(c) if not self._classes[d].is_external) for c in names}
+        used = {c: self.used_classes(c) for c in names}
         users: dict[str, set[str]] = {c: set() for c in names}
         for c, targets in used.items():
             for d in targets:
@@ -367,10 +357,7 @@ def hierarchy_rows(
     N*N/16 bytes for one chain of N classes.
     """
     index = {name: i for i, name in enumerate(order)}
-    parents = [
-        [index[s] for s in classes[name].superclasses if s in classes and not classes[s].is_external]
-        for name in order
-    ]
+    parents = [[index[s] for s in classes[name].superclasses if s in classes] for name in order]
 
     n = len(order)
     descendant_count = [0] * n
@@ -392,8 +379,7 @@ def hierarchy_rows(
     rows: dict[str, HierarchyRow] = {}
     for i, name in enumerate(order):
         info = classes[name]
-        supers = [classes[s] for s in info.superclasses if s in classes]
-        depth[i] = max((s.external_depth if s.is_external else 1 + depth[index[s.name]] for s in supers), default=0)
+        depth[i] = max((1 + depth[j] for j in parents[i]), default=0)  # a library parent adds no depth
         anc = sigs = attrs = 0
         for j in parents[i]:
             anc |= (1 << j) | ancestors[j]
@@ -425,7 +411,7 @@ def hierarchy_rows(
             new_method_count=new,
         )
 
-        if children[name] and not info.is_external:
+        if children[name]:
             for m in info.regular_methods:
                 if m.visibility != "private" and not m.is_static:
                     passed_sigs[i] |= 1 << sig_bit.setdefault(m.signature, len(sig_bit))
@@ -464,7 +450,8 @@ class _Resolver:
         self.targets: dict[str, tuple[str, str | None, str]] = {}
 
     def resolve(self, ref: str) -> str | None:
-        """Qualified match, unique simple-name match, else external stub."""
+        """Qualified match, unique simple-name match, else the reference
+        itself: a library name, kept in ``externals``."""
         try:
             return self.resolved[ref]
         except KeyError:
@@ -512,7 +499,9 @@ def build_system_model(class_records, source=None) -> SystemModel:
     once per build.  A rejected record raises FactsError, or MalformedGraph
     for a graph that is not a valid CFG, naming the class, method, key and
     ``source``: the records' file, or a list of each record's file.
-    Colliding names raise DuplicateClass, a cycle InheritanceCycle.
+    Colliding names raise DuplicateClass, a cycle InheritanceCycle.  A
+    reference that no record declares, or whose simple name more than one
+    record declares, stays a name: one of the model's ``externals``.
     """
     declared: dict[str, list] = {}
     for ci, rec in enumerate(class_records):
@@ -588,7 +577,7 @@ def build_system_model(class_records, source=None) -> SystemModel:
                 )
 
             if statements is None:
-                statements = sum(m.cfg.statement_node_count() for m in members if m.cfg is not None)
+                statements = sum(m.cfg.statement_node_count for m in members if m.cfg is not None)
             classes[name] = ClassInfo(
                 name=name,
                 kind=kind,
@@ -610,11 +599,7 @@ def build_system_model(class_records, source=None) -> SystemModel:
         except FactsError as exc:  # the class's own invariants, named in the message
             raise _fail(FactsError, "", exc, source, ci) from None
 
-    for ext in sorted(resolver.externals):
-        if ext not in classes:
-            classes[ext] = ClassInfo(name=ext, is_external=True)
-
-    return SystemModel(classes)
+    return SystemModel(classes, resolver.externals)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +631,7 @@ def class_to_record(info: ClassInfo) -> dict:
 
 
 def model_to_facts(model: SystemModel) -> dict:
-    """Serialize the system classes (stubs are reconstructed on load)."""
+    """Serialize the system classes (loading resolves the library names again)."""
     return _record("document", [class_to_record(c) for c in model.internal_classes])
 
 

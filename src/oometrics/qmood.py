@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 from .ck import ClassMetricsRecord
-from .errors import EmptyModel, MissingProperty, UnknownClass
+from .errors import EmptyModel, MissingProperty
 from .model import SystemModel
 
 PROPERTY_NAMES = (
@@ -94,8 +94,6 @@ class QualityIndices:
 
 def qmood_class_metrics(model: SystemModel, c: str) -> ClassDesignMetrics:
     info = model.get(c)
-    if info.is_external:
-        raise UnknownClass(c)
 
     attrs = info.attributes
     dam = None
@@ -103,7 +101,7 @@ def qmood_class_metrics(model: SystemModel, c: str) -> ClassDesignMetrics:
         dam = sum(1 for a in attrs if a.visibility in ("private", "protected")) / len(attrs)
 
     def is_system(t: str) -> bool:
-        return t != c and t in model and not model.get(t).is_external
+        return t != c and t in model
 
     related: set[str] = set()
     for a in attrs:

@@ -21,7 +21,9 @@ from .halstead import HalsteadCounts
 from .maintain import maintainability_index, sig_rating
 from .model import SystemModel
 from .mood import mood
-from .quality import CRITERIA, ToolConfig, criteria_categories, kiviat_rows, maintainability, recommendations
+from .quality import (
+    CATEGORIES, CRITERIA, ToolConfig, criteria_categories, kiviat_rows, maintainability, recommendations,
+)
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "oometrics"
@@ -57,7 +59,7 @@ def compute_class_record(model: SystemModel, name: str) -> ClassMetricsRecord:
 
 
 def _histogram(categories: list[str]) -> dict:
-    counts = {c: 0 for c in ("EXCELLENT", "GOOD", "FAIR", "POOR")}
+    counts = dict.fromkeys(CATEGORIES, 0)
     for c in categories:
         counts[c] += 1
     total = max(len(categories), 1)
@@ -202,7 +204,7 @@ def report_text_summary(report: dict) -> str:
     lines.append(f"classes analyzed: {len(report['classes'])}")
     lines.append("maintainability: " + "  ".join(
         f"{cat}={hist['counts'][cat]} ({hist['percent'][cat]}%)"
-        for cat in ("EXCELLENT", "GOOD", "FAIR", "POOR")
+        for cat in CATEGORIES
     ))
     sys_sec = report["system"]
     if sys_sec.get("couplingFactor") is not None:

@@ -291,11 +291,11 @@ def random_hierarchy(rng: random.Random):
 
 def hand_built_hierarchies() -> list[SystemModel]:
     """Inheritance shapes the random systems miss or rarely draw."""
-    deep_external = SystemModel({
-        "lib.Deep": ClassInfo(name="lib.Deep", is_external=True, external_depth=3),
+    # a library parent is a name, no class: it adds no depth and no ancestor
+    library_parent = SystemModel({
         "A": ClassInfo(name="A", superclasses=("lib.Deep",)),
         "B": ClassInfo(name="B", superclasses=("A", "lib.Deep")),
-    })
+    }, externals=("lib.Deep",))
     # a private method that overrides is an override, never a new method
     private_override = build_system_model([
         class_rec("Base", methods=[method_rec("hook"), method_rec("other")],
@@ -310,7 +310,7 @@ def hand_built_hierarchies() -> list[SystemModel]:
                   methods=[method_rec(f"m{i}"), method_rec("shared")])
         for i in range(40)
     ])
-    return [build_system_model(multiple_inheritance_records()), deep_external, private_override, chain]
+    return [build_system_model(multiple_inheritance_records()), library_parent, private_override, chain]
 
 
 def random_cohesion_class(rng: random.Random, model_name="X"):

@@ -195,7 +195,6 @@ def test_dac_matches_field_type_scan():
                 for a in info.attributes
                 if a.declared_type in m
                 and a.declared_type != c
-                and not m.get(a.declared_type).is_external
             )
             assert qmood_class_metrics(m, c).moa == expected
 

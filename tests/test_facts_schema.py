@@ -12,8 +12,11 @@ import pytest
 
 from helpers import cfg_with_v, class_rec, method_rec, random_hierarchy, random_model
 from oometrics.cli import main
+from oometrics.errors import UnknownClass
 from oometrics.javasrc import parse_source
-from oometrics.model import FACTS_SCHEMA, build_system_model, dump_facts, facts_to_model, load_facts, model_to_facts
+from oometrics.model import (
+    FACTS_SCHEMA, PRIMITIVE_TYPES, build_system_model, dump_facts, facts_to_model, load_facts, model_to_facts,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -176,12 +179,16 @@ def test_analyze_out_writes_facts_the_schema_accepts(tmp_path, capsys):
     assert load_facts(tmp_path / "facts.json") == written["classes"]
 
 
-def test_the_readme_facts_example_builds_and_uses_every_key_of_the_table():
+def _readme_facts() -> dict:
     text = README.read_text(encoding="utf-8").split("## Facts file", 1)[1]
     block = text.split("```json\n", 1)[1].split("```", 1)[0]
-    doc = json.loads(re.sub(r"\s*//[^\n]*", "", block))
+    return json.loads(re.sub(r"\s*//[^\n]*", "", block))
+
+
+def test_the_readme_facts_example_builds_and_uses_every_key_of_the_table():
+    doc = _readme_facts()
     model = facts_to_model(doc)
-    assert [c.name for c in model.classes] == ["pkg.Base", "pkg.Cls", "pkg.Other"]
+    assert model.externals == ("pkg.Base", "pkg.Other")
     assert [c.name for c in model.internal_classes] == ["pkg.Cls"]
     cls = doc["classes"][0]
     method = cls["methods"][0]
@@ -189,3 +196,53 @@ def test_the_readme_facts_example_builds_and_uses_every_key_of_the_table():
                            ("method", [method]), ("invocation", method["invokes"])]:
         for rec in records:
             assert list(rec) == list(FACTS_SCHEMA[level]), level
+
+
+# ---------------------------------------------------------------------------
+# library classes are names in ``externals``, never classes of the model
+# ---------------------------------------------------------------------------
+
+
+def _references(model) -> set[str]:
+    """Every type the system classes refer to, as the model holds it."""
+    refs = set()
+    for info in model.internal_classes:
+        refs.update(info.superclasses)
+        refs.update(a.declared_type for a in info.attributes)
+        for m in info.methods:
+            refs.update(m.parameter_types)
+            refs.update(inv.target_class for inv in m.invocations)
+            refs.update(owner for owner, _ in m.accessed_attributes)
+    return {r for r in refs if r.strip() and r.strip() not in PRIMITIVE_TYPES}
+
+
+def test_library_classes_are_sorted_names_outside_the_model():
+    models = [random_model(random.Random(seed)) for seed in range(30)]
+    models += [random_hierarchy(random.Random(seed)) for seed in range(30)]
+    models.append(facts_to_model(_readme_facts()))
+    models.append(build_system_model([  # A is ambiguous: p.A and q.A
+        class_rec("p.A"), class_rec("q.A"),
+        class_rec("r.C", extends=["A"], methods=[method_rec("m", params=["A"], invokes=[("A.go", 1)])]),
+    ]))
+    assert models[-1].externals == ("A",)
+    assert sum(bool(m.externals) for m in models) > 40
+    for model in models:
+        names, externals = model.internal_class_names, model.externals
+        assert list(externals) == sorted(set(externals))
+        assert not set(externals) & set(names)
+        assert set(externals) == _references(model) - set(names)  # every unresolved reference, nothing else
+        for stub in externals:
+            assert stub not in model
+            with pytest.raises(UnknownClass):
+                model.get(stub)
+            with pytest.raises(UnknownClass):
+                model.uses(names[0], stub)
+        for c in names:
+            assert model.used_classes(c) <= set(names)
+
+
+def test_kiviat_of_a_library_class_is_an_unknown_class(tmp_path, capsys):
+    path = tmp_path / "facts.json"
+    dump_facts({"classes": [class_rec("app.A", extends=["java.util.List"])]}, path)
+    assert main(["kiviat", "--facts", str(path), "--class-name", "java.util.List"]) == 1
+    assert "unknown class: java.util.List" in capsys.readouterr().err

@@ -95,9 +95,9 @@ def test_unknown_class_queries_raise():
 def test_external_parent_excluded_from_ancestors():
     model = build_system_model([class_rec("A", extends=["some.lib.Base"])])
     assert list(model.ancestors("A")) == []
-    assert model.get("some.lib.Base").is_external
+    assert model.externals == ("some.lib.Base",)
     assert ck.dit(model, "A") == 0
-    assert "some.lib.Base" not in model.internal_class_names
+    assert "some.lib.Base" not in model
 
 
 def test_simple_name_resolution_unique_match():
@@ -114,7 +114,7 @@ def test_ambiguous_simple_name_becomes_external():
         class_rec("q.A"),
         class_rec("r.C", extends=["A"]),
     ])
-    assert model.get("A").is_external
+    assert model.externals == ("A",)
     assert list(model.ancestors("r.C")) == []
 
 
@@ -198,8 +198,7 @@ def _row_oracle(model, c) -> dict:
     }
 
     def depth(name):
-        supers = [model.get(s) for s in model.get(name).superclasses if s in model]
-        return max((s.external_depth if s.is_external else 1 + depth(s.name) for s in supers), default=0)
+        return max((1 + depth(s) for s in model.get(name).superclasses if s in model), default=0)
 
     return {
         "depth": depth(c),
@@ -302,10 +301,11 @@ def test_private_override_is_an_override_and_never_new():
     assert (kid.inherited_attribute_count, grand.inherited_attribute_count) == (1, 2)
 
 
-def test_external_parent_depth_counts_and_adds_no_ancestor():
+def test_library_parent_adds_no_depth_and_no_ancestor():
     model = hand_built_hierarchies()[1]
-    assert ck.dit(model, "A") == 3
-    assert ck.dit(model, "B") == 4
+    assert ck.dit(model, "A") == 0
+    assert ck.dit(model, "B") == 1
+    assert model.hierarchy["A"].ancestor_count == 0
     assert model.hierarchy["B"].ancestor_count == 1
     assert model.ancestors("B") == ("A",)
 
@@ -348,7 +348,8 @@ def test_facts_round_trip_identity():
         model = random_model(rng)
         doc = model_to_facts(model)
         rebuilt = facts_to_model(doc)
-        assert rebuilt.class_names == model.class_names
+        assert rebuilt.internal_class_names == model.internal_class_names
+        assert rebuilt.externals == model.externals
         for name in model.internal_class_names:
             assert class_to_record(rebuilt.get(name)) == class_to_record(model.get(name))
         # serialization of the rebuilt model is bit-identical
@@ -409,6 +410,22 @@ def test_identical_facts_graphs_in_one_build_are_one_object(monkeypatch):
     assert calls[0] == 4
 
 
+def test_a_class_without_statements_counts_the_statement_nodes_of_its_graphs():
+    # every node kind, in graphs the methods share; no record has "statements"
+    statement_kinds = {"plain", "decision", "loop-head", "switch-head", "call-bearing", "return", "jump"}
+    every = ["entry", *sorted(statement_kinds), "plain", "exit"]
+    shapes = [cfg_with_v(1), cfg_with_v(3), {"nodes": len(every), "kinds": every,
+                                             "edges": [[i, i + 1] for i in range(len(every) - 1)]}]
+    records = [
+        class_rec(f"C{i}", methods=[method_rec(f"m{j}", cfg=shapes[(i + j) % 3]) for j in range(i % 5)])
+        for i in range(12)
+    ]
+    model = build_system_model(records)
+    for rec in records:
+        kinds = [k for m in rec["methods"] for k in m["cfg"]["kinds"]]
+        assert model.get(rec["name"]).statement_count == sum(k in statement_kinds for k in kinds)
+
+
 def _shape_with(**changes) -> dict:
     g = cfg_with_v(2)
     g.update(changes)
@@ -447,7 +464,7 @@ def test_each_distinct_member_reference_is_split_once(monkeypatch):
         "ext.Lib.x", "B.y", "p.A.z", "w", "ext.Lib.run", "ext.Lib.run", "B.go", "go",
     ])  # the two ext.Lib.run targets differ in their signature
     # a stub referenced 180 times is listed once; the ambiguous B is a stub
-    assert [c.name for c in model.classes if c.is_external] == ["B", "ext.Lib"]
+    assert model.externals == ("B", "ext.Lib")
     m = model.get("p.A").methods[7]
     assert m.accessed_attributes == (("B", "y"), ("ext.Lib", "x"), ("p.A", "w"), ("p.A", "z"))
     assert [(i.target_class, i.target_method, i.count) for i in m.invocations] == [

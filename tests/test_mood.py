@@ -133,15 +133,14 @@ def _coupling_oracle(m):
         related = set(m.ancestors(c)) | desc
         desc_total += len(desc)
         for d in m.used_classes(c):
-            if not m.get(d).is_external and d != c and d not in related:
+            if d != c and d not in related:
                 numerator += 1
     denominator = tc * tc - tc - 2 * desc_total
     return numerator / denominator if denominator > 0 else None
 
 
 def _depth_oracle(m, c):
-    supers = [m.get(s) for s in m.get(c).superclasses if s in m]
-    return max((s.external_depth if s.is_external else 1 + _depth_oracle(m, s.name) for s in supers), default=0)
+    return max((1 + _depth_oracle(m, s) for s in m.get(c).superclasses if s in m), default=0)
 
 
 def _qmood_system_oracle(m):
