@@ -3,8 +3,8 @@ coupling factor, and the thirteen class-level mnemonics used by the
 quality model.
 
 Conventions (see README for the full list):
-- the uses() relation drives CBO / cu_cdused / cu_cdusers and counts only
-  system classes; coupling to library stubs is ignored;
+- the uses relation of ``SystemModel.coupling`` drives CBO / cu_cdused /
+  cu_cdusers over system classes only; coupling to library classes is ignored;
 - RFC and MPC look one level deep and do count calls into library classes
   (a send is a send no matter the receiver);
 - constructors count as member functions (cl_func, cl_wmc, RFC's declared
@@ -80,7 +80,7 @@ class ClassMetricsRecord:
 
 
 def cbo(model: SystemModel, c: str) -> int:
-    """|{d != c : uses(c,d) or uses(d,c)}| over system classes; import and
+    """|{d != c : c uses d or d uses c}| over system classes; import and
     export coupling both count."""
     model.get(c)
     row = model.coupling[c]

@@ -32,7 +32,7 @@ from .evolution import (
 )
 from .halstead import HalsteadCounts, merge_counts
 from .javasrc import CompilationFacts, parse_source
-from .model import build_system_model, dump_facts, load_facts, model_to_facts
+from .model import build_system_model, load_facts, model_to_facts
 from .quality import ToolConfig
 from .report import compute_class_record, emit_kiviat_svg, emit_scatter, scatter_rows_from_model
 
@@ -67,6 +67,18 @@ def _read_text(path: Path) -> str:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise MetricsError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, its directory made first; an OSError is an input error naming ``path``."""
+    try:
+        if not path.parent.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MetricsError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def _parse_file(path: Path) -> tuple[str, CompilationFacts | str]:
@@ -129,7 +141,11 @@ def _load_input(paths: list[str], facts_path: str | None) -> _LoadedInput:
     loaded = _LoadedInput()
     json_paths = [p for p in paths if p.endswith(".json")]
     src_paths = [p for p in paths if not p.endswith(".json")]
+    read: set[Path] = set()
     for jp in ([facts_path] if facts_path else []) + json_paths:
+        if (key := Path(jp).resolve()) in read:
+            continue  # a facts file named twice is read once, where it first appears
+        read.add(key)
         records = load_facts(jp)
         loaded.class_records.extend(records)
         loaded.sources.extend([jp] * len(records))
@@ -203,12 +219,10 @@ def cmd_analyze(args) -> int:
 
     payload = rpt.serialize_report(report) if args.format == "json" else rpt.report_text_summary(report)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        name = "report.json" if args.format == "json" else "report.txt"
-        (out_dir / name).write_text(payload, encoding="utf-8")
-        dump_facts(model_to_facts(model), out_dir / "facts.json")
-        print(f"wrote {out_dir / name}")
+        out = Path(args.out) / ("report.json" if args.format == "json" else "report.txt")
+        _write_text(out, payload)
+        _write_text(out.with_name("facts.json"), rpt.serialize_report(model_to_facts(model)))
+        print(f"wrote {out}")
     else:
         sys.stdout.write(payload)
     for err in loaded.parse_errors:
@@ -226,7 +240,7 @@ def cmd_kiviat(args) -> int:
     rows = kiviat_rows(config.ranges, rec)
     svg = emit_kiviat_svg(rows, args.class_name)
     if args.out:
-        Path(args.out).write_text(svg, encoding="utf-8")
+        _write_text(Path(args.out), svg)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(svg)
@@ -238,7 +252,7 @@ def cmd_scatter(args) -> int:
     model = build_system_model(loaded.class_records, loaded.sources)
     result = emit_scatter(scatter_rows_from_model(model))
     if args.out:
-        Path(args.out).write_text(result.csv, encoding="utf-8")
+        _write_text(Path(args.out), result.csv)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(result.csv)

@@ -14,8 +14,8 @@ control-flow graph, and its statements counted, in the pass that parses it.
 
 Output is a :class:`CompilationFacts`: class records in the facts-file
 schema, except that each method's ``cfg`` is the built
-:class:`~oometrics.cfg.ControlFlowGraph`, plus per-class Halstead counts
-taken over each method body's token range.
+:class:`~oometrics.cfg.ControlFlowGraph`, plus one Halstead total for the
+file, merged from the counts over each method body's token range.
 """
 
 from __future__ import annotations

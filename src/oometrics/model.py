@@ -108,7 +108,7 @@ class ClassInfo:
     @cached_property
     def regular_methods(self) -> tuple[MethodInfo, ...]:
         """Declared methods without constructors and initializer blocks
-        (kept after the first read: ancestor scans ask for it per descendant)."""
+        (kept after the first read: several metrics ask for it per class)."""
         return tuple(m for m in self.methods if not m.is_constructor and not m.is_initializer)
 
     @property
@@ -128,12 +128,12 @@ class HierarchyRow:
     ``index`` is the class's place in a parents-first order of the model;
     bit ``j`` of ``ancestor_bits`` is set when the class at index ``j`` is
     one of its resolvable ancestors, so every set bit lies below ``index``.
-    Counts follow the walk queries: ``ancestor_count`` is
-    ``len(ancestors(c))``, ``inherited_method_count`` and
-    ``inherited_attribute_count`` are ``len(inherited_methods(c))`` and
-    ``len(inherited_attributes(c))``.  ``descendant_count`` counts the
-    classes that have this class among their ancestors:
-    ``len(descendants(c))``.  ``override_count`` is the number of declared
+    ``ancestor_count`` counts the system classes above this one, a library
+    parent left out; ``descendant_count`` the classes below it.  Ancestors
+    pass down their non-private, non-static regular methods and non-private
+    attributes; ``inherited_method_count`` and ``inherited_attribute_count``
+    count the distinct signatures and names passed down that the class does
+    not declare itself.  ``override_count`` is the number of declared
     regular methods whose signature an ancestor passes down, whatever their
     own visibility; ``new_method_count`` the declared non-private,
     non-static regular methods that override nothing.
@@ -235,31 +235,6 @@ class SystemModel:
         self.get(name)
         return self._children[name]
 
-    def descendants(self, name: str) -> frozenset[str]:
-        self.get(name)
-        seen: set[str] = set()
-        todo = list(self._children[name])
-        while todo:
-            cur = todo.pop()
-            if cur not in seen:
-                seen.add(cur)
-                todo.extend(self._children[cur])
-        return frozenset(seen)
-
-    def ancestors(self, name: str) -> tuple[str, ...]:
-        """Transitive system superclasses of ``name``, nearest first; a
-        library parent is no class of the model and is left out."""
-        names: list[str] = []
-        seen = {name}
-        todo = list(self.get(name).superclasses)
-        for sup in todo:  # grows while iterated: breadth first
-            if sup in seen or sup not in self._classes:
-                continue
-            seen.add(sup)
-            names.append(sup)
-            todo.extend(self._classes[sup].superclasses)
-        return tuple(names)
-
     @cached_property
     def hierarchy(self) -> dict[str, HierarchyRow]:
         """Every class's inheritance facts, built on first use in two passes
@@ -268,76 +243,29 @@ class SystemModel:
 
     # -- the uses relation -----------------------------------------------------
 
-    def used_classes(self, name: str) -> frozenset[str]:
-        """The system classes ``name`` uses: invocation targets,
-        accessed-attribute owners, attribute types, parameter types.
-        Library classes are left out.  Plain ``extends`` is not use."""
-        info = self.get(name)
-        out: set[str] = set()
-        for attr in info.attributes:
-            if attr.declared_type in self._classes:
-                out.add(attr.declared_type)
-        for m in info.methods:
-            for p in m.parameter_types:
-                if p in self._classes:
-                    out.add(p)
-            for inv in m.invocations:
-                if inv.target_class in self._classes:
-                    out.add(inv.target_class)
-            for owner, _ in m.accessed_attributes:
-                if owner in self._classes:
-                    out.add(owner)
-        out.discard(name)
-        return frozenset(out)
-
     @cached_property
     def coupling(self) -> dict[str, CouplingRow]:
         """Every system class's used and user system classes, built on
-        first use from one :meth:`used_classes` call per system class."""
-        names = self.internal_class_names
-        used = {c: self.used_classes(c) for c in names}
-        users: dict[str, set[str]] = {c: set() for c in names}
+        first use.  A class uses the system classes it invokes a method of,
+        whose attributes it accesses, and that type its attributes and
+        parameters; never itself, and a plain ``extends`` is no use."""
+        classes = self._classes
+        used: dict[str, frozenset[str]] = {}
+        for c in self._names:
+            info = classes[c]
+            refs = [a.declared_type for a in info.attributes]
+            for m in info.methods:
+                refs += m.parameter_types
+                refs += [inv.target_class for inv in m.invocations]
+                refs += [owner for owner, _ in m.accessed_attributes]
+            found = classes.keys() & refs
+            found.discard(c)
+            used[c] = frozenset(found)
+        users: dict[str, set[str]] = {c: set() for c in self._names}
         for c, targets in used.items():
             for d in targets:
                 users[d].add(c)
-        return {c: CouplingRow(used[c], frozenset(users[c])) for c in names}
-
-    def uses(self, c: str, d: str) -> bool:
-        """Directional: c invokes a method of d, accesses an attribute of d,
-        or declares an attribute/parameter of type d."""
-        self.get(d)
-        if c == d:
-            raise ValueError("uses() requires two distinct classes")
-        return d in self.used_classes(c)
-
-    # -- derived member views --------------------------------------------------
-
-    def inherited_methods(self, name: str) -> tuple[MethodInfo, ...]:
-        """Methods ``name`` inherits: non-private, non-static regular methods
-        of ancestors, nearest definition first, overridden ones excluded."""
-        info = self.get(name)
-        own = {m.signature for m in info.regular_methods}
-        collected: dict[str, MethodInfo] = {}
-        for anc in self.ancestors(name):
-            for m in self._classes[anc].regular_methods:
-                sig = m.signature
-                if m.visibility == "private" or m.is_static:
-                    continue
-                if sig in own or sig in collected:
-                    continue
-                collected[sig] = m
-        return tuple(collected.values())
-
-    def inherited_attributes(self, name: str) -> tuple[AttributeInfo, ...]:
-        info = self.get(name)
-        own = {a.name for a in info.attributes}
-        collected: dict[str, AttributeInfo] = {}
-        for anc in self.ancestors(name):
-            for a in self._classes[anc].attributes:
-                if a.visibility == "private" or a.name in own or a.name in collected:
-                    continue
-                collected[a.name] = a
-        return tuple(collected.values())
+        return {c: CouplingRow(used[c], frozenset(users[c])) for c in self._names}
 
 
 def hierarchy_rows(

@@ -192,7 +192,8 @@ def _system_mi(model: SystemModel, counts: HalsteadCounts | None) -> dict | None
 
 def serialize_report(report: dict) -> str:
     """A JSON document as the CLI writes it: sorted keys, two-space indent,
-    one final newline.  The report, ``evolve`` and ``compare`` share it."""
+    one final newline.  The report, the facts file ``analyze --out`` writes,
+    ``evolve`` and ``compare`` share it."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 

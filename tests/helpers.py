@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
+from pathlib import Path
 
 from oometrics.cohesion import class_cohesion
 from oometrics.errors import UndefinedMetric
-from oometrics.model import ClassInfo, SystemModel, build_system_model, model_to_facts
+from oometrics.model import AttributeInfo, ClassInfo, MethodInfo, SystemModel, build_system_model, model_to_facts
 
 
 def cfg_with_v(v: int) -> dict:
@@ -213,6 +216,15 @@ def multiple_inheritance_records() -> list[dict]:
                   methods=[method_rec("lookup", cfg=cfg_with_v(2), accesses=["app.Registry.items"],
                                       invokes=[("app.Leaf.draw", 1)])]),
     ]
+
+
+def readme_facts() -> dict:
+    """The facts document of the README's "Facts file" section, its
+    ``//`` comments dropped."""
+    readme = Path(__file__).parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Facts file", 1)[1]
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r"\s*//[^\n]*", "", block))
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +609,83 @@ def similarity_cohesion(info: ClassInfo) -> float:
     """Mean pairwise Jaccard similarity of attribute sets; disjoint-empty
     pairs contribute 0."""
     return _defined(class_cohesion(info), "sim_cohesion")
+
+
+# ---------------------------------------------------------------------------
+# Inheritance and uses, walked from each class's own facts: oracles for the
+# model's hierarchy and coupling tables, which they never read
+# ---------------------------------------------------------------------------
+
+
+def ancestors(model: SystemModel, c: str) -> tuple[str, ...]:
+    """Transitive system superclasses of ``c``, nearest first: a
+    breadth-first walk up the superclass lists; a library parent is no
+    class of the model and is left out."""
+    names: list[str] = []
+    seen = {c}
+    todo = list(model.get(c).superclasses)
+    for sup in todo:  # grows while iterated
+        if sup in seen or sup not in model:
+            continue
+        seen.add(sup)
+        names.append(sup)
+        todo.extend(model.get(sup).superclasses)
+    return tuple(names)
+
+
+def descendants(model: SystemModel, c: str) -> frozenset[str]:
+    """Every class below ``c``: a depth-first walk down the children."""
+    seen: set[str] = set()
+    todo = list(model.children(c))
+    while todo:
+        cur = todo.pop()
+        if cur not in seen:
+            seen.add(cur)
+            todo.extend(model.children(cur))
+    return frozenset(seen)
+
+
+def inherited_methods(model: SystemModel, c: str) -> tuple[MethodInfo, ...]:
+    """Non-private, non-static regular methods of ``c``'s ancestors whose
+    signature ``c`` does not declare, nearest definition first."""
+    own = {m.signature for m in model.get(c).regular_methods}
+    collected: dict[str, MethodInfo] = {}
+    for anc in ancestors(model, c):
+        for m in model.get(anc).regular_methods:
+            if m.visibility != "private" and not m.is_static and m.signature not in own:
+                collected.setdefault(m.signature, m)
+    return tuple(collected.values())
+
+
+def inherited_attributes(model: SystemModel, c: str) -> tuple[AttributeInfo, ...]:
+    """Non-private attributes of ``c``'s ancestors whose name ``c`` does
+    not declare, nearest definition first."""
+    own = {a.name for a in model.get(c).attributes}
+    collected: dict[str, AttributeInfo] = {}
+    for anc in ancestors(model, c):
+        for a in model.get(anc).attributes:
+            if a.visibility != "private" and a.name not in own:
+                collected.setdefault(a.name, a)
+    return tuple(collected.values())
+
+
+def used(model: SystemModel, c: str) -> set[str]:
+    """The system classes other than ``c`` that ``c`` uses, by a scan of
+    its edges: attribute and parameter types, invocation targets and the
+    owners of accessed attributes."""
+    info = model.get(c)
+    out = set()
+    for a in info.attributes:
+        if a.declared_type in model and a.declared_type != c:
+            out.add(a.declared_type)
+    for m in info.methods:
+        for p in m.parameter_types:
+            if p in model and p != c:
+                out.add(p)
+        for inv in m.invocations:
+            if inv.target_class in model and inv.target_class != c:
+                out.add(inv.target_class)
+        for owner, _attr in m.accessed_attributes:
+            if owner in model and owner != c:
+                out.add(owner)
+    return out

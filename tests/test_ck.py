@@ -7,16 +7,21 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    ancestors,
     class_rec,
+    descendants,
+    hand_built_hierarchies,
     lexical_analyzer_model,
     method_rec,
     neural_network_model,
     random_model,
+    readme_facts,
+    used,
 )
 from oometrics import ck
 from oometrics.errors import DegenerateSystem
 from oometrics.javasrc import parse_source
-from oometrics.model import build_system_model
+from oometrics.model import build_system_model, facts_to_model
 from oometrics.qmood import qmood_class_metrics
 from oometrics.report import compute_class_record
 
@@ -115,6 +120,19 @@ def test_mpc_self_calls_zero():
 # ---------------------------------------------------------------------------
 
 
+def test_coupling_table_matches_the_edge_scan_and_its_transpose():
+    models = [random_model(random.Random(seed)) for seed in range(30)]
+    models += hand_built_hierarchies()
+    models.append(facts_to_model(readme_facts()))
+    for m in models:
+        names = m.internal_class_names
+        oracle = {c: used(m, c) for c in names}
+        assert set(m.coupling) == set(names)
+        for c in names:
+            assert m.coupling[c].used == oracle[c]
+            assert m.coupling[c].users == {d for d in names if c in oracle[d]}
+
+
 def test_cbo_matches_pairwise_uses_oracle():
     rng = random.Random(101)
     for _ in range(15):
@@ -125,7 +143,7 @@ def test_cbo_matches_pairwise_uses_oracle():
             for d in internal:
                 if d == c:
                     continue
-                if m.uses(c, d) or m.uses(d, c):
+                if d in used(m, c) or c in used(m, d):
                     expected += 1
             assert ck.cbo(m, c) == expected
             assert ck.cbo(m, c) <= len(internal) - 1
@@ -139,9 +157,9 @@ def test_cbo_symmetric_closure():
         for c in internal:
             for d in internal:
                 if c < d:
-                    in_c = m.uses(c, d) or m.uses(d, c)
-                    in_d = m.uses(d, c) or m.uses(c, d)
-                    assert in_c == in_d
+                    coupled = d in used(m, c) or c in used(m, d)
+                    assert (d in m.coupling[c].used | m.coupling[c].users) == coupled
+                    assert (c in m.coupling[d].used | m.coupling[d].users) == coupled
 
 
 def test_rfc_matches_set_union_oracle_and_bounds():
@@ -210,10 +228,10 @@ def test_coupling_factor_matches_brute_force():
             for d in names:
                 if c == d:
                     continue
-                related = d in m.ancestors(c) or d in m.descendants(c)
-                if not related and m.uses(c, d):
+                related = d in ancestors(m, c) or d in descendants(m, c)
+                if not related and d in used(m, c):
                     num += 1
-        den = tc * tc - tc - 2 * sum(len(m.descendants(c)) for c in names)
+        den = tc * tc - tc - 2 * sum(len(descendants(m, c)) for c in names)
         if den <= 0:
             with pytest.raises(DegenerateSystem):
                 ck.coupling_factor(m)
@@ -230,10 +248,8 @@ def test_cdused_cdusers_cross_check():
         internal = set(m.internal_class_names)
         for c in internal:
             mn = ck.logiscope_mnemonics(m, c)
-            used = {d for d in internal if d != c and m.uses(c, d)}
-            users = {d for d in internal if d != c and m.uses(d, c)}
-            assert mn["cu_cdused"] == len(used)
-            assert mn["cu_cdusers"] == len(users)
+            assert mn["cu_cdused"] == len(used(m, c))
+            assert mn["cu_cdusers"] == sum(1 for d in internal if c in used(m, d))
 
 
 # ---------------------------------------------------------------------------

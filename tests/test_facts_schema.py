@@ -5,12 +5,11 @@ document the tool writes passes the table."""
 import copy
 import json
 import random
-import re
 from pathlib import Path
 
 import pytest
 
-from helpers import cfg_with_v, class_rec, method_rec, random_hierarchy, random_model
+from helpers import cfg_with_v, class_rec, method_rec, random_hierarchy, random_model, readme_facts
 from oometrics.cli import main
 from oometrics.errors import UnknownClass
 from oometrics.javasrc import parse_source
@@ -19,7 +18,6 @@ from oometrics.model import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
-README = Path(__file__).parent.parent / "README.md"
 
 
 def _with_class(**changes) -> dict:
@@ -179,14 +177,8 @@ def test_analyze_out_writes_facts_the_schema_accepts(tmp_path, capsys):
     assert load_facts(tmp_path / "facts.json") == written["classes"]
 
 
-def _readme_facts() -> dict:
-    text = README.read_text(encoding="utf-8").split("## Facts file", 1)[1]
-    block = text.split("```json\n", 1)[1].split("```", 1)[0]
-    return json.loads(re.sub(r"\s*//[^\n]*", "", block))
-
-
 def test_the_readme_facts_example_builds_and_uses_every_key_of_the_table():
-    doc = _readme_facts()
+    doc = readme_facts()
     model = facts_to_model(doc)
     assert model.externals == ("pkg.Base", "pkg.Other")
     assert [c.name for c in model.internal_classes] == ["pkg.Cls"]
@@ -219,7 +211,7 @@ def _references(model) -> set[str]:
 def test_library_classes_are_sorted_names_outside_the_model():
     models = [random_model(random.Random(seed)) for seed in range(30)]
     models += [random_hierarchy(random.Random(seed)) for seed in range(30)]
-    models.append(facts_to_model(_readme_facts()))
+    models.append(facts_to_model(readme_facts()))
     models.append(build_system_model([  # A is ambiguous: p.A and q.A
         class_rec("p.A"), class_rec("q.A"),
         class_rec("r.C", extends=["A"], methods=[method_rec("m", params=["A"], invokes=[("A.go", 1)])]),
@@ -235,10 +227,8 @@ def test_library_classes_are_sorted_names_outside_the_model():
             assert stub not in model
             with pytest.raises(UnknownClass):
                 model.get(stub)
-            with pytest.raises(UnknownClass):
-                model.uses(names[0], stub)
         for c in names:
-            assert model.used_classes(c) <= set(names)
+            assert model.coupling[c].used <= set(names)
 
 
 def test_kiviat_of_a_library_class_is_an_unknown_class(tmp_path, capsys):

@@ -1,16 +1,30 @@
-"""System model: building, resolution, inheritance queries, uses(), and
-facts round-tripping."""
+"""System model: building, resolution, the hierarchy and coupling tables
+against walk oracles, and facts round-tripping."""
 
 import random
 
 import pytest
 
-from helpers import attr_rec, cfg_with_v, class_rec, hand_built_hierarchies, method_rec, random_hierarchy, random_model
+from helpers import (
+    ancestors,
+    attr_rec,
+    cfg_with_v,
+    class_rec,
+    descendants,
+    hand_built_hierarchies,
+    inherited_attributes,
+    inherited_methods,
+    method_rec,
+    random_hierarchy,
+    random_model,
+    used,
+)
 from oometrics import ck
 from oometrics import model as modelmod
 from oometrics.cfg import ControlFlowGraph
 from oometrics.errors import DuplicateClass, FactsError, InheritanceCycle, UnknownClass
 from oometrics.model import (
+    CouplingRow,
     build_system_model,
     class_to_record,
     facts_to_model,
@@ -23,8 +37,11 @@ def test_two_class_chain_descendants():
         class_rec("A"),
         class_rec("B", extends=["A"]),
     ])
-    assert model.descendants("A") == {"B"}
-    assert list(model.ancestors("B")) == ["A"]
+    assert model.children("A") == ("B",)
+    assert model.hierarchy["A"].descendant_count == 1
+    assert model.hierarchy["B"].ancestor_count == 1
+    assert descendants(model, "A") == {"B"}
+    assert ancestors(model, "B") == ("A",)
 
 
 def test_duplicate_class_rejected():
@@ -89,12 +106,13 @@ def test_unknown_class_queries_raise():
     with pytest.raises(UnknownClass):
         model.get("Nope")
     with pytest.raises(UnknownClass):
-        model.ancestors("Nope")
+        model.children("Nope")
 
 
 def test_external_parent_excluded_from_ancestors():
     model = build_system_model([class_rec("A", extends=["some.lib.Base"])])
-    assert list(model.ancestors("A")) == []
+    assert ancestors(model, "A") == ()
+    assert model.hierarchy["A"].ancestor_count == 0
     assert model.externals == ("some.lib.Base",)
     assert ck.dit(model, "A") == 0
     assert "some.lib.Base" not in model
@@ -105,7 +123,8 @@ def test_simple_name_resolution_unique_match():
         class_rec("pkg.one.A"),
         class_rec("pkg.two.B", extends=["A"]),
     ])
-    assert list(model.ancestors("pkg.two.B")) == ["pkg.one.A"]
+    assert model.get("pkg.two.B").superclasses == ("pkg.one.A",)
+    assert ancestors(model, "pkg.two.B") == ("pkg.one.A",)
 
 
 def test_ambiguous_simple_name_becomes_external():
@@ -115,7 +134,8 @@ def test_ambiguous_simple_name_becomes_external():
         class_rec("r.C", extends=["A"]),
     ])
     assert model.externals == ("A",)
-    assert list(model.ancestors("r.C")) == []
+    assert model.get("r.C").superclasses == ("A",)
+    assert ancestors(model, "r.C") == ()
 
 
 def test_no_class_is_its_own_ancestor_and_duality():
@@ -123,10 +143,10 @@ def test_no_class_is_its_own_ancestor_and_duality():
     for _ in range(20):
         model = random_model(rng, n_classes=rng.randrange(3, 12))
         for c in model.internal_class_names:
-            assert c not in model.ancestors(c)
-            # duality: descendants(c) == {d : c in ancestors(d)}
-            derived = {d for d in model.internal_class_names if c in model.ancestors(d)}
-            assert model.descendants(c) == derived
+            assert c not in ancestors(model, c)
+            # duality: the walk down the children meets {d : c in ancestors(d)}
+            derived = {d for d in model.internal_class_names if c in ancestors(model, d)}
+            assert descendants(model, c) == derived
 
 
 def _closure_oracle(edges: dict[str, set[str]]) -> dict[str, set[str]]:
@@ -157,7 +177,7 @@ def test_ancestors_match_transitive_closure_oracle():
         model = build_system_model(records)
         oracle = _closure_oracle(parents)
         for c in names:
-            assert set(model.ancestors(c)) == oracle[c]
+            assert set(ancestors(model, c)) == oracle[c]
 
 
 def test_inheritance_depth_matches_longest_path_oracle():
@@ -188,11 +208,11 @@ def hierarchy_corpus():
 
 
 def _row_oracle(model, c) -> dict:
-    """Every hierarchy-table field, from the walk queries alone."""
+    """Every hierarchy-table field, from the walk oracles alone."""
     info = model.get(c)
     passed = {
         m.signature
-        for a in model.ancestors(c)
+        for a in ancestors(model, c)
         for m in model.get(a).regular_methods
         if m.visibility != "private" and not m.is_static
     }
@@ -202,10 +222,10 @@ def _row_oracle(model, c) -> dict:
 
     return {
         "depth": depth(c),
-        "ancestor_count": len(model.ancestors(c)),
-        "descendant_count": len(model.descendants(c)),
-        "inherited_method_count": len(model.inherited_methods(c)),
-        "inherited_attribute_count": len(model.inherited_attributes(c)),
+        "ancestor_count": len(ancestors(model, c)),
+        "descendant_count": len(descendants(model, c)),
+        "inherited_method_count": len(inherited_methods(model, c)),
+        "inherited_attribute_count": len(inherited_attributes(model, c)),
         "override_count": sum(1 for m in info.regular_methods if m.signature in passed),
         "new_method_count": sum(
             1 for m in info.regular_methods
@@ -222,7 +242,7 @@ def test_hierarchy_table_matches_walk_oracles():
             row = rows[c]
             got = {k: getattr(row, k) for k in _row_oracle(model, c)}
             assert got == _row_oracle(model, c), c
-            assert row.ancestor_bits == sum(1 << rows[a].index for a in model.ancestors(c))
+            assert row.ancestor_bits == sum(1 << rows[a].index for a in ancestors(model, c))
             assert row.ancestor_bits < 1 << row.index  # parents first
             assert ck.dit(model, c) == row.depth
 
@@ -287,7 +307,7 @@ def test_cycle_path_and_rows_match_a_depth_first_oracle():
         rows = model.hierarchy
         for c in model.internal_class_names:
             assert {k: getattr(rows[c], k) for k in _row_oracle(model, c)} == _row_oracle(model, c), c
-            assert rows[c].ancestor_bits == sum(1 << rows[a].index for a in model.ancestors(c))
+            assert rows[c].ancestor_bits == sum(1 << rows[a].index for a in ancestors(model, c))
     assert 100 < cyclic < 900  # both kinds drawn
 
 
@@ -297,7 +317,7 @@ def test_private_override_is_an_override_and_never_new():
     assert (kid.override_count, kid.new_method_count) == (1, 0)
     # Grand still inherits Base.hook past Kid's private one, and overrides it
     assert (grand.override_count, grand.new_method_count) == (1, 1)
-    assert [m.name for m in model.inherited_methods("Grand")] == ["other"]
+    assert [m.name for m in inherited_methods(model, "Grand")] == ["other"]
     assert (kid.inherited_attribute_count, grand.inherited_attribute_count) == (1, 2)
 
 
@@ -307,7 +327,7 @@ def test_library_parent_adds_no_depth_and_no_ancestor():
     assert ck.dit(model, "B") == 1
     assert model.hierarchy["A"].ancestor_count == 0
     assert model.hierarchy["B"].ancestor_count == 1
-    assert model.ancestors("B") == ("A",)
+    assert ancestors(model, "B") == ("A",)
 
 
 def test_uses_matches_exhaustive_edge_scan():
@@ -315,31 +335,16 @@ def test_uses_matches_exhaustive_edge_scan():
     for _ in range(15):
         model = random_model(rng)
         for c in model.internal_class_names:
-            info = model.get(c)
-            expected = set()
-            for a in info.attributes:
-                if a.declared_type in model and a.declared_type != c:
-                    expected.add(a.declared_type)
-            for m in info.methods:
-                for p in m.parameter_types:
-                    if p in model and p != c:
-                        expected.add(p)
-                for inv in m.invocations:
-                    if inv.target_class != c:
-                        expected.add(inv.target_class)
-                for owner, _attr in m.accessed_attributes:
-                    if owner != c:
-                        expected.add(owner)
-            assert model.used_classes(c) == expected
+            expected = used(model, c)
+            assert model.coupling[c].used == expected
             for d in model.internal_class_names:
                 if d != c:
-                    assert model.uses(c, d) == (d in expected)
+                    assert (c in model.coupling[d].users) == (d in expected)
 
 
 def test_empty_class_uses_nothing():
     model = build_system_model([class_rec("A"), class_rec("B")])
-    assert not model.uses("A", "B")
-    assert not model.uses("B", "A")
+    assert model.coupling["A"] == model.coupling["B"] == CouplingRow(frozenset(), frozenset())
 
 
 def test_facts_round_trip_identity():
@@ -374,8 +379,9 @@ def test_inherited_methods_exclude_overrides_and_private():
         ]),
         class_rec("Child", extends=["Base"], methods=[method_rec("shared")]),
     ])
-    inherited = model.inherited_methods("Child")
+    inherited = inherited_methods(model, "Child")
     assert [m.name for m in inherited] == ["kept"]
+    assert model.hierarchy["Child"].inherited_method_count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,19 @@ import random
 
 import pytest
 
-from helpers import attr_rec, class_rec, hand_built_hierarchies, method_rec, random_hierarchy, random_model
+from helpers import (
+    ancestors,
+    attr_rec,
+    class_rec,
+    descendants,
+    hand_built_hierarchies,
+    inherited_attributes,
+    inherited_methods,
+    method_rec,
+    random_hierarchy,
+    random_model,
+    used,
+)
 from oometrics import ck, qmood
 from oometrics.errors import DegenerateSystem
 from oometrics.model import build_system_model
@@ -80,7 +92,7 @@ def _oracle(m):
     capacity = 0
     for c in names:
         info = m.get(c)
-        desc = len(m.descendants(c))
+        desc = len(descendants(m, c))
 
         def hidden(vis):
             if vis == "private":
@@ -95,12 +107,12 @@ def _oracle(m):
         for a in info.attributes:
             tot_a += 1
             hid_a += hidden(a.visibility)
-        inh_m += len(m.inherited_methods(c))
+        inh_m += len(inherited_methods(m, c))
         dec_m += len(info.regular_methods)
-        inh_a += len(m.inherited_attributes(c))
+        inh_a += len(inherited_attributes(m, c))
         dec_a += len(info.attributes)
         sigs = set()
-        for anc in m.ancestors(c):
+        for anc in ancestors(m, c):
             for mm in m.get(anc).regular_methods:
                 if mm.visibility != "private" and not mm.is_static:
                     sigs.add(mm.signature)
@@ -129,10 +141,10 @@ def _coupling_oracle(m):
         return None
     numerator = desc_total = 0
     for c in names:
-        desc = m.descendants(c)
-        related = set(m.ancestors(c)) | desc
+        desc = descendants(m, c)
+        related = set(ancestors(m, c)) | desc
         desc_total += len(desc)
-        for d in m.used_classes(c):
+        for d in used(m, c):
             if d != c and d not in related:
                 numerator += 1
     denominator = tc * tc - tc - 2 * desc_total
@@ -145,8 +157,8 @@ def _depth_oracle(m, c):
 
 def _qmood_system_oracle(m):
     names = m.internal_class_names
-    noh = sum(1 for c in names if len(m.ancestors(c)) == 0 and m.descendants(c))
-    return len(names), noh, sum(len(m.ancestors(c)) for c in names) / len(names)
+    noh = sum(1 for c in names if len(ancestors(m, c)) == 0 and descendants(m, c))
+    return len(names), noh, sum(len(ancestors(m, c)) for c in names) / len(names)
 
 
 def test_table_metrics_equal_the_walk_formulas():
@@ -163,8 +175,8 @@ def test_table_metrics_equal_the_walk_formulas():
         for c in m.internal_class_names:
             assert ck.dit(m, c) == _depth_oracle(m, c)
             declared = len(m.get(c).regular_methods)
-            inherited = len(m.inherited_methods(c))
-            assert ck.logiscope_mnemonics(m, c)["in_bases"] == len(m.ancestors(c))
+            inherited = len(inherited_methods(m, c))
+            assert ck.logiscope_mnemonics(m, c)["in_bases"] == len(ancestors(m, c))
             mfa = inherited / (inherited + declared) if inherited + declared else None
             assert qmood.qmood_class_metrics(m, c).mfa == mfa
         if len(m.internal_class_names) < 2:

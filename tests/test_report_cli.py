@@ -17,7 +17,7 @@ from oometrics import cli, cohesion, complexity, qmood, quality
 from oometrics.cfg import ControlFlowGraph
 from oometrics.ck import KIVIAT_ORDER, ClassMetricsRecord
 from oometrics.cli import main
-from oometrics.model import SystemModel, build_system_model, dump_facts, facts_to_model, model_to_facts
+from oometrics.model import build_system_model, dump_facts, facts_to_model, model_to_facts
 from oometrics.quality import RangeTable, ToolConfig
 from oometrics.report import (
     compute_class_record,
@@ -92,7 +92,6 @@ def test_compute_report_derives_each_fact_once(monkeypatch):
     count(cohesion, "method_attribute_sets")
     count(quality, "metric_status")
     count(ClassMetricsRecord, "mnemonics")
-    count(SystemModel, "used_classes")
     compute_report(model)
     n = len(model.internal_class_names)
     assert calls == {
@@ -101,25 +100,7 @@ def test_compute_report_derives_each_fact_once(monkeypatch):
         # each of the 13 mnemonics is checked against its range once per class
         "metric_status": len(KIVIAT_ORDER) * n,
         "mnemonics": n,
-        "used_classes": n,
     }
-
-
-def test_compute_report_never_walks_the_hierarchy(monkeypatch):
-    # every inheritance fact comes from the one-pass table; the walk
-    # queries stay as test oracles only
-    model = random_model(random.Random(12), n_classes=12, max_attrs=4, p_inherit=0.7)
-    walks = ("ancestors", "descendants", "inherited_methods", "inherited_attributes")
-    calls = Counter()
-    for name in walks:
-        def counted(self, c, _name=name, _fn=getattr(SystemModel, name)):
-            calls[_name] += 1
-            return _fn(self, c)
-
-        monkeypatch.setattr(SystemModel, name, counted)
-    report = compute_report(model)
-    assert calls == {}
-    assert report["system"]["mood"] is not None and report["system"]["qmood"]["NOH"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +250,20 @@ def test_cli_scatter(capsys):
     assert rc == 0
     assert captured.out.startswith("method,class,v,ev,quadrant")
     assert "quadrants:" in captured.err
+
+
+@pytest.mark.parametrize("argv, out, written", [
+    (["analyze"], "out", "out/report.json"),
+    (["kiviat", "--class-name", "A"], "x.svg", "x.svg"),
+    (["scatter"], "x.csv", "x.csv"),
+])
+def test_an_out_path_under_a_regular_file_is_an_input_error(argv, out, written, tmp_path, capsys):
+    src = tmp_path / "A.java"
+    src.write_text("class A { int m(int x) { return x; } }", encoding="utf-8")
+    rc = main([argv[0], str(src), *argv[1:], "--out", str(src / out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")  # it was a NotADirectoryError traceback
+    assert captured.err == f"error: {src / written}: cannot write: Not a directory\n"
 
 
 def test_scatter_reduces_each_shared_graph_once(monkeypatch, capsys):

@@ -57,6 +57,16 @@ def test_a_source_file_named_twice_is_parsed_once(capsys):
     assert twice == once
 
 
+def test_a_facts_file_named_twice_is_read_once(tmp_path, capsys):
+    facts = tmp_path / "f.json"
+    dump_facts(model_to_facts(random_model(random.Random(4), n_classes=5)), facts)
+    once = run(["analyze", facts], capsys)
+    assert once[0] == 0
+    # it was exit 1: "class defined more than once"
+    assert run(["analyze", facts, "--facts", facts], capsys) == once
+    assert run(["analyze", facts, tmp_path / "." / "f.json"], capsys) == once
+
+
 def test_a_missing_source_path_is_an_input_error(tmp_path, capsys):
     missing = tmp_path / "nosuchdir"
     rc, out, err = run(["analyze", FIXTURES / "metric_test", missing], capsys)
@@ -89,6 +99,17 @@ def test_a_file_that_is_not_utf8_is_an_input_error_naming_the_first(workers, tmp
     assert (rc, out) == (1, "")
     assert err.startswith(f"error: {src / 'D.java'}: 'utf-8' codec can't decode byte 0xff")
     assert "F.java" not in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_file_that_cannot_be_read_is_an_input_error_naming_it(workers, tmp_path, capsys, monkeypatch):
+    force_workers(monkeypatch, workers)
+    src = mixed_dir(tmp_path, {})
+    (src / "Broken.java").symlink_to(src / "Gone.java")  # a dangling link
+    rc, out, err = run(["analyze", src], capsys)
+    assert (rc, out) == (1, "")  # it was a FileNotFoundError traceback
+    assert err == f"error: {src / 'Broken.java'}: cannot read: No such file or directory\n"
     assert multiprocessing.active_children() == []
 
 
