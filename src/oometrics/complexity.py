@@ -49,134 +49,112 @@ def cyclomatic(g: ControlFlowGraph) -> int:
     return g.edge_count - g.node_count + 2
 
 
-class _ReductionGraph:
-    """Mutable graph scratchpad for the reductions.
+def _reduce(g: ControlFlowGraph, frozen: set[int], sequences: bool) -> int:
+    """Contract ``g`` to a fixpoint with a worklist; return v of the residue.
 
-    Self-loops and parallel edges are dropped on the way in, as the
-    reductions would drop them first anyway, and ``link`` never adds one.
-    ``edges`` is the running edge total, so removing a node costs O(its
-    degree) and v(G) of the residue is O(1).  ``frozen`` nodes are never
-    contracted away; a merge that keeps the other node moves the mark.
-    """
-
-    def __init__(self, g: ControlFlowGraph, frozen):
-        self.succ: dict[int, set[int]] = {i: set() for i in range(g.node_count)}
-        self.pred: dict[int, set[int]] = {i: set() for i in range(g.node_count)}
-        for a, b in g.edges:
-            if a != b:
-                self.succ[a].add(b)
-                self.pred[b].add(a)
-        self.edges = sum(map(len, self.succ.values()))
-        self.entry = g.entry
-        self.exit = g.exit
-        self.frozen = set(frozen)
-
-    def cyclomatic(self) -> int:
-        return self.edges - len(self.succ) + 2
-
-    def link(self, a: int, b: int) -> None:
-        """Add a->b unless it is a self-loop or parallels an existing edge."""
-        if a != b and b not in self.succ[a]:
-            self.succ[a].add(b)
-            self.pred[b].add(a)
-            self.edges += 1
-
-    def remove_node(self, n: int) -> None:
-        for t in self.succ[n]:
-            self.pred[t].remove(n)
-        for s in self.pred[n]:
-            self.succ[s].remove(n)
-        self.edges -= len(self.succ.pop(n)) + len(self.pred.pop(n))
-
-
-def _sole(adj: set[int]) -> int | None:
-    """The only neighbour in an adjacency set, if there is one."""
-    return next(iter(adj)) if len(adj) == 1 else None
-
-
-def _reduce(mg: _ReductionGraph, sequences: bool) -> _ReductionGraph:
-    """Contract ``mg`` to a fixpoint with a worklist.
+    The scratch graph holds each node's successor and predecessor sets in
+    lists indexed by node; a removed node's sets become None.  Self-loops
+    and parallel edges are dropped on the way in, as the reductions would
+    drop them first anyway, and no contraction adds one.  ``edges`` is the
+    running edge total, so removing a node costs O(its degree).
 
     Sequence (when ``sequences``): the sole successor v of u, entered only
     from u and neither the entry nor frozen, merges with u.  Arm: a node
     other than entry, exit or a frozen one with one edge in and one edge out
-    is replaced by an edge.
+    is replaced by an edge.  ``frozen`` nodes are never contracted away; a
+    merge that keeps the other node moves the mark.
 
-    Every node is visited once, then again only when a contraction changes
-    its edges.  An arm costs O(1).  A merge moves the smaller of u's
-    in-edges and v's out-edges onto the other node.  The merged node keeps
-    both sides, and one of them must drop to a single edge before it can
-    merge again, so the moves add up to O(edges) over the whole reduction.
+    Every node is visited once, node 0 first, then again only when a
+    contraction changes its edges.  An arm costs O(1).  A merge moves the
+    smaller of u's in-edges and v's out-edges onto the other node.  The
+    merged node keeps both sides, and one of them must drop to a single
+    edge before it can merge again, so the moves add up to O(edges) over
+    the whole reduction.
     """
-    frozen = mg.frozen
-    work = list(reversed(mg.succ))
-    queued = set(work)
-
-    def touch(n: int) -> None:
-        if n not in queued:
-            queued.add(n)
-            work.append(n)
-
-    def mergeable(u: int | None, v: int | None) -> bool:
-        return (
-            u is not None and v is not None and v != mg.entry and v not in frozen
-            and _sole(mg.succ[u]) == v and _sole(mg.pred[v]) == u
-        )
+    n = g.node_count
+    succ: list[set[int] | None] = [set() for _ in range(n)]
+    pred: list[set[int] | None] = [set() for _ in range(n)]
+    for a, b in g.edges:
+        if a != b:
+            succ[a].add(b)
+            pred[b].add(a)
+    edges = sum(map(len, succ))
+    nodes, entry, exit_ = n, g.entry, g.exit
+    work = list(range(n - 1, -1, -1))
+    queued = bytearray(b"\1") * n
 
     while work:
-        n = work.pop()
-        queued.discard(n)
-        if n not in mg.succ:
+        x = work.pop()
+        queued[x] = 0
+        sx = succ[x]
+        if sx is None:
             continue
+        px = pred[x]
         if sequences:
-            # n as u, else n as v: a dropped self-loop may leave n one edge in
-            u, v = n, _sole(mg.succ[n])
-            if not mergeable(u, v):
-                u, v = _sole(mg.pred[n]), n
-            if mergeable(u, v):
-                if len(mg.pred[u]) < len(mg.succ[v]):
+            # x as u, else x as v: a dropped self-loop may leave x one edge in
+            u = v = None
+            if len(sx) == 1:
+                (v,) = sx
+                if v != entry and v not in frozen and len(pred[v]) == 1:
+                    u = x
+            if u is None and len(px) == 1 and x != entry and x not in frozen:
+                (u,) = px
+                v = x if len(succ[u]) == 1 else None
+            if v is not None and u is not None:
+                if len(pred[u]) < len(succ[v]):
                     # v takes u's place
-                    sources = list(mg.pred[u])
-                    if u == mg.entry:
-                        mg.entry = v
-                    if u == mg.exit:
-                        mg.exit = v
+                    gone, keep, moved = u, v, list(pred[u])
+                    if u == entry:
+                        entry = v
+                    if u == exit_:
+                        exit_ = v
                     if u in frozen:
                         frozen.add(v)
-                    mg.remove_node(u)
-                    for s in sources:
-                        mg.link(s, v)
-                    touch(v)
                 else:
-                    targets = list(mg.succ[v])
-                    if v == mg.exit:
-                        mg.exit = u
-                    mg.remove_node(v)
-                    for t in targets:
-                        mg.link(u, t)
-                    touch(u)
+                    gone, keep, moved = v, u, list(succ[v])
+                    if v == exit_:
+                        exit_ = u
+                for t in succ[gone]:
+                    pred[t].remove(gone)
+                for s in pred[gone]:
+                    succ[s].remove(gone)
+                edges -= len(succ[gone]) + len(pred[gone])
+                succ[gone] = pred[gone] = None
+                nodes -= 1
+                out, into = (succ, pred) if keep == u else (pred, succ)
+                for t in moved:
+                    if t != keep and t not in out[keep]:
+                        out[keep].add(t)
+                        into[t].add(keep)
+                        edges += 1
+                if not queued[keep]:
+                    queued[keep] = 1
+                    work.append(keep)
                 continue
-        if n in (mg.entry, mg.exit) or n in frozen:
+        if len(px) != 1 or len(sx) != 1 or x == entry or x == exit_ or x in frozen:
             continue
-        p, t = _sole(mg.pred[n]), _sole(mg.succ[n])
-        if p is not None and t is not None:
-            mg.remove_node(n)
-            mg.link(p, t)
-            touch(p)
-            touch(t)
-    return mg
-
-
-def _reduce_essential(g: ControlFlowGraph) -> _ReductionGraph:
-    """Collapse structured primes; nodes of kind ``return`` are never
-    contracted, so a mid-method return survives as unstructured."""
-    returns = {n for n, kind in enumerate(g.kinds) if kind == "return"}
-    return _reduce(_ReductionGraph(g, returns), sequences=True)
+        (p,), (t,) = px, sx
+        pred[t].remove(x)
+        succ[p].remove(x)
+        succ[x] = pred[x] = None
+        edges -= 2
+        nodes -= 1
+        if p != t and t not in succ[p]:
+            succ[p].add(t)
+            pred[t].add(p)
+            edges += 1
+        for y in (p, t):
+            if not queued[y]:
+                queued[y] = 1
+                work.append(y)
+    return edges - nodes + 2
 
 
 def essential(g: ControlFlowGraph) -> int:
-    """Collapse structured primes to fixpoint, return v of the residue."""
-    return _reduce_essential(g).cyclomatic()
+    """Collapse structured primes to fixpoint, return v of the residue.
+    Nodes of kind ``return`` are never contracted, so a mid-method return
+    survives as unstructured."""
+    return _reduce(g, {i for i, kind in enumerate(g.kinds) if kind == "return"}, sequences=True)
 
 
 def module_design(g: ControlFlowGraph) -> int:
@@ -185,7 +163,7 @@ def module_design(g: ControlFlowGraph) -> int:
     calls = g.call_nodes
     if not calls:
         return 1
-    return _reduce(_ReductionGraph(g, calls), sequences=False).cyclomatic()
+    return _reduce(g, set(calls), sequences=False)
 
 
 def complexity_triple(g: ControlFlowGraph) -> ComplexityTriple:

@@ -1,4 +1,4 @@
-"""Halstead token counting over a range of a token stream.
+"""Halstead token counting over a range of a file's token stream.
 
 Classification (shipped here as data):
 
@@ -10,7 +10,9 @@ operands
     identifiers outside call position, literals (numbers, strings, chars,
     ``true``/``false``/``null``), and type names.
 
-Only n1/n2/N1/N2 are kept; volume V = (N1+N2) * log2(n1+n2) is what the
+A token is read from the stream's kinds and structural values; only a
+string or char literal's text is read from its token texts.  Only
+n1/n2/N1/N2 are kept; volume V = (N1+N2) * log2(n1+n2) is what the
 maintainability index consumes.
 """
 
@@ -21,9 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # javasrc imports this module
-    from collections.abc import Sequence
-
-    from .javasrc import Token
+    from .javasrc import TokenStream
 
 OPERATOR_KEYWORDS = {
     "if", "else", "while", "do", "for", "switch", "case", "default", "break",
@@ -65,45 +65,36 @@ class HalsteadCounts:
         return self.length * math.log2(self.vocabulary)
 
 
-def halstead_counts(tokens: Sequence[Token], lo: int = 0, hi: int | None = None) -> HalsteadCounts:
-    """Counts over ``tokens[lo:hi]``, taken in place.  A name in the last
-    position of the range is never in call position."""
-    operators: dict[str, int] = {}
-    operands: dict[str, int] = {}
-
-    def op(sym: str) -> None:
-        operators[sym] = operators.get(sym, 0) + 1
-
-    def operand(sym: str) -> None:
-        operands[sym] = operands.get(sym, 0) + 1
-
-    hi = len(tokens) if hi is None else hi
+def halstead_counts(tokens: TokenStream, lo: int = 0, hi: int | None = None) -> HalsteadCounts:
+    """Counts over tokens [lo, hi) of the stream, taken in place.  A name
+    in the last position of the range is never in call position."""
+    kinds, vals = tokens.kinds, tokens.vals
+    hi = len(kinds) if hi is None else hi
+    operators: list[str] = []
+    operands: list[str] = []
     for i in range(lo, hi):
-        t = tokens[i]
-        if t.kind in ("num", "str", "char"):
-            operand(f"{t.kind}:{t.value}")
-        elif t.kind == "ident":
-            if t.value in LITERAL_WORDS:
-                operand(t.value)
-            elif t.value in OPERATOR_KEYWORDS:
-                op(t.value)
-            elif i + 1 < hi and tokens[i + 1].value == "(" and tokens[i + 1].kind == "op":
-                op(t.value + "()")  # call position
-            else:
-                operand(t.value)
-        else:  # op
-            v = t.value
+        kind, v = kinds[i], vals[i]
+        if kind == "op":
             if v in PAIRED:
-                op(PAIRED[v])  # the pair counts once, on the opener
-            elif v in CLOSERS:
-                pass
+                operators.append(PAIRED[v])  # the pair counts once, on the opener
+            elif v not in CLOSERS:
+                operators.append(v)
+        elif kind == "ident":
+            if v in LITERAL_WORDS:
+                operands.append(v)
+            elif v in OPERATOR_KEYWORDS:
+                operators.append(v)
+            elif i + 1 < hi and vals[i + 1] == "(":
+                operators.append(v + "()")  # call position
             else:
-                op(v)
+                operands.append(v)
+        else:  # num, str, char
+            operands.append(f"{kind}:{tokens.texts[i]}")
     return HalsteadCounts(
-        n1=len(operators),
-        n2=len(operands),
-        N1=sum(operators.values()),
-        N2=sum(operands.values()),
+        n1=len(set(operators)),
+        n2=len(set(operands)),
+        N1=len(operators),
+        N2=len(operands),
     )
 
 

@@ -12,6 +12,12 @@ and jumps with no enclosing target, degrade to opaque statements; only
 malformed declarations raise.  Each method body is lowered to its
 control-flow graph, and its statements counted, in the pass that parses it.
 
+Each file is lexed once, into a :class:`TokenStream` of parallel lists
+(kinds, structural values, texts, start offsets) that the parser and the
+Halstead count read by index.  A line number is looked up in the file's
+line-start table only where one is needed: class and member spans,
+comment spans and error messages.
+
 Output is a :class:`CompilationFacts`: class records in the facts-file
 schema, except that each method's ``cfg`` is the built
 :class:`~oometrics.cfg.ControlFlowGraph`, plus one Halstead total for the
@@ -21,10 +27,10 @@ file, merged from the counts over each method body's token range.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple
 
 from . import cfg as cfgmod
 from .errors import SourceSyntaxError, UnbalancedBlock
@@ -45,73 +51,113 @@ KEYWORDS = {
 
 PRIMITIVES = {"void", "int", "long", "short", "byte", "char", "boolean", "float", "double"}
 
-#: One lexeme per match, tried in this order.  ``str`` and ``char`` run to
-#: the closing quote or to the end of the text; an unclosed block comment
-#: runs to the end of the text.  Operators go longest first.
+#: One lexeme per match, after the whitespace before it, tried in this
+#: order; at the end of the text only the whitespace matches.  ``str`` and
+#: ``char`` run to the closing quote or to the end of the text; an unclosed
+#: block comment runs to the end of the text.  ``word`` and ``dot`` start
+#: with a character outside ASCII, where :func:`tokenize` decides between
+#: name, number and operator.  Operators go longest first.
 _LEXEME = re.compile(
-    r"""
-      (?P<space>[ \t\r\f\n]+)
-    | (?P<line_comment>//[^\n]*)
+    r"""[ \t\r\f\n]*(?:
+      (?P<line_comment>//[^\n]*)
     | (?P<block_comment>/\*.*?(?:\*/|\Z))
     | "(?P<str>[^"\\]*(?:\\.[^"\\]*)*\\?)"?
     | '(?P<char>[^'\\]*(?:\\.[^'\\]*)*\\?)'?
     | (?P<num>\.?\d(?:[eE][+-]|[\w.])*)
-    | (?P<ident>[\w$]+)
+    | (?P<ident>[a-zA-Z_$][\w$]*)
+    | (?P<word>[\w$]+)
+    | (?P<dot>\.(?=[^\x00-\x7f]))
     | (?P<op>>>>=|<<=|>>=|>>>|\.\.\.|[=!<>]=|&&|\|\||\+\+|--|[-+*/%&|^]=|<<|>>|->|::|.)
-    """,
+    | \Z)""",
     re.VERBOSE | re.DOTALL,
 )
 _NUMBER_TAIL = re.compile(r"(?:[eE][+-]|[\w.])*")
 
 
-class Token(NamedTuple):
-    kind: str  # ident | num | str | char | op
-    value: str
-    line: int
+class TokenStream:
+    """One file's tokens as parallel lists, indexed by token.
+
+    ``kinds`` holds ident, num, str, char or op; ``vals`` the structural
+    value, the text or, for a literal, its opening quote, so literal text
+    never counts as a bracket, separator or keyword; ``texts`` the text,
+    a literal's without its quotes; ``starts`` the offset where each token
+    starts.  ``comments`` is the 1-based (first, last) line pair of every
+    comment, and ``line_starts`` the offset where each line starts."""
+
+    __slots__ = ("kinds", "vals", "texts", "starts", "comments", "line_starts")
+
+    def __init__(self, kinds, vals, texts, starts, comments, line_starts):
+        self.kinds: list[str] = kinds
+        self.vals: list[str] = vals
+        self.texts: list[str] = texts
+        self.starts: list[int] = starts
+        self.comments: list[tuple[int, int]] = comments
+        self.line_starts: list[int] = line_starts
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def _line(self, i: int) -> int:
+        """The line token ``i`` starts on."""
+        return bisect_right(self.line_starts, self.starts[i])
 
 
-def tokenize(text: str, comment_spans: list[tuple[int, int]] | None = None) -> list[Token]:
+def tokenize(text: str) -> TokenStream:
     """Lex the source in one pass; comments and whitespace are dropped.
-
-    When ``comment_spans`` is given, the 1-based (first, last) line pair of
-    every comment is appended to it.  Comment markers inside string and
-    char literals are literal text."""
-    toks: list[Token] = []
-    spans = [] if comment_spans is None else comment_spans
-    pos, n, line = 0, len(text), 1
-    while pos < n:
-        m = _LEXEME.match(text, pos)
-        kind, end = m.lastgroup, m.end()
-        if kind == "space":
-            line += text.count("\n", pos, end)
-        elif kind == "line_comment":
-            spans.append((line, line))
-        elif kind == "block_comment":
-            first, line = line, line + text.count("\n", pos, end)
-            spans.append((first, line))
-        elif kind == "str" or kind == "char":
-            toks.append(Token(kind, m.group(kind), line))
-            line += text.count("\n", pos, end)
+    Comment markers inside string and char literals are literal text."""
+    kinds: list[str] = []
+    vals: list[str] = []
+    starts: list[int] = []
+    literals: list[tuple[int, str]] = []  # (index, text) of each literal
+    comments: list[tuple[int, int]] = []  # (start, end) offsets
+    add_kind, add_val, add_start = kinds.append, vals.append, starts.append
+    pos = 0
+    while pos is not None:
+        for m in _LEXEME.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "op" or kind == "ident" or kind == "num":
+                add_kind(kind)
+                add_val(m[kind])
+                add_start(m.start(kind))
+            elif kind == "str" or kind == "char":
+                literals.append((len(kinds), m[kind]))
+                add_kind(kind)
+                add_val('"' if kind == "str" else "'")
+                add_start(m.start(kind) - 1)
+            elif kind == "line_comment" or kind == "block_comment":
+                comments.append(m.span(kind))
+            elif kind is not None:  # word or dot; None is the end of the text
+                # str.isalpha/str.isdigit on the first character decide
+                # between name, number and operator, as \w and \d do not:
+                # '²' and '.²' start numbers, '½' is an operator
+                start, end = m.start(kind), m.end()
+                ch = text[start + 1] if kind == "dot" else text[start]
+                if kind == "word" and ch.isalpha():
+                    kind = "ident"
+                elif ch.isdigit():
+                    kind, end = "num", _NUMBER_TAIL.match(text, start + 1).end()
+                else:
+                    kind, end = "op", start + 1
+                add_kind(kind)
+                add_val(text[start:end])
+                add_start(start)
+                if end != m.end():  # lex on from where the token ends
+                    pos = end
+                    break
         else:
-            # str.isalpha/str.isdigit on the first character decide between
-            # name, number and operator, as \w and \d do not: '²' and '.²'
-            # start numbers, '½' is an operator
-            ch = text[pos]
-            if kind == "ident" and not (ch.isalpha() or ch in "_$"):
-                kind = "num" if ch.isdigit() else "op"
-            elif kind == "op" and ch == "." and text[pos + 1:pos + 2].isdigit():
-                kind = "num"
-            if kind != m.lastgroup:
-                end = _NUMBER_TAIL.match(text, pos + 1).end() if kind == "num" else pos + 1
-            toks.append(Token(kind, text[pos:end], line))
-        pos = end
-    return toks
+            pos = None
+    texts = vals.copy()
+    for i, literal in literals:
+        texts[i] = literal
+    line_starts = list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
+    comments = [(bisect_right(line_starts, a), bisect_right(line_starts, b)) for a, b in comments]
+    return TokenStream(kinds, vals, texts, starts, comments, line_starts)
 
 
 def _comment_table(text: str, spans: list[tuple[int, int]]) -> list[int]:
     """Running comment-line counts, one entry per physical line after entry
     0: entry k is how many of lines 1..k carry any comment content, given
-    the comment ``spans`` :func:`tokenize` collected, so the table's last
+    the comment ``spans`` of a :class:`TokenStream`, so the table's last
     index is cl_line and lines lo..hi hold ``t[hi] - t[lo - 1]``.  A comment
     left open at the end of the file spans one line past it: that line is
     not counted."""
@@ -164,9 +210,6 @@ class _ClassDecl:
     end_line: int = 0
 
 
-#: the structural value of a string or char literal: its opening quote,
-#: which no bracket, separator or keyword has
-_LITERAL_VALUES = {"str": '"', "char": "'"}
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
 _TYPE_ARG_CLOSERS = {">": 1, ">>": 2, ">>>": 3}  # levels each closes
@@ -182,24 +225,20 @@ class _Cursor:
     """A read position ``i`` over ``toks`` that reads nothing at or past
     ``hi``: the end of the file for :class:`Parser`, the end of one method
     body for :class:`_StatementParser`, the end of a bracketed header for
-    a cursor over that header.  Structure is read from ``vals``, the
-    tokens' structural values: a token's value, or for a literal its
-    opening quote, so literal text never counts as a bracket, separator
+    a cursor over that header.  Structure is read from the structural
+    values ``vals``, so literal text never counts as a bracket, separator
     or keyword."""
 
-    def __init__(self, toks: list[Token], vals: list[str], i: int, hi: int):
+    def __init__(self, toks: TokenStream, i: int, hi: int):
         self.toks = toks
-        self.vals = vals
+        self.kinds = toks.kinds
+        self.vals = toks.vals
         self.i = i
         self.hi = hi
 
     def _sub(self, lo: int, hi: int) -> _Cursor:
         """A cursor over tokens [lo, hi)."""
-        return _Cursor(self.toks, self.vals, lo, hi)
-
-    def _tok(self, k: int = 0) -> Token | None:
-        j = self.i + k
-        return self.toks[j] if j < self.hi else None
+        return _Cursor(self.toks, lo, hi)
 
     def _val(self, k: int = 0) -> str:
         """The structural value ``k`` tokens on; "" past the end."""
@@ -208,19 +247,22 @@ class _Cursor:
 
     def _kind(self, k: int = 0) -> str:
         j = self.i + k
-        return self.toks[j].kind if j < self.hi else ""
+        return self.kinds[j] if j < self.hi else ""
+
+    def _found(self) -> str:
+        """The current token's text, as an error message names it."""
+        return self.toks.texts[self.i] if self.i < self.hi else "end of file"
 
     def _line(self) -> int:
         """The current token's line; past the end, the last readable one's."""
         j = min(self.i, self.hi - 1)
-        return self.toks[j].line if j >= 0 else 1
+        return self.toks._line(j) if j >= 0 else 1
 
-    def _advance(self) -> Token:
-        t = self._tok()
-        if t is None:
-            raise SourceSyntaxError(self._line(), "more input", "end of file")
+    def _advance(self) -> str:
+        """Step over the current token, whose kind the caller has checked,
+        and return its value."""
         self.i += 1
-        return t
+        return self.vals[self.i - 1]
 
     def _accept(self, value: str) -> bool:
         if self._val() == value:
@@ -230,20 +272,19 @@ class _Cursor:
 
     def _expect(self, value: str) -> None:
         if self._val() != value:
-            t = self._tok()
-            raise SourceSyntaxError(self._line(), value, t.value if t else "end of file")
+            raise SourceSyntaxError(self._line(), value, self._found())
         self.i += 1
 
     def _skip_balanced(self, open_c: str, close_c: str) -> int:
         """Consume from the current opening delimiter to its match, counting
         only that pair; returns the index of the closing token."""
-        start_line = self._line()
+        start = self.i
         self._expect(open_c)
         vals, i, hi, depth = self.vals, self.i, self.hi, 1
         while depth:
             if i >= hi:
                 self.i = i
-                raise UnbalancedBlock(start_line)
+                raise UnbalancedBlock(self.toks._line(start))
             v = vals[i]
             if v == open_c:
                 depth += 1
@@ -297,13 +338,12 @@ class _Cursor:
                 return depth == 0
 
     def _qualified_name(self) -> str:
-        t = self._tok()
-        if t is None or t.kind != "ident":
-            raise SourceSyntaxError(self._line(), "identifier", t.value if t else "end of file")
-        parts = [self._advance().value]
+        if self._kind() != "ident":
+            raise SourceSyntaxError(self._line(), "identifier", self._found())
+        parts = [self._advance()]
         while self._val() == "." and self._kind(1) == "ident":
             self.i += 1
-            parts.append(self._advance().value)
+            parts.append(self._advance())
         return ".".join(parts)
 
     def _local_type(self) -> str:
@@ -325,9 +365,8 @@ class Parser(_Cursor):
     def __init__(self, text: str, path: str = "<source>"):
         self.text = text
         self.path = path
-        self.comment_spans: list[tuple[int, int]] = []
-        toks = tokenize(text, self.comment_spans)
-        super().__init__(toks, [_LITERAL_VALUES.get(t.kind, t.value) for t in toks], 0, len(toks))
+        toks = tokenize(text)
+        super().__init__(toks, 0, len(toks))
         self.package = ""
         self.imports: dict[str, str] = {}
         self.decls: list[_ClassDecl] = []
@@ -346,10 +385,9 @@ class Parser(_Cursor):
         """Consume a <...> section if one starts here.  Caller must ensure a
         type position; '<' in expressions is never passed through this."""
         if self._val() == "<" and not self._skip_type_args():
-            t = self._tok()
-            if t is None:
+            if self.i >= self.hi:
                 raise UnbalancedBlock(self._line())
-            raise SourceSyntaxError(t.line, ">", t.value)
+            raise SourceSyntaxError(self._line(), ">", self._found())
 
     def _type_ref(self) -> str:
         """Type reference eroded to its raw element name: generics stripped,
@@ -381,16 +419,16 @@ class Parser(_Cursor):
             else:
                 self.imports[name.rsplit(".", 1)[-1]] = name
             self._expect(";")
-        while self._tok() is not None:
+        while self.i < self.hi:
             self._skip_annotations()
-            if self._tok() is None:
+            if self.i >= self.hi:
                 break
             if self._accept(";"):
                 continue
             self._parse_type_decl(None, self._modifiers())
 
         facts = CompilationFacts(self.path, self.package)
-        comments = _comment_table(self.text, self.comment_spans)
+        comments = _comment_table(self.text, self.toks.comments)
         self.known_types = {d.simple_name: d.name for d in self.decls} | {d.name: d.name for d in self.decls}
         method_counts: list[HalsteadCounts] = []
         for decl in self.decls:
@@ -414,7 +452,7 @@ class Parser(_Cursor):
         self.i += 1
         if self._kind() != "ident":
             raise SourceSyntaxError(self._line(), "type name")
-        simple = self._advance().value
+        simple = self._advance()
         self._skip_generics()
 
         flat = f"{outer.simple_name}.{simple}" if outer else simple
@@ -430,14 +468,14 @@ class Parser(_Cursor):
                 decl.extends_target = decl.supers[0]
         if self._accept("implements"):
             decl.supers += self._type_refs()
-        while self._val() not in ("{", "") and self._tok() is not None:
+        while self._val() not in ("{", ""):
             self.i += 1  # tolerate e.g. 'permits'
-        if self._tok() is None:
+        if self.i >= self.hi:
             raise SourceSyntaxError(start_line, "{", "end of file")
 
         if kw == "enum":
             end = self._skip_balanced("{", "}")  # out of subset: keep the shell only
-            decl.end_line = self.toks[end].line
+            decl.end_line = self.toks._line(end)
             self.decls.append(decl)
             return
 
@@ -493,7 +531,7 @@ class Parser(_Cursor):
                 init_count += 1
                 member.is_static = "static" in mods
                 member.body = self._member_body_range()
-                member.end_line = self.toks[member.body[1]].line if member.body else member.line
+                member.end_line = self.toks._line(member.body[1])
                 decl.members.append(member)
                 continue
             if v == "<":
@@ -508,25 +546,22 @@ class Parser(_Cursor):
 
     def _parse_member(self, decl: _ClassDecl, mods: set[str]) -> None:
         line = self._line()
-        t = self._tok()
-        if t is None:
+        if self.i >= self.hi:
             raise UnbalancedBlock(decl.line)
-        simple_last = decl.simple_name.rsplit(".", 1)[-1]
+        if self._kind() != "ident":
+            raise SourceSyntaxError(line, "type", self._found())
 
         # constructor: bare class name followed by '('
-        if t.kind == "ident" and t.value == simple_last and self._val(1) == "(":
+        if self._val() == decl.simple_name.rsplit(".", 1)[-1] and self._val(1) == "(":
             member = _Member(kind="ctor", name="<init>", line=line)
             self.i += 1
             self._finish_callable(decl, member, mods)
             return
 
-        type_name = self._type_ref() if t.kind == "ident" else ""
-        if not type_name:
-            raise SourceSyntaxError(line, "type", t.value)
-        name_tok = self._tok()
-        if name_tok is None or name_tok.kind != "ident":
-            raise SourceSyntaxError(self._line(), "member name", name_tok.value if name_tok else "end of file")
-        name = self._advance().value
+        type_name = self._type_ref()
+        if self._kind() != "ident":
+            raise SourceSyntaxError(self._line(), "member name", self._found())
+        name = self._advance()
 
         if self._val() == "(":
             member = _Member(kind="method", name=name, type=type_name, line=line)
@@ -554,7 +589,7 @@ class Parser(_Cursor):
             if self._accept(","):
                 if self._kind() != "ident":
                     raise SourceSyntaxError(self._line(), "field name")
-                names.append(self._advance().value)
+                names.append(self._advance())
                 continue
             break
         self._expect(";")
@@ -576,7 +611,7 @@ class Parser(_Cursor):
             ptype = self._type_ref()
             pname = ""
             if self._kind() == "ident":
-                pname = self._advance().value
+                pname = self._advance()
             self._skip_dims()
             member.param_types.append(ptype)
             member.param_names.append(pname)
@@ -590,7 +625,7 @@ class Parser(_Cursor):
                     break
         if self._val() == "{":
             member.body = self._member_body_range()
-            member.end_line = self.toks[member.body[1]].line
+            member.end_line = self.toks._line(member.body[1])
             member.is_abstract = False
         else:
             self._expect(";")
@@ -704,25 +739,25 @@ class _BodyScanner:
 
     def scan_expr(self, lo: int, hi: int) -> tuple[int, bool]:
         """Scan tokens [lo, hi); returns (extra decision count, has_call)."""
-        toks, vals = self.p.toks, self.p.vals
+        kinds, vals = self.p.kinds, self.p.vals
         decisions = 0
         has_call = False
         i = lo
         while i < hi:
-            t = toks[i]
-            if t.kind == "op":
-                if t.value in ("&&", "||", "?"):
+            kind, v = kinds[i], vals[i]
+            if kind == "op":
+                if v in ("&&", "||", "?"):
                     decisions += 1
                 i += 1
                 continue
-            if t.kind != "ident":
+            if kind != "ident":
                 i += 1
                 continue
-            if t.value == "new":
+            if v == "new":
                 j = i + 1
                 parts = []
-                while j < hi and toks[j].kind == "ident" and toks[j].value not in KEYWORDS:
-                    parts.append(toks[j].value)
+                while j < hi and kinds[j] == "ident" and vals[j] not in KEYWORDS:
+                    parts.append(vals[j])
                     j += 1
                     if j < hi and vals[j] == ".":
                         j += 1
@@ -734,17 +769,13 @@ class _BodyScanner:
                     has_call = True
                 i = j if j > i + 1 else i + 1
                 continue
-            if t.value in ("this", "super") and i + 1 < hi and vals[i + 1] == ".":
-                chain = [t.value]
-                j = i + 1
-            elif t.value in KEYWORDS:
+            if v in KEYWORDS and not (v in ("this", "super") and i + 1 < hi and vals[i + 1] == "."):
                 i += 1
                 continue
-            else:
-                chain = [t.value]
-                j = i + 1
-            while j + 1 < hi and vals[j] == "." and toks[j + 1].kind == "ident":
-                chain.append(toks[j + 1].value)
+            chain = [v]
+            j = i + 1
+            while j + 1 < hi and vals[j] == "." and kinds[j + 1] == "ident":
+                chain.append(vals[j + 1])
                 j += 2
             is_call = j < hi and vals[j] == "("
             if is_call:
@@ -882,9 +913,9 @@ class _StatementParser(_Cursor):
     """
 
     def __init__(self, parser: Parser, lo: int, hi: int, scan: _BodyScanner):
-        super().__init__(parser.toks, parser.vals, lo, hi)
+        super().__init__(parser.toks, lo, hi)
         self.scan = scan
-        self.kinds: list[str] = [cfgmod.ENTRY]
+        self.node_kinds: list[str] = [cfgmod.ENTRY]
         self.edges: list[tuple[int, int]] = []
         self.exits: list[int] = []  # return/throw nodes, wired to the exit at the end
         self.frames: list[_Frame] = []
@@ -899,8 +930,8 @@ class _StatementParser(_Cursor):
     # -- graph primitives ------------------------------------------------------
 
     def _node(self, kind: str, pending: list[int]) -> int:
-        n = len(self.kinds)
-        self.kinds.append(kind)
+        n = len(self.node_kinds)
+        self.node_kinds.append(kind)
         for src in pending:
             self.edges.append((src, n))
         return n
@@ -943,7 +974,7 @@ class _StatementParser(_Cursor):
     def _rollback(self, mark: tuple) -> None:
         """Undo everything a failed statement built since ``mark``."""
         nodes, edges, exits, frames, self.pending_label, self.statement_count = mark
-        del self.kinds[nodes:], self.edges[edges:], self.exits[exits:], self.frames[frames:]
+        del self.node_kinds[nodes:], self.edges[edges:], self.exits[exits:], self.frames[frames:]
         for frame in self.frames:
             frame.breaks = [j for j in frame.breaks if j < nodes]
             frame.continues = [j for j in frame.continues if j < nodes]
@@ -953,7 +984,7 @@ class _StatementParser(_Cursor):
     def parse_block_body(self) -> tuple[cfgmod.ControlFlowGraph, int]:
         """The body's flowgraph and its executable statement count."""
         pending = _trampoline(self._statements([0], closing=False))
-        return cfgmod.build_cfg(self.kinds, self.edges, pending, self.exits), self.statement_count
+        return cfgmod.build_cfg(self.node_kinds, self.edges, pending, self.exits), self.statement_count
 
     def _statements(self, pending: list[int], closing: bool = True):
         """Statements up to a closing brace, which ``closing`` requires and
@@ -962,7 +993,7 @@ class _StatementParser(_Cursor):
         built, consume to a statement boundary and emit an opaque node."""
         while self.i < self.hi and self._val() != "}":
             before = self.i
-            mark = (len(self.kinds), len(self.edges), len(self.exits), len(self.frames),
+            mark = (len(self.node_kinds), len(self.edges), len(self.exits), len(self.frames),
                     self.pending_label, self.statement_count)
             try:
                 pending = yield self.parse_statement(pending)
@@ -1113,7 +1144,7 @@ class _StatementParser(_Cursor):
         """A while or for loop, from after its header."""
         label = self._take_label()
         self.statement_count += 1
-        mark = len(self.kinds)
+        mark = len(self.node_kinds)
         head = self._node(cfgmod.LOOP_HEAD, self._decisions(pending, decisions))
         header_entry = mark if head > mark else head
         frame = _Frame(label, header_entry, takes_continue=True)
@@ -1129,14 +1160,14 @@ class _StatementParser(_Cursor):
         self.statement_count += 1
         frame = _Frame(self._take_label(), None, takes_continue=True)
         self.frames.append(frame)
-        mark = len(self.kinds)
+        mark = len(self.node_kinds)
         body_out = yield self.parse_statement(pending)
         self.frames.pop()
         self._expect("while")
         lo, hi = self._match_paren()
         d, _ = self.scan.scan_expr(lo, hi)
         self._accept(";")
-        cond_entry = len(self.kinds)
+        cond_entry = len(self.node_kinds)
         head = self._node(cfgmod.LOOP_HEAD, self._decisions(body_out, d))
         self.edges.append((head, mark if mark < cond_entry else cond_entry))
         for src in frame.continues:
@@ -1209,7 +1240,7 @@ class _StatementParser(_Cursor):
                 param._local_type()
             self._declare_names(param, type_ref, lo)
             self._expect("{")
-            self.kinds[node] = cfgmod.DECISION  # a handler makes the try branch
+            self.node_kinds[node] = cfgmod.DECISION  # a handler makes the try branch
             out = out + (yield self._statements([node]))
         if self._accept("finally"):
             self._expect("{")

@@ -740,9 +740,3 @@ def load_facts(path) -> list:
     except OSError as exc:
         raise FactsError(str(exc)) from None
     return _classes(doc, path)
-
-
-def dump_facts(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -6,7 +6,9 @@ import json
 import random
 import re
 from pathlib import Path
+from typing import NamedTuple
 
+from oometrics.cfg import ControlFlowGraph
 from oometrics.cohesion import class_cohesion
 from oometrics.errors import UndefinedMetric
 from oometrics.model import AttributeInfo, ClassInfo, MethodInfo, SystemModel, build_system_model, model_to_facts
@@ -216,6 +218,15 @@ def multiple_inheritance_records() -> list[dict]:
                   methods=[method_rec("lookup", cfg=cfg_with_v(2), accesses=["app.Registry.items"],
                                       invokes=[("app.Leaf.draw", 1)])]),
     ]
+
+
+def write_facts(doc: dict, path) -> None:
+    """Write a facts document as ``analyze --out`` writes ``facts.json``."""
+    # imported here: bench/workloads.py loads this module, and the report
+    # layer would add every metric module to the benchmark process
+    from oometrics.report import serialize_report
+
+    Path(path).write_text(serialize_report(doc), encoding="utf-8")
 
 
 def readme_facts() -> dict:
@@ -689,3 +700,203 @@ def used(model: SystemModel, c: str) -> set[str]:
             if owner in model and owner != c:
                 out.add(owner)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The lexer and the ev/iv reduction as they were before the flat token
+# stream and the list-indexed reduction: oracles for both
+# ---------------------------------------------------------------------------
+
+
+#: One lexeme per match, tried in this order.  ``str`` and ``char`` run to
+#: the closing quote or to the end of the text; an unclosed block comment
+#: runs to the end of the text.  Operators go longest first.
+_LEXEME = re.compile(
+    r"""
+      (?P<space>[ \t\r\f\n]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?(?:\*/|\Z))
+    | "(?P<str>[^"\\]*(?:\\.[^"\\]*)*\\?)"?
+    | '(?P<char>[^'\\]*(?:\\.[^'\\]*)*\\?)'?
+    | (?P<num>\.?\d(?:[eE][+-]|[\w.])*)
+    | (?P<ident>[\w$]+)
+    | (?P<op>>>>=|<<=|>>=|>>>|\.\.\.|[=!<>]=|&&|\|\||\+\+|--|[-+*/%&|^]=|<<|>>|->|::|.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_NUMBER_TAIL = re.compile(r"(?:[eE][+-]|[\w.])*")
+
+
+class Token(NamedTuple):
+    kind: str  # ident | num | str | char | op
+    value: str
+    line: int
+
+
+def tokenize(text: str, comment_spans: list[tuple[int, int]] | None = None) -> list[Token]:
+    """Lex the source in one pass, one ``Token`` per lexeme, counting
+    lines as it goes; comments and whitespace are dropped.
+
+    When ``comment_spans`` is given, the 1-based (first, last) line pair of
+    every comment is appended to it.  Comment markers inside string and
+    char literals are literal text."""
+    toks: list[Token] = []
+    spans = [] if comment_spans is None else comment_spans
+    pos, n, line = 0, len(text), 1
+    while pos < n:
+        m = _LEXEME.match(text, pos)
+        kind, end = m.lastgroup, m.end()
+        if kind == "space":
+            line += text.count("\n", pos, end)
+        elif kind == "line_comment":
+            spans.append((line, line))
+        elif kind == "block_comment":
+            first, line = line, line + text.count("\n", pos, end)
+            spans.append((first, line))
+        elif kind == "str" or kind == "char":
+            toks.append(Token(kind, m.group(kind), line))
+            line += text.count("\n", pos, end)
+        else:
+            # str.isalpha/str.isdigit on the first character decide between
+            # name, number and operator, as \w and \d do not: '²' and '.²'
+            # start numbers, '½' is an operator
+            ch = text[pos]
+            if kind == "ident" and not (ch.isalpha() or ch in "_$"):
+                kind = "num" if ch.isdigit() else "op"
+            elif kind == "op" and ch == "." and text[pos + 1:pos + 2].isdigit():
+                kind = "num"
+            if kind != m.lastgroup:
+                end = _NUMBER_TAIL.match(text, pos + 1).end() if kind == "num" else pos + 1
+            toks.append(Token(kind, text[pos:end], line))
+        pos = end
+    return toks
+
+
+class ReductionGraph:
+    """Mutable graph scratchpad for the reductions, on dicts of sets.
+
+    Self-loops and parallel edges are dropped on the way in, as the
+    reductions would drop them first anyway, and ``link`` never adds one.
+    ``edges`` is the running edge total.  ``frozen`` nodes are never
+    contracted away; a merge that keeps the other node moves the mark.
+    """
+
+    def __init__(self, g: ControlFlowGraph, frozen):
+        self.succ: dict[int, set[int]] = {i: set() for i in range(g.node_count)}
+        self.pred: dict[int, set[int]] = {i: set() for i in range(g.node_count)}
+        for a, b in g.edges:
+            if a != b:
+                self.succ[a].add(b)
+                self.pred[b].add(a)
+        self.edges = sum(map(len, self.succ.values()))
+        self.entry = g.entry
+        self.exit = g.exit
+        self.frozen = set(frozen)
+
+    def cyclomatic(self) -> int:
+        return self.edges - len(self.succ) + 2
+
+    def link(self, a: int, b: int) -> None:
+        """Add a->b unless it is a self-loop or parallels an existing edge."""
+        if a != b and b not in self.succ[a]:
+            self.succ[a].add(b)
+            self.pred[b].add(a)
+            self.edges += 1
+
+    def remove_node(self, n: int) -> None:
+        for t in self.succ[n]:
+            self.pred[t].remove(n)
+        for s in self.pred[n]:
+            self.succ[s].remove(n)
+        self.edges -= len(self.succ.pop(n)) + len(self.pred.pop(n))
+
+
+def _sole(adj: set[int]) -> int | None:
+    """The only neighbour in an adjacency set, if there is one."""
+    return next(iter(adj)) if len(adj) == 1 else None
+
+
+def reduce_graph(mg: ReductionGraph, sequences: bool) -> ReductionGraph:
+    """Contract ``mg`` to a fixpoint with a worklist, node 0 first.
+
+    Sequence (when ``sequences``): the sole successor v of u, entered only
+    from u and neither the entry nor frozen, merges with u.  Arm: a node
+    other than entry, exit or a frozen one with one edge in and one edge out
+    is replaced by an edge.  A merge moves the smaller of u's in-edges and
+    v's out-edges onto the other node."""
+    frozen = mg.frozen
+    work = list(reversed(mg.succ))
+    queued = set(work)
+
+    def touch(n: int) -> None:
+        if n not in queued:
+            queued.add(n)
+            work.append(n)
+
+    def mergeable(u: int | None, v: int | None) -> bool:
+        return (
+            u is not None and v is not None and v != mg.entry and v not in frozen
+            and _sole(mg.succ[u]) == v and _sole(mg.pred[v]) == u
+        )
+
+    while work:
+        n = work.pop()
+        queued.discard(n)
+        if n not in mg.succ:
+            continue
+        if sequences:
+            # n as u, else n as v: a dropped self-loop may leave n one edge in
+            u, v = n, _sole(mg.succ[n])
+            if not mergeable(u, v):
+                u, v = _sole(mg.pred[n]), n
+            if mergeable(u, v):
+                if len(mg.pred[u]) < len(mg.succ[v]):
+                    # v takes u's place
+                    sources = list(mg.pred[u])
+                    if u == mg.entry:
+                        mg.entry = v
+                    if u == mg.exit:
+                        mg.exit = v
+                    if u in frozen:
+                        frozen.add(v)
+                    mg.remove_node(u)
+                    for s in sources:
+                        mg.link(s, v)
+                    touch(v)
+                else:
+                    targets = list(mg.succ[v])
+                    if v == mg.exit:
+                        mg.exit = u
+                    mg.remove_node(v)
+                    for t in targets:
+                        mg.link(u, t)
+                    touch(u)
+                continue
+        if n in (mg.entry, mg.exit) or n in frozen:
+            continue
+        p, t = _sole(mg.pred[n]), _sole(mg.succ[n])
+        if p is not None and t is not None:
+            mg.remove_node(n)
+            mg.link(p, t)
+            touch(p)
+            touch(t)
+    return mg
+
+
+def essential_residue(g: ControlFlowGraph) -> ReductionGraph:
+    """The residue of the ev reduction: ``return`` nodes are never
+    contracted, so a mid-method return survives as unstructured."""
+    returns = {n for n, kind in enumerate(g.kinds) if kind == "return"}
+    return reduce_graph(ReductionGraph(g, returns), sequences=True)
+
+
+def oracle_ev(g: ControlFlowGraph) -> int:
+    return essential_residue(g).cyclomatic()
+
+
+def oracle_iv(g: ControlFlowGraph) -> int:
+    """iv by the dict-of-sets reduction: 1 without call nodes."""
+    calls = g.call_nodes
+    if not calls:
+        return 1
+    return reduce_graph(ReductionGraph(g, calls), sequences=False).cyclomatic()

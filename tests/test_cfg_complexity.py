@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cfg_with_v, random_class_source, random_method_source, random_model
+from helpers import (
+    cfg_with_v, essential_residue, oracle_ev, oracle_iv, random_class_source, random_method_source, random_model,
+)
 from oometrics import cfg as cfgmod
 from oometrics import cli, complexity
 from oometrics.cfg import ControlFlowGraph
@@ -359,7 +361,8 @@ def test_essential_matches_oracle_on_random_methods():
 
 def test_essential_idempotent():
     # reducing the residue again changes nothing: ev of a graph built from
-    # the residue equals the residue's cyclomatic number
+    # the residue (which the dict-of-sets oracle reduction keeps) equals the
+    # residue's cyclomatic number
     src = """
 class S {
     void m() {
@@ -373,10 +376,9 @@ class S {
 }
 """
     g = _method_cfgs(src)["m"]
-    from oometrics.complexity import _reduce_essential
-
-    mg = _reduce_essential(g)
+    mg = essential_residue(g)
     first = mg.cyclomatic()
+    assert essential(g) == first
     # rebuild a CFG from the residue (original kinds preserved) and reduce again
     ids = sorted(mg.succ)
     remap = {n: i for i, n in enumerate(ids)}
@@ -649,6 +651,48 @@ def test_parsed_graphs_survive_the_facts_round_trip():
     assert len(graphs) > 300 and any(g.call_nodes for g in graphs)
     for g in graphs:
         assert ControlFlowGraph.from_facts(g.to_facts()) == g
+
+
+def _random_cfg(rng: random.Random) -> ControlFlowGraph:
+    """A random valid flowgraph: a tree from the entry and a path on to the
+    exit from every node keep it valid; extra edges add back edges,
+    self-loops and parallel edges; node ids are shuffled.  Many return
+    nodes, as a frozen node's mark moves only in a merge next to one."""
+    n = rng.randint(0, 14)
+    kinds = ["entry"] + [rng.choice(("plain", "decision", "return", "return", "call-bearing")) for _ in range(n)]
+    kinds.append("exit")
+    edges = [(rng.randrange(0, i), i) for i in range(1, n + 1)]
+    edges += [(i, rng.randint(i + 1, n + 1)) for i in range(n + 1)]
+    edges += [(rng.randint(0, n), rng.randint(1, n + 1)) for _ in range(rng.randint(0, 2 * n))]
+    perm = list(range(n + 2))
+    rng.shuffle(perm)
+    shuffled = [""] * (n + 2)
+    for old, new in enumerate(perm):
+        shuffled[new] = kinds[old]
+    return ControlFlowGraph(kinds=tuple(shuffled), edges=tuple((perm[a], perm[b]) for a, b in edges),
+                            entry=perm[0], exit=perm[n + 1])
+
+
+def test_reductions_equal_the_dict_of_sets_reduction():
+    # the list-indexed reduction keeps the dict-of-sets one's visiting
+    # order and merge rules
+    rng = random.Random(2027)
+    graphs = [_random_cfg(rng) for _ in range(2000)]
+    graphs += [shape(n) for shape in (_chain_into_branch, _join_into_chain) for n in (1, 2, 5, 12, 300)]
+    graphs += [_sequential_ifs(n, calls) for n in (1, 5, 60) for calls in (False, True)]
+    graphs += list(_parsed_graphs())
+    assert len({essential(g) for g in graphs}) > 5 and len({module_design(g) for g in graphs}) > 5
+    for g in graphs:
+        assert (essential(g), module_design(g)) == (oracle_ev(g), oracle_iv(g)), g
+
+
+def test_a_merge_into_a_return_node_moves_its_mark():
+    # entry -> return -> decision: the decision, with more out-edges than
+    # the return has in-edges, takes the return's place and its mark, and
+    # so survives as unstructured
+    g = ControlFlowGraph(kinds=("decision", "exit", "entry", "plain", "return"),
+                         edges=((2, 4), (4, 0), (0, 3), (2, 1), (4, 0), (0, 1), (3, 1), (3, 1)), entry=2, exit=1)
+    assert essential(g) == oracle_ev(g) == 2
 
 
 @pytest.mark.parametrize("body, v", [

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cfg_with_v, class_rec, method_rec, random_hierarchy, random_model, readme_facts
+from helpers import cfg_with_v, class_rec, method_rec, random_hierarchy, random_model, readme_facts, write_facts
 from oometrics.cli import main
 from oometrics.errors import UnknownClass
 from oometrics.javasrc import parse_source
 from oometrics.model import (
-    FACTS_SCHEMA, PRIMITIVE_TYPES, build_system_model, dump_facts, facts_to_model, load_facts, model_to_facts,
+    FACTS_SCHEMA, PRIMITIVE_TYPES, build_system_model, facts_to_model, load_facts, model_to_facts,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -55,12 +55,12 @@ MALFORMED = {
 def _route(command: str, tmp_path: Path, doc) -> tuple[list[str], Path]:
     """Argv that reads ``doc`` as its last facts file, next to good ones."""
     good = tmp_path / "good.json"
-    dump_facts({"classes": [class_rec("p.Ok"), class_rec("p.A")]}, good)
+    write_facts({"classes": [class_rec("p.Ok"), class_rec("p.A")]}, good)
     other = tmp_path / "other.json"  # declares no class that ``doc`` declares
-    dump_facts({"classes": [class_rec("q.Other")]}, other)
+    write_facts({"classes": [class_rec("q.Other")]}, other)
     history = tmp_path / "hist"
     history.mkdir()
-    dump_facts({"classes": [class_rec("p.Ok")]}, history / "v1.json")
+    write_facts({"classes": [class_rec("p.Ok")]}, history / "v1.json")
     bad = history / "v2.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     argv = {
@@ -233,6 +233,6 @@ def test_library_classes_are_sorted_names_outside_the_model():
 
 def test_kiviat_of_a_library_class_is_an_unknown_class(tmp_path, capsys):
     path = tmp_path / "facts.json"
-    dump_facts({"classes": [class_rec("app.A", extends=["java.util.List"])]}, path)
+    write_facts({"classes": [class_rec("app.A", extends=["java.util.List"])]}, path)
     assert main(["kiviat", "--facts", str(path), "--class-name", "java.util.List"]) == 1
     assert "unknown class: java.util.List" in capsys.readouterr().err

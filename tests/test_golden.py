@@ -23,11 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cfg_with_v, class_rec, method_rec, multiple_inheritance_records, random_model
+from helpers import cfg_with_v, class_rec, method_rec, multiple_inheritance_records, random_model, write_facts
 from oometrics import cli
 from oometrics.cli import main
 from oometrics.javasrc import parse_source
-from oometrics.model import build_system_model, dump_facts, model_to_facts
+from oometrics.model import build_system_model, model_to_facts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden.json"
@@ -178,7 +178,7 @@ def write_inputs(dest: Path) -> None:
         if isinstance(records_or_model, list):
             path.write_text(json.dumps({"classes": records_or_model}, sort_keys=True), encoding="utf-8")
         else:
-            dump_facts(model_to_facts(records_or_model), path)
+            write_facts(model_to_facts(records_or_model), path)
 
     facts("random40.json", random_model(random.Random(40), n_classes=40, max_attrs=4, p_inherit=0.5))
     facts("multi.json", multiple_inheritance_records())

@@ -1,15 +1,23 @@
 """Halstead counting against the shipped classification table."""
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from oometrics.halstead import HalsteadCounts, halstead_counts, merge_counts
+from helpers import random_class_source
+from helpers import tokenize as oracle_tokenize
+from oometrics.halstead import (
+    CLOSERS, LITERAL_WORDS, OPERATOR_KEYWORDS, PAIRED, HalsteadCounts, halstead_counts, merge_counts,
+)
 from oometrics.javasrc import parse_source, tokenize
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_empty_body_all_zero():
-    c = halstead_counts([])
+    c = halstead_counts(tokenize(""))
     assert (c.n1, c.n2, c.N1, c.N2) == (0, 0, 0, 0)
     assert c.volume == 0.0
 
@@ -73,14 +81,57 @@ def test_volume_formula():
 
 
 def test_counts_over_a_range_equal_counts_over_its_slice():
-    toks = tokenize("int m() { a = b(c); return d; } e(f);")
-    lo = [t.value for t in toks].index("{") + 1
-    hi = [t.value for t in toks].index("}")
-    assert halstead_counts(toks, lo, hi) == halstead_counts(toks[lo:hi])
+    text = "int m() { a = b(c); return d; } e(f);"
+    toks = tokenize(text)
+
+    def alone(lo: int, hi: int):
+        """Counts over the text of tokens [lo, hi), lexed by itself."""
+        return halstead_counts(tokenize(text[toks.starts[lo]:toks.starts[hi]]))
+
+    lo = toks.vals.index("{") + 1
+    hi = toks.vals.index("}")
+    assert halstead_counts(toks, lo, hi) == alone(lo, hi)
     # a name last in the range is an operand, even where '(' follows outside
-    hi = [t.value for t in toks].index("e") + 1
-    assert halstead_counts(toks, lo, hi) == halstead_counts(toks[lo:hi])
+    hi = toks.vals.index("e") + 1
+    assert halstead_counts(toks, lo, hi) == alone(lo, hi)
     assert halstead_counts(toks, lo, hi).n2 == halstead_counts(toks, lo, hi - 1).n2 + 1
+
+
+def tuple_counts(tokens) -> HalsteadCounts:
+    """Halstead counts over a list of ``(kind, value, line)`` tokens, by
+    the classification the module docstring gives."""
+    operators, operands = Counter(), Counter()
+    for i, t in enumerate(tokens):
+        if t.kind in ("num", "str", "char"):
+            operands[f"{t.kind}:{t.value}"] += 1
+        elif t.kind == "ident":
+            if t.value in LITERAL_WORDS:
+                operands[t.value] += 1
+            elif t.value in OPERATOR_KEYWORDS:
+                operators[t.value] += 1
+            elif i + 1 < len(tokens) and tokens[i + 1].kind == "op" and tokens[i + 1].value == "(":
+                operators[t.value + "()"] += 1
+            else:
+                operands[t.value] += 1
+        elif t.value in PAIRED:
+            operators[PAIRED[t.value]] += 1
+        elif t.value not in CLOSERS:
+            operators[t.value] += 1
+    return HalsteadCounts(len(operators), len(operands), sum(operators.values()), sum(operands.values()))
+
+
+def test_counts_equal_the_token_tuple_counts():
+    # the stream's counts equal a count over the oracle lexer's tokens, on
+    # generated classes and every fixture source, whole and per method body
+    rng = random.Random(41)
+    texts = [random_class_source(rng, f"H{i}", n_methods=3)[0] for i in range(40)]
+    texts += [path.read_text() for path in sorted(FIXTURES.rglob("*.java"))]
+    for text in texts:
+        toks, oracle = tokenize(text), oracle_tokenize(text)
+        assert halstead_counts(toks) == tuple_counts(oracle)
+        for lo in [i for i, v in enumerate(toks.vals) if v == "{"][:6]:
+            hi = next((j for j in range(lo + 1, len(toks)) if toks.vals[j] == "}"), len(toks))
+            assert halstead_counts(toks, lo + 1, hi) == tuple_counts(oracle[lo + 1:hi])
 
 
 def test_parser_merges_every_method_body_of_the_file():

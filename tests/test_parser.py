@@ -1,16 +1,19 @@
 """Source parser: subset recognition, line/comment counting, degradation,
 determinism, and the facts round trip on generated classes."""
 
+import hashlib
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import random_class_source, random_soup_class_source
+from helpers import tokenize as oracle_tokenize
 from oometrics.cli import main
 from oometrics import javasrc
 from oometrics.complexity import cyclomatic
@@ -18,13 +21,18 @@ from oometrics.errors import MetricsError, SourceSyntaxError
 from oometrics.javasrc import _comment_table, parse_source, tokenize
 from oometrics.model import build_system_model, facts_to_model, model_to_facts
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def count_lines(text: str) -> tuple[int, int]:
     """(cl_line, cl_comm) of a whole file, as the parser counts them."""
-    spans: list[tuple[int, int]] = []
-    tokenize(text, spans)
-    table = _comment_table(text, spans)
+    table = _comment_table(text, tokenize(text).comments)
     return len(table) - 1, table[-1]
+
+
+def triples(toks) -> list[tuple[str, str, int]]:
+    """(kind, text, line) of every token of a stream."""
+    return [(kind, text, toks._line(i)) for i, (kind, text) in enumerate(zip(toks.kinds, toks.texts))]
 
 
 def comment_lines_in(spans: list[tuple[int, int]], lo: int, hi: int) -> int:
@@ -338,11 +346,13 @@ def test_generated_classes_facts_fixed_point():
 
 def test_tokenizer_operators_and_literals():
     toks = tokenize("a >>= 2; s = \"hi\"; c = 'x'; f = 1.5e-3;")
-    values = [(t.kind, t.value) for t in toks]
+    values = list(zip(toks.kinds, toks.texts))
     assert ("op", ">>=") in values
     assert ("str", "hi") in values
     assert ("char", "x") in values
     assert any(k == "num" and v.startswith("1.5e") for k, v in values)
+    # a literal's structural value is its opening quote
+    assert [v for k, v in zip(toks.kinds, toks.vals) if k in ("str", "char")] == ['"', "'"]
 
 
 # text -> (tokens as (kind, value, line), comment line spans)
@@ -375,10 +385,9 @@ LEXER_EDGE_CASES = {
 
 @pytest.mark.parametrize("text", list(LEXER_EDGE_CASES), ids=[repr(t) for t in LEXER_EDGE_CASES])
 def test_lexer_edge_cases(text):
-    spans = []
-    toks = tokenize(text, spans)
-    assert ([(t.kind, t.value, t.line) for t in toks], spans) == LEXER_EDGE_CASES[text]
-    assert tokenize(text) == toks
+    toks = tokenize(text)
+    assert (triples(toks), toks.comments) == LEXER_EDGE_CASES[text]
+    assert_lexes_as_the_oracle(text)
 
 
 def test_one_lexer_pass_gives_tokens_and_per_class_comment_lines(monkeypatch):
@@ -678,18 +687,83 @@ def _mutate(rng: random.Random, src: str) -> str:
     return src
 
 
-def test_mutated_sources_parse_or_fail_with_a_syntax_error():
-    # unbalanced brackets, quotes and comments: the parser and the model
-    # either succeed or raise an error of the toolkit, never anything else
+def _mutated_sources():
+    """300 generated classes (seed 17), each with three random edits."""
     rng = random.Random(17)
     for k in range(300):
         make = random_soup_class_source if k % 2 else random_class_source
         src, _ = make(rng, name="X", n_methods=rng.randrange(1, 4))
+        yield _mutate(rng, src)
+
+
+def test_mutated_sources_parse_or_fail_with_a_syntax_error():
+    # unbalanced brackets, quotes and comments: the parser and the model
+    # either succeed or raise an error of the toolkit, never anything else
+    for text in _mutated_sources():
         try:
-            records = parse_source(_mutate(rng, src), "X.java").classes
+            records = parse_source(text, "X.java").classes
         except SourceSyntaxError:
             continue
         try:
             build_system_model(records, "X.java")
         except MetricsError as exc:
             assert "X.java" in str(exc)
+
+
+#: the line each failing mutated source reports, by its index in
+#: :func:`_mutated_sources`
+MUTATION_ERROR_LINES = {
+    0: 4, 3: 4, 4: 3, 5: 3, 6: 4, 7: 4, 8: 1, 9: 3, 11: 2, 12: 52, 13: 4, 15: 2, 16: 35, 17: 5, 21: 4, 23: 5,
+    24: 32, 25: 2, 27: 1, 28: 26, 29: 6, 30: 3, 31: 1, 32: 5, 33: 5, 34: 5, 35: 1, 36: 3, 37: 4, 39: 4,
+    40: 64, 42: 3, 44: 3, 45: 5, 46: 5, 47: 1, 48: 7, 49: 4, 53: 5, 54: 5, 55: 4, 56: 5, 58: 1, 62: 24, 63: 4,
+    64: 3, 65: 4, 67: 1, 68: 135, 69: 4, 70: 3, 71: 2, 72: 13, 73: 6, 74: 5, 75: 1, 76: 17, 77: 2, 78: 5,
+    79: 4, 80: 5, 81: 4, 82: 1, 85: 4, 86: 5, 87: 1, 88: 5, 90: 4, 91: 1, 92: 5, 93: 3, 95: 4, 96: 53, 97: 5,
+    99: 2, 100: 5, 101: 3, 102: 10, 104: 25, 107: 1, 108: 72, 109: 2, 113: 4, 115: 4, 116: 1, 117: 1, 118: 1,
+    119: 2, 123: 4, 125: 4, 127: 5, 128: 3, 129: 5, 131: 4, 133: 5, 135: 5, 136: 30, 138: 5, 139: 2, 140: 1,
+    141: 4, 142: 7, 143: 5, 144: 41, 145: 1, 146: 5, 148: 13, 149: 4, 150: 1, 151: 3, 154: 3, 155: 4, 156: 20,
+    157: 5, 158: 4, 159: 5, 160: 3, 161: 4, 162: 19, 163: 2, 164: 8, 165: 1, 166: 7, 168: 4, 169: 1, 170: 25,
+    171: 2, 172: 17, 173: 3, 174: 4, 177: 4, 178: 21, 179: 1, 181: 1, 182: 5, 183: 3, 184: 3, 185: 5, 187: 2,
+    189: 5, 190: 4, 191: 1, 192: 1, 193: 2, 194: 3, 195: 2, 196: 5, 197: 4, 199: 3, 201: 2, 202: 5, 203: 6,
+    204: 23, 205: 2, 206: 1, 207: 3, 208: 1, 209: 5, 211: 2, 212: 3, 213: 2, 214: 5, 215: 6, 216: 29, 217: 5,
+    218: 3, 219: 4, 220: 5, 221: 2, 222: 36, 225: 3, 229: 4, 232: 2, 233: 3, 234: 5, 235: 1, 236: 24, 237: 3,
+    238: 1, 239: 3, 240: 5, 241: 1, 242: 88, 243: 3, 244: 5, 245: 5, 247: 6, 249: 4, 252: 5, 253: 3, 254: 1,
+    255: 1, 257: 3, 258: 93, 259: 2, 260: 1, 263: 4, 267: 2, 268: 3, 269: 1, 272: 5, 275: 4, 276: 34, 277: 5,
+    278: 5, 280: 5, 282: 4, 285: 3, 286: 1, 287: 3, 289: 3, 291: 4, 293: 5, 294: 5, 295: 4, 296: 4, 297: 3,
+    298: 15, 299: 1,
+}
+
+
+def test_mutated_sources_fail_with_pinned_messages():
+    # the line, the expected token and the found token of every error
+    errors = {}
+    for k, text in enumerate(_mutated_sources()):
+        try:
+            parse_source(text, "X.java")
+        except SourceSyntaxError as exc:
+            errors[k] = [type(exc).__name__, exc.line, sorted(exc.expected), exc.found]
+    assert {k: e[1] for k, e in errors.items()} == MUTATION_ERROR_LINES
+    digest = hashlib.sha256(json.dumps(errors, sort_keys=True).encode()).hexdigest()
+    assert digest == "d5c7e40f8012d6efd20fd147ae8a08c0b6ca70e14c1cc43b000dc040576480cc"
+
+
+def assert_lexes_as_the_oracle(text: str) -> None:
+    """The stream of ``text`` gives the token tuple lexer's (kind, value,
+    line) triples, comment spans and token count."""
+    spans: list[tuple[int, int]] = []
+    oracle = oracle_tokenize(text, spans)
+    toks = tokenize(text)
+    assert len(toks) == len(oracle)
+    assert triples(toks) == oracle
+    assert toks.vals == [{"str": '"', "char": "'"}.get(t.kind, t.value) for t in oracle]
+    assert toks.comments == spans
+
+
+def test_token_stream_equals_the_token_tuple_lexer():
+    rng = random.Random(43)
+    for k in range(100):
+        make = random_soup_class_source if k % 2 else random_class_source
+        assert_lexes_as_the_oracle(make(rng, name="T", n_methods=rng.randrange(1, 4))[0])
+    for path in sorted(FIXTURES.rglob("*.java")):
+        assert_lexes_as_the_oracle(path.read_text())
+    for text in _mutated_sources():
+        assert_lexes_as_the_oracle(text)

@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import class_rec, lexical_analyzer_model, method_rec, cfg_with_v, random_model
+from helpers import class_rec, lexical_analyzer_model, method_rec, cfg_with_v, random_model, write_facts
 from oometrics import cli, cohesion, complexity, qmood, quality
 from oometrics.cfg import ControlFlowGraph
 from oometrics.ck import KIVIAT_ORDER, ClassMetricsRecord
 from oometrics.cli import main
-from oometrics.model import build_system_model, dump_facts, facts_to_model, model_to_facts
+from oometrics.model import build_system_model, facts_to_model, model_to_facts
 from oometrics.quality import RangeTable, ToolConfig
 from oometrics.report import (
     compute_class_record,
@@ -185,7 +185,7 @@ def test_cli_analyze_empty_dir_is_no_input(tmp_path, capsys):
 def test_cli_analyze_facts_file(tmp_path, capsys):
     model = _fixture_model()
     facts_path = tmp_path / "facts.json"
-    dump_facts(model_to_facts(model), facts_path)
+    write_facts(model_to_facts(model), facts_path)
     rc = main(["analyze", "--facts", str(facts_path)])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
@@ -337,7 +337,7 @@ def _churn_builds(tmp_path) -> Path:
     builds.mkdir()
     for k in range(3):
         model = random_model(random.Random(100 + k), n_classes=24, max_methods=6, max_attrs=4, p_edge=0.1, p_inherit=0.5)
-        dump_facts(model_to_facts(model), builds / f"v{k}.json")
+        write_facts(model_to_facts(model), builds / f"v{k}.json")
     return builds
 
 
@@ -389,7 +389,7 @@ def _write_history(tmp_path) -> Path:
             class_rec("app.Main", methods=[method_rec(f"m{k}") for k in range(nom)]),
             class_rec("app.Util", methods=[method_rec("u")]),
         ])
-        dump_facts(model_to_facts(model), hist / f"v{i + 1}.json")
+        write_facts(model_to_facts(model), hist / f"v{i + 1}.json")
     return hist
 
 
@@ -429,7 +429,7 @@ def test_cli_compare(tmp_path, capsys):
                 methods=[method_rec("m", cfg=cfg_with_v(min(wmc, 9)))],
             ))
         model = build_system_model(records)
-        dump_facts(model_to_facts(model), path)
+        write_facts(model_to_facts(model), path)
 
     base = tmp_path / "base.json"
     early = tmp_path / "early.json"
@@ -596,10 +596,10 @@ def test_cli_names_a_facts_file_it_cannot_read(route, shape, tmp_path, capsys):
     # a missing file once ended in FileNotFoundError, a broken one in
     # JSONDecodeError, each with a traceback
     good = tmp_path / "good.json"
-    dump_facts(model_to_facts(random_model(random.Random(5), n_classes=8)), good)
+    write_facts(model_to_facts(random_model(random.Random(5), n_classes=8)), good)
     history = tmp_path / "history"
     history.mkdir()
-    dump_facts(model_to_facts(random_model(random.Random(6), n_classes=8)), history / "v1.json")
+    write_facts(model_to_facts(random_model(random.Random(6), n_classes=8)), history / "v1.json")
     bad = (history if route == "--history" else tmp_path) / "v2.json"
     if shape == "not_json":
         bad.write_text('{"classes": [\n  {"name": }\n]}')

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_model
+from helpers import random_model, write_facts
 from oometrics import cli
 from oometrics.cli import main
-from oometrics.model import dump_facts, model_to_facts
+from oometrics.model import model_to_facts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -59,7 +59,7 @@ def test_a_source_file_named_twice_is_parsed_once(capsys):
 
 def test_a_facts_file_named_twice_is_read_once(tmp_path, capsys):
     facts = tmp_path / "f.json"
-    dump_facts(model_to_facts(random_model(random.Random(4), n_classes=5)), facts)
+    write_facts(model_to_facts(random_model(random.Random(4), n_classes=5)), facts)
     once = run(["analyze", facts], capsys)
     assert once[0] == 0
     # it was exit 1: "class defined more than once"
@@ -129,7 +129,7 @@ def test_no_pool_for_facts_a_single_file_or_a_threaded_process(tmp_path, capsys,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(cli, "_parse_in_pool", forbidden)
     facts = tmp_path / "facts.json"
-    dump_facts(model_to_facts(random_model(random.Random(3), n_classes=5)), facts)
+    write_facts(model_to_facts(random_model(random.Random(3), n_classes=5)), facts)
     one = tmp_path / "one"
     one.mkdir()
     (one / "A.java").write_text(GOOD.format(name="A"), encoding="utf-8")
