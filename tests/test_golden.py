@@ -43,6 +43,7 @@ CASES: dict[str, tuple[list[str], tuple[str, ...]]] = {
     "analyze_fixture_source": (["analyze", "metric_test"], ()),
     "analyze_fixture_facts": (["analyze", "--facts", "metric_test.json"], ()),
     "analyze_history": (["analyze", "--facts", "hist/v3.json", "--history", "hist"], ()),
+    "analyze_baseline": (["analyze", "--facts", "hist/v3.json", "--baseline", "hist/v0.json"], ()),
     "analyze_out": (["analyze", "metric_test", "--out", "out"], ("out/report.json", "out/facts.json")),
     "scatter": (["scatter", "metric_test", "if200"], ()),
     "kiviat": (["kiviat", "--facts", "multi.json", "--class-name", "app.Leaf"], ()),
