@@ -2,6 +2,10 @@
 coupling factor, and the thirteen class-level mnemonics used by the
 quality model.
 
+Each function returns a plain value, or a dict keyed by report name
+(``logiscope_mnemonics``); ``report.compute_class_record`` gathers them
+with the other families into one class's ``metrics`` dict.
+
 Conventions (see README for the full list):
 - the uses relation of ``SystemModel.coupling`` drives CBO / cu_cdused /
   cu_cdusers over system classes only; coupling to library classes is ignored;
@@ -13,8 +17,6 @@ Conventions (see README for the full list):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .complexity import class_wmc
 from .errors import DegenerateSystem
 from .model import SystemModel
@@ -23,60 +25,6 @@ KIVIAT_ORDER = (
     "cl_comf", "cl_comm", "cl_data", "cl_data_publ", "cl_func", "cl_func_publ",
     "cl_line", "cl_stat", "cl_wmc", "cu_cdused", "cu_cdusers", "in_bases", "in_noc",
 )
-
-
-@dataclass
-class ClassMetricsRecord:
-    """Every per-class value the reports consume.  ``None`` marks a metric
-    whose preconditions failed (comment rate of a zero-line class, cohesion
-    of a one-method class, and so on)."""
-
-    name: str
-    # Logiscope mnemonics
-    cl_comf: float | None = None
-    cl_comm: int = 0
-    cl_data: int = 0
-    cl_data_publ: int = 0
-    cl_func: int = 0
-    cl_func_publ: int = 0
-    cl_line: int = 0
-    cl_stat: int = 0
-    cl_wmc: int = 0
-    cu_cdused: int = 0
-    cu_cdusers: int = 0
-    in_bases: int = 0
-    in_noc: int = 0
-    # CK / coupling
-    cbo: int = 0
-    rfc: int = 0
-    wmc: int = 0
-    dit: int = 0
-    noc: int = 0
-    mpc: int = 0
-    dac: int = 0
-    # cohesion family
-    lcom_ck: int | None = None
-    lcom_lh: int | None = None
-    lcom_hm: int | None = None
-    lcom_hs: float | None = None
-    coh: float | None = None
-    tcc: float | None = None
-    lcc: float | None = None
-    sim_cohesion: float | None = None
-    # QMOOD per-class metrics
-    dam: float | None = None
-    dcc: int = 0
-    cam: float | None = None
-    moa: int = 0
-    mfa: float | None = None
-    nop: int = 0
-    cis: int = 0
-    nom: int = 0
-    # per-method complexity rows: (method signature, v, ev, iv)
-    methods: list[tuple[str, int, int, int]] = field(default_factory=list)
-
-    def mnemonics(self) -> dict[str, float | int | None]:
-        return {m: getattr(self, m) for m in KIVIAT_ORDER}
 
 
 def cbo(model: SystemModel, c: str) -> int:

@@ -34,7 +34,7 @@ from .halstead import HalsteadCounts, merge_counts
 from .javasrc import CompilationFacts, parse_source
 from .model import build_system_model, load_facts, model_to_facts
 from .quality import ToolConfig
-from .report import compute_class_record, emit_kiviat_svg, emit_scatter, scatter_rows_from_model
+from .report import emit_kiviat_svg, emit_scatter, scatter_rows_from_model
 
 SOURCE_SUFFIXES = (".java",)
 
@@ -236,8 +236,7 @@ def cmd_kiviat(args) -> int:
     config = ToolConfig.load(args.config) if args.config else ToolConfig()
     loaded = _load_input(args.paths, args.facts)
     model = build_system_model(loaded.class_records, loaded.sources)
-    rec = compute_class_record(model, args.class_name)
-    rows = kiviat_rows(config.ranges, rec)
+    rows = kiviat_rows(config.ranges, logiscope_mnemonics(model, args.class_name))
     svg = emit_kiviat_svg(rows, args.class_name)
     if args.out:
         _write_text(Path(args.out), svg)

@@ -65,7 +65,7 @@ class _UnionFind:
 
 
 def class_cohesion(info: ClassInfo) -> dict[str, int | float | UndefinedMetric]:
-    """Every cohesion value, keyed by its ClassMetricsRecord field, from one
+    """Every cohesion value, keyed as the report's ``metrics`` object, from one
     pass over the method pairs.  An undefined value is the UndefinedMetric
     that says why.
 

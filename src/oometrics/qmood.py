@@ -1,6 +1,10 @@
 """Bansiya-Davis design quality model: per-class design metrics, the
 system property vector, and the six weighted quality indices plus TQI.
 
+Every result is a plain dict keyed by name: the per-class metrics as the
+report's ``metrics`` object prints them, the eleven properties in
+``PROPERTY_NAMES`` order, the indices in ``INDEX_WEIGHTS`` order then TQI.
+
 Index weights (verbatim, including the Understandability set that sums
 to -0.99):
 
@@ -17,10 +21,8 @@ to -0.99):
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from collections.abc import Mapping, Sequence
 
-from .ck import ClassMetricsRecord
 from .errors import EmptyModel, MissingProperty
 from .model import SystemModel
 
@@ -48,51 +50,19 @@ INDEX_WEIGHTS: dict[str, dict[str, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class ClassDesignMetrics:
-    dam: float | None  # private+protected attributes / all attributes
-    dcc: int           # distinct system classes related via attribute/parameter types
-    cam: float | None  # parameter-type cohesion among methods
-    moa: int           # attributes with system-class types
-    mfa: float | None  # inherited / (inherited + declared) methods
-    nop: int           # abstract (polymorphism-capable) methods
-    cis: int           # public methods + public constructors
-    nom: int           # declared methods
+def qmood_class_metrics(model: SystemModel, c: str) -> dict[str, float | int | None]:
+    """The per-class design metrics:
 
+    - ``dam``: private and protected attributes over all attributes;
+    - ``dcc``: distinct system classes named by an attribute or parameter type;
+    - ``cam``: parameter-type cohesion among the methods;
+    - ``moa``: attributes typed by a system class;
+    - ``mfa``: inherited methods over inherited plus declared methods;
+    - ``nop``: abstract (polymorphism-capable) methods;
+    - ``cis``: public methods plus public constructors;
+    - ``nom``: declared methods.
 
-@dataclass(frozen=True)
-class PropertyVector:
-    DesignSize: float | None
-    Hierarchies: float | None
-    Abstraction: float | None
-    Encapsulation: float | None
-    Coupling: float | None
-    Cohesion: float | None
-    Composition: float | None
-    Inheritance: float | None
-    Polymorphism: float | None
-    Messaging: float | None
-    Complexity: float | None
-
-    def as_dict(self) -> dict[str, float | None]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass(frozen=True)
-class QualityIndices:
-    Reusability: float
-    Flexibility: float
-    Understandability: float
-    Functionality: float
-    Extendibility: float
-    Effectiveness: float
-    TQI: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def qmood_class_metrics(model: SystemModel, c: str) -> ClassDesignMetrics:
+    ``None`` marks a ratio with a zero denominator."""
     info = model.get(c)
 
     attrs = info.attributes
@@ -132,9 +102,7 @@ def qmood_class_metrics(model: SystemModel, c: str) -> ClassDesignMetrics:
     cis = sum(1 for m in methods if m.visibility == "public") + sum(
         1 for m in info.constructors if m.visibility == "public"
     )
-    return ClassDesignMetrics(
-        dam=dam, dcc=dcc, cam=cam, moa=moa, mfa=mfa, nop=nop, cis=cis, nom=declared
-    )
+    return {"dam": dam, "dcc": dcc, "cam": cam, "moa": moa, "mfa": mfa, "nop": nop, "cis": cis, "nom": declared}
 
 
 def qmood_system_metrics(model: SystemModel) -> tuple[int, int, float]:
@@ -154,48 +122,48 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def property_vector(model: SystemModel, baseline: PropertyVector | None = None) -> PropertyVector:
+def property_vector(
+    model: SystemModel, baseline: Mapping[str, float | None] | None = None
+) -> dict[str, float | None]:
     """Map system/class metrics onto the eleven design properties; divide
-    componentwise by ``baseline`` when given (zero baseline -> None)."""
+    componentwise by ``baseline``, another property dict, when given (zero
+    baseline -> None)."""
     per_class = [qmood_class_metrics(model, c) for c in model.internal_class_names]
     return design_properties(qmood_system_metrics(model), per_class, baseline)
 
 
 def design_properties(
     system: tuple[int, int, float],
-    per_class: Sequence[ClassDesignMetrics | ClassMetricsRecord],
-    baseline: PropertyVector | None = None,
-) -> PropertyVector:
+    per_class: Sequence[Mapping[str, float | int | None]],
+    baseline: Mapping[str, float | None] | None = None,
+) -> dict[str, float | None]:
     """``property_vector`` from metrics already computed: ``system`` is
-    (DSC, NOH, ANA), ``per_class`` has one entry per internal class (a
-    class record carries the same design-metric fields)."""
+    (DSC, NOH, ANA), ``per_class`` has one mapping per internal class that
+    holds at least the keys of ``qmood_class_metrics``."""
     dsc, noh, ana = system
-    raw = {
+    props = {
         "DesignSize": float(dsc),
         "Hierarchies": float(noh),
         "Abstraction": ana,
-        "Encapsulation": _mean([m.dam for m in per_class if m.dam is not None]),
-        "Coupling": _mean([float(m.dcc) for m in per_class]),
-        "Cohesion": _mean([m.cam for m in per_class if m.cam is not None]),
-        "Composition": _mean([float(m.moa) for m in per_class]),
-        "Inheritance": _mean([m.mfa for m in per_class if m.mfa is not None]),
-        "Polymorphism": _mean([float(m.nop) for m in per_class]),
-        "Messaging": _mean([float(m.cis) for m in per_class]),
-        "Complexity": _mean([float(m.nom) for m in per_class]),
+        "Encapsulation": _mean([m["dam"] for m in per_class if m["dam"] is not None]),
+        "Coupling": _mean([float(m["dcc"]) for m in per_class]),
+        "Cohesion": _mean([m["cam"] for m in per_class if m["cam"] is not None]),
+        "Composition": _mean([float(m["moa"]) for m in per_class]),
+        "Inheritance": _mean([m["mfa"] for m in per_class if m["mfa"] is not None]),
+        "Polymorphism": _mean([float(m["nop"]) for m in per_class]),
+        "Messaging": _mean([float(m["cis"]) for m in per_class]),
+        "Complexity": _mean([float(m["nom"]) for m in per_class]),
     }
     if baseline is not None:
-        base = baseline.as_dict()
-        for key, value in raw.items():
-            b = base.get(key)
-            if value is None or b is None or b == 0:
-                raw[key] = None
-            else:
-                raw[key] = value / b
-    return PropertyVector(**raw)
+        for key, value in props.items():
+            b = baseline[key]
+            props[key] = None if value is None or b is None or b == 0 else value / b
+    return props
 
 
-def quality_indices(p: PropertyVector) -> QualityIndices:
-    values = p.as_dict()
+def quality_indices(values: Mapping[str, float | None]) -> dict[str, float]:
+    """The six indices in ``INDEX_WEIGHTS`` order from a property dict,
+    then ``TQI``, their sum in that order."""
     out: dict[str, float] = {}
     for index, weights in INDEX_WEIGHTS.items():
         total = 0.0
@@ -205,5 +173,5 @@ def quality_indices(p: PropertyVector) -> QualityIndices:
                 raise MissingProperty(prop, index)
             total += w * v
         out[index] = total
-    tqi = sum(out.values())
-    return QualityIndices(TQI=tqi, **out)
+    out["TQI"] = sum(out.values())
+    return out

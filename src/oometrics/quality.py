@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .ck import KIVIAT_ORDER, ClassMetricsRecord
+from .ck import KIVIAT_ORDER
 from .errors import ConfigError, UnknownMnemonic
 from .maintain import check_bands
 
@@ -70,7 +71,8 @@ class RangeTable:
     def from_config(cls, entries: dict) -> "RangeTable":
         """Entries: class mnemonic -> {"min": x, "max": y}; "inf"/"-inf"
         accepted literally.  Unlisted mnemonics keep their defaults; any
-        other key is a ConfigError, as it would change nothing."""
+        other mnemonic or bound key is a ConfigError, as it would change
+        nothing."""
         if not isinstance(entries, dict):
             raise ConfigError("ranges must be an object of class mnemonics")
         merged = dict(DEFAULT_RANGES)
@@ -79,6 +81,9 @@ class RangeTable:
                 raise ConfigError(f"ranges: not a class mnemonic: {mnemonic!r} (known: {', '.join(KIVIAT_ORDER)})")
             if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
                 raise ConfigError(f"range for {mnemonic} needs min and max")
+            extra = [k for k in spec if k not in ("min", "max")]
+            if extra:
+                raise ConfigError(f"range for {mnemonic}: unknown key {extra[0]!r} (known: min, max)")
             merged[mnemonic] = (_bound(mnemonic, spec["min"]), _bound(mnemonic, spec["max"]))
         return cls(merged)
 
@@ -117,11 +122,13 @@ def metric_status(ranges: RangeTable, mnemonic: str, value) -> str:
     return "IN"
 
 
-def kiviat_rows(ranges: RangeTable, record: ClassMetricsRecord) -> list[KiviatRow]:
-    """The thirteen mnemonic rows in canonical order: the one place a
-    class's mnemonics are checked against their ranges."""
+def kiviat_rows(ranges: RangeTable, metrics: Mapping[str, float | int | None]) -> list[KiviatRow]:
+    """The thirteen mnemonic rows in canonical order, read from a class's
+    ``metrics``: the one place a class's mnemonics are checked against
+    their ranges."""
     rows = []
-    for m, value in record.mnemonics().items():
+    for m in KIVIAT_ORDER:
+        value = metrics[m]
         lo, hi = ranges.bounds(m)
         rows.append(KiviatRow(mnemonic=m, value=value, min=lo, max=hi, side=metric_status(ranges, m, value)))
     return rows
@@ -225,6 +232,9 @@ class ToolConfig:
             raise ConfigError(
                 f"churnMetrics: not class mnemonics: {unknown!r} (known: {', '.join(KIVIAT_ORDER)})"
             )
+        repeated = [m for m, n in Counter(churn).items() if n > 1]
+        if repeated:
+            raise ConfigError(f"churnMetrics: {repeated[0]!r} is listed more than once")
         sig_bands = doc.get("sigBands", {})
         check_bands(sig_bands)
         baseline = doc.get("qmoodBaseline")

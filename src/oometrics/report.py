@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import cohesion, qmood
-from .ck import KIVIAT_ORDER, ClassMetricsRecord, cbo, dit, logiscope_mnemonics, mpc, rfc
+from .ck import KIVIAT_ORDER, cbo, dit, logiscope_mnemonics, mpc, rfc
 from .complexity import complexity_triple, cyclomatic, quadrant
 from .errors import DegenerateSystem, EmptyModel, MetricsError, UndefinedMetric, WrongAxisCount
 from .halstead import HalsteadCounts
@@ -29,32 +29,31 @@ SCHEMA_VERSION = 1
 TOOL_NAME = "oometrics"
 
 
-def compute_class_record(model: SystemModel, name: str) -> ClassMetricsRecord:
+def compute_class_record(model: SystemModel, name: str) -> dict:
+    """Every per-class value the report prints, keyed as its ``metrics``
+    object: the thirteen mnemonics, CK and coupling, cohesion, the QMOOD
+    design metrics, then ``methods``, one row per method with a CFG.
+    ``None`` marks a metric whose preconditions failed (comment rate of a
+    zero-line class, cohesion of a one-method class, and so on): this is
+    the one place an ``UndefinedMetric`` becomes ``None``."""
     info = model.get(name)
-    rec = ClassMetricsRecord(name=name)
-    for mnemonic, value in logiscope_mnemonics(model, name).items():
-        setattr(rec, mnemonic, value)
-    rec.cbo = cbo(model, name)
-    rec.rfc = rfc(model, name)
-    rec.wmc = rec.cl_wmc
-    rec.dit = dit(model, name)
-    rec.noc = rec.in_noc
-    rec.mpc = mpc(model, name)
-
+    rec = logiscope_mnemonics(model, name)
+    rec.update(cbo=cbo(model, name), rfc=rfc(model, name), dit=dit(model, name), mpc=mpc(model, name))
     for key, value in cohesion.class_cohesion(info).items():
-        setattr(rec, key, None if isinstance(value, UndefinedMetric) else value)
+        rec[key] = None if isinstance(value, UndefinedMetric) else value
+    rec.update(qmood.qmood_class_metrics(model, name))
+    # aliases: DAC counts what QMOOD's MOA counts, attributes typed by another system class
+    rec.update(wmc=rec["cl_wmc"], noc=rec["in_noc"], dac=rec["moa"])
 
-    qm = qmood.qmood_class_metrics(model, name)
-    rec.dam, rec.dcc, rec.cam, rec.moa = qm.dam, qm.dcc, qm.cam, qm.moa
-    rec.mfa, rec.nop, rec.cis, rec.nom = qm.mfa, qm.nop, qm.cis, qm.nom
-    rec.dac = qm.moa  # the same count: attributes typed by another system class
-
+    rows = []
     for m in info.member_functions:
-        if m.cfg is None:
-            continue
-        t = complexity_triple(m.cfg)
-        rec.methods.append((m.signature, t.v, t.ev, t.iv))
-    rec.methods.sort()
+        if m.cfg is not None:
+            t = complexity_triple(m.cfg)
+            rows.append((m.signature, t.v, t.ev, t.iv))
+    rec["methods"] = [
+        {"signature": s, "v": v, "ev": ev, "iv": iv, "quadrant": quadrant(v, ev).label}
+        for s, v, ev, iv in sorted(rows)
+    ]
     return rec
 
 
@@ -89,13 +88,11 @@ def compute_report(
     if not names:
         raise EmptyModel("nothing to report on")
 
-    records = []
     class_sections = []
     maintainability_cats: list[str] = []
     criteria_cats: dict[str, list[str]] = {k: [] for k in CRITERIA}
     for name in names:
         rec = compute_class_record(model, name)
-        records.append(rec)
         rows = kiviat_rows(ranges, rec)
         crits = criteria_categories(rows)
         factor = maintainability(crits.values())
@@ -105,7 +102,7 @@ def compute_report(
         class_sections.append(
             {
                 "name": name,
-                "metrics": _record_dict(rec),
+                "metrics": rec,
                 "criteria": crits,
                 "maintainability": factor,
                 "violations": [r.mnemonic for r in rows if r.side != "IN"],
@@ -122,14 +119,15 @@ def compute_report(
 
     dsc, noh, ana = qmood.qmood_system_metrics(model)
     system["qmood"] = {"DSC": dsc, "NOH": noh, "ANA": ana}
-    baseline_vector = None
+    baseline = None
     if baseline_model is not None:
-        baseline_vector = qmood.property_vector(baseline_model)
-    # each record carries its class's QMOOD design metrics
-    vector = qmood.design_properties((dsc, noh, ana), records, baseline=baseline_vector)
-    system["qmood"]["properties"] = vector.as_dict()
+        baseline = qmood.property_vector(baseline_model)
+    # each class's metrics carry its QMOOD design metrics
+    per_class = [section["metrics"] for section in class_sections]
+    properties = qmood.design_properties((dsc, noh, ana), per_class, baseline=baseline)
+    system["qmood"]["properties"] = properties
     try:
-        system["qmood"]["indices"] = qmood.quality_indices(vector).as_dict()
+        system["qmood"]["indices"] = qmood.quality_indices(properties)
     except MetricsError as exc:
         system["qmood"]["indices"] = None
         system["qmood"]["indicesError"] = str(exc)
@@ -158,15 +156,6 @@ def _tool_version() -> str:
     from . import __version__
 
     return __version__
-
-
-def _record_dict(rec: ClassMetricsRecord) -> dict:
-    out = {f.name: getattr(rec, f.name) for f in fields(rec) if f.name not in ("name", "methods")}
-    out["methods"] = [
-        {"signature": s, "v": v, "ev": ev, "iv": iv, "quadrant": quadrant(v, ev).label}
-        for s, v, ev, iv in rec.methods
-    ]
-    return out
 
 
 def _system_mi(model: SystemModel, counts: HalsteadCounts | None) -> dict | None:

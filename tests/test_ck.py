@@ -51,7 +51,7 @@ def test_cbo_isolated_class_zero():
 
 def test_dac_fixture_string_field_ignored():
     m = load_fixture("cbo_dac")
-    assert compute_class_record(m, "fixtures.cbo.ClassC").dac == 1
+    assert compute_class_record(m, "fixtures.cbo.ClassC")["dac"] == 1
 
 
 def test_dac_primitive_fields_zero():
@@ -61,7 +61,7 @@ def test_dac_primitive_fields_zero():
             {"name": "y", "type": "double", "visibility": "private", "static": False},
         ]),
     ])
-    assert qmood_class_metrics(m, "A").moa == 0
+    assert qmood_class_metrics(m, "A")["moa"] == 0
 
 
 def test_rfc_fixture_table():
@@ -214,7 +214,7 @@ def test_dac_matches_field_type_scan():
                 if a.declared_type in m
                 and a.declared_type != c
             )
-            assert qmood_class_metrics(m, c).moa == expected
+            assert qmood_class_metrics(m, c)["moa"] == expected
 
 
 def test_coupling_factor_matches_brute_force():

@@ -178,7 +178,7 @@ def test_table_metrics_equal_the_walk_formulas():
             inherited = len(inherited_methods(m, c))
             assert ck.logiscope_mnemonics(m, c)["in_bases"] == len(ancestors(m, c))
             mfa = inherited / (inherited + declared) if inherited + declared else None
-            assert qmood.qmood_class_metrics(m, c).mfa == mfa
+            assert qmood.qmood_class_metrics(m, c)["mfa"] == mfa
         if len(m.internal_class_names) < 2:
             continue
         got, want = mood(m), _oracle(m)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from helpers import lexical_analyzer_model, neural_network_model
-from oometrics.ck import KIVIAT_ORDER, ClassMetricsRecord
+from oometrics.ck import KIVIAT_ORDER
 from oometrics.errors import ConfigError, UnknownMnemonic
 from oometrics.quality import (
     CRITERIA,
@@ -21,14 +21,11 @@ from oometrics.quality import (
 from oometrics.report import compute_class_record
 
 
-def _record(**overrides) -> ClassMetricsRecord:
-    rec = ClassMetricsRecord(name="T", cl_comf=0.5, cl_line=100, cl_comm=50)
-    for k, v in overrides.items():
-        setattr(rec, k, v)
-    return rec
+def _record(**overrides) -> dict:
+    return dict.fromkeys(KIVIAT_ORDER, 0) | {"cl_comf": 0.5, "cl_line": 100, "cl_comm": 50} | overrides
 
 
-def _criteria(rec: ClassMetricsRecord, ranges: RangeTable | None = None) -> dict[str, str]:
+def _criteria(rec: dict, ranges: RangeTable | None = None) -> dict[str, str]:
     return criteria_categories(kiviat_rows(ranges or RangeTable(), rec))
 
 
@@ -151,12 +148,12 @@ def test_kiviat_statuses_consistent_with_metric_status():
 
 
 def test_all_zero_record_flags_only_comment_rate():
-    rec = ClassMetricsRecord(name="Z", cl_comf=0.0)
+    rec = dict.fromkeys(KIVIAT_ORDER, 0) | {"cl_comf": 0.0}
     rows = kiviat_rows(RangeTable(), rec)
     flagged = [r.mnemonic for r in rows if r.side != "IN"]
     assert flagged == ["cl_comf"]
     # undefined comf (zero-line class) flags the same way
-    rec2 = ClassMetricsRecord(name="Z2", cl_comf=None)
+    rec2 = dict.fromkeys(KIVIAT_ORDER, 0) | {"cl_comf": None}
     flagged2 = [r.mnemonic for r in kiviat_rows(RangeTable(), rec2) if r.side != "IN"]
     assert flagged2 == ["cl_comf"]
 
@@ -256,8 +253,7 @@ def test_tool_config_bad_json_reports_line(tmp_path):
 
 
 def test_missing_metric_raises():
-    rec = _record()
-    rec.cl_wmc = None  # undefined: flagged LOW, never quietly in range
+    rec = _record(cl_wmc=None)  # undefined: flagged LOW, never quietly in range
     assert _criteria(rec)["Testability"] != "EXCELLENT"
     with pytest.raises(KeyError):
         CRITERIA["Nope"]

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import class_rec, lexical_analyzer_model, method_rec, cfg_with_v, random_model, write_facts
-from oometrics import cli, cohesion, complexity, qmood, quality
+from helpers import attr_rec, class_rec, lexical_analyzer_model, method_rec, cfg_with_v, random_model, write_facts
+from oometrics import cli, cohesion, complexity, qmood, quality, report
 from oometrics.cfg import ControlFlowGraph
-from oometrics.ck import KIVIAT_ORDER, ClassMetricsRecord
+from oometrics.ck import KIVIAT_ORDER
 from oometrics.cli import main
 from oometrics.model import build_system_model, facts_to_model, model_to_facts
 from oometrics.quality import RangeTable, ToolConfig
@@ -91,7 +91,7 @@ def test_compute_report_derives_each_fact_once(monkeypatch):
     count(qmood, "qmood_class_metrics")
     count(cohesion, "method_attribute_sets")
     count(quality, "metric_status")
-    count(ClassMetricsRecord, "mnemonics")
+    count(report, "logiscope_mnemonics")
     compute_report(model)
     n = len(model.internal_class_names)
     assert calls == {
@@ -99,8 +99,38 @@ def test_compute_report_derives_each_fact_once(monkeypatch):
         "method_attribute_sets": n,
         # each of the 13 mnemonics is checked against its range once per class
         "metric_status": len(KIVIAT_ORDER) * n,
-        "mnemonics": n,
+        "logiscope_mnemonics": n,
     }
+
+
+# every class's metrics carry these keys, whatever its shape: nothing fills
+# in a key a metric family leaves out
+RECORD_KEYS = {
+    *KIVIAT_ORDER,
+    "cbo", "rfc", "wmc", "dit", "noc", "mpc", "dac",
+    "lcom_ck", "lcom_lh", "lcom_hm", "lcom_hs", "coh", "tcc", "lcc", "sim_cohesion",
+    "dam", "dcc", "cam", "moa", "mfa", "nop", "cis", "nom",
+    "methods",
+}
+
+
+def test_every_class_record_has_the_same_keys():
+    assert len(RECORD_KEYS) == 36 + 1
+    models = [random_model(random.Random(seed), n_classes=6, max_attrs=3, p_inherit=0.5) for seed in range(20)]
+    models.append(build_system_model([
+        class_rec("p.Empty"),
+        class_rec("p.Abstract", attributes=[attr_rec("x")],
+                  methods=[method_rec("a", abstract=True), method_rec("b", params=["int"], abstract=True)]),
+        class_rec("p.One", attributes=[attr_rec("x")],
+                  methods=[method_rec("m", accesses=["x"], cfg=cfg_with_v(2))]),
+        class_rec("p.NoAttributes", methods=[method_rec("f", cfg=cfg_with_v(1)), method_rec("g")]),
+        class_rec("p.Shape", kind="interface", methods=[method_rec("area", abstract=True)]),
+    ]))
+    for model in models:
+        for name in model.internal_class_names:
+            assert set(compute_class_record(model, name)) == RECORD_KEYS, name
+        for section in compute_report(model)["classes"]:
+            assert set(section["metrics"]) == RECORD_KEYS, section["name"]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +148,7 @@ def test_kiviat_reference_class_marks_four_vertices():
 
 def test_kiviat_all_in_range_no_marks():
     rec = compute_class_record(_fixture_model(), _fixture_model().internal_class_names[0])
-    rec.cl_comf = 0.5  # lift the only violation
+    rec["cl_comf"] = 0.5  # lift the only violation
     rows = kiviat_rows(RangeTable(), rec)
     svg = emit_kiviat_svg(rows, "clean")
     assert 'class="violation"' not in svg
@@ -479,6 +509,10 @@ def test_cli_rejects_a_range_for_a_method_threshold(tmp_path, capsys):
     ({"qmoodBaseline": 5}, "qmoodBaseline"),
     # misspelt top-level keys: once accepted with exit 0, changing nothing
     ({"churnMetric": ["cl_wmc"], "rangez": {}}, "churnMetric"),
+    # compare once printed exactly what ["cl_stat"] prints, with exit 0
+    ({"churnMetrics": ["cl_stat", "cl_stat"]}, "'cl_stat'"),
+    # once loaded with exit 0, the bound key ignored
+    ({"ranges": {"cl_comf": {"min": 0.1, "max": 1, "mx": 3}}}, "'mx'"),
 ])
 def test_cli_rejects_a_config_value_that_cannot_take_effect(doc, key, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -486,6 +520,7 @@ def test_cli_rejects_a_config_value_that_cannot_take_effect(doc, key, tmp_path, 
     assert main(["analyze", str(FIXTURES / "metric_test"), "--config", str(config)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and key in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_takes_sig_bands_of_the_default_shape(tmp_path, capsys):
