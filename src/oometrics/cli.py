@@ -32,7 +32,7 @@ from .evolution import (
 )
 from .halstead import HalsteadCounts, merge_counts
 from .javasrc import CompilationFacts, parse_source
-from .model import build_system_model, load_facts, model_to_facts
+from .model import SystemModel, build_system_model, load_facts, model_to_facts
 from .quality import ToolConfig
 from .report import emit_kiviat_svg, emit_scatter, scatter_rows_from_model
 
@@ -167,6 +167,16 @@ def _load_input(paths: list[str], facts_path: str | None) -> _LoadedInput:
     return loaded
 
 
+def _build_model(loaded: _LoadedInput) -> SystemModel:
+    """The model of the loaded class records, which are then dropped: the
+    model keeps what the commands read of them, and the records' other
+    copies (a graph per method, say) would live until the command ends."""
+    model = build_system_model(loaded.class_records, loaded.sources)
+    loaded.class_records.clear()
+    loaded.sources.clear()
+    return model
+
+
 def _load_history(history_dir: str) -> HistoryTimeline:
     files = sorted(Path(history_dir).glob("*.json"))
     if len(files) < 2:
@@ -196,7 +206,7 @@ def _evolution_section(history: HistoryTimeline) -> dict:
 def cmd_analyze(args) -> int:
     config = ToolConfig.load(args.config) if args.config else ToolConfig()
     loaded = _load_input(args.paths, args.facts)
-    model = build_system_model(loaded.class_records, loaded.sources)
+    model = _build_model(loaded)
 
     baseline_model = None
     baseline_path = args.baseline or config.qmood_baseline
@@ -235,7 +245,7 @@ def cmd_kiviat(args) -> int:
 
     config = ToolConfig.load(args.config) if args.config else ToolConfig()
     loaded = _load_input(args.paths, args.facts)
-    model = build_system_model(loaded.class_records, loaded.sources)
+    model = _build_model(loaded)
     rows = kiviat_rows(config.ranges, logiscope_mnemonics(model, args.class_name))
     svg = emit_kiviat_svg(rows, args.class_name)
     if args.out:
@@ -248,7 +258,7 @@ def cmd_kiviat(args) -> int:
 
 def cmd_scatter(args) -> int:
     loaded = _load_input(args.paths, args.facts)
-    model = build_system_model(loaded.class_records, loaded.sources)
+    model = _build_model(loaded)
     result = emit_scatter(scatter_rows_from_model(model))
     if args.out:
         _write_text(Path(args.out), result.csv)

@@ -248,44 +248,76 @@ def _round_half_away(x: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _normalize(line: str) -> str:
-    return "".join(line.split())  # spacing and indentation never break a match
+class _LineIds(dict):
+    """Line -> the id of its whitespace-free form, so that spacing never
+    breaks a match; a line seen before costs one dict lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.forms: dict[str, int] = {}
+
+    def __missing__(self, line: str) -> int:
+        forms = self.forms
+        i = self[line] = forms.setdefault("".join(line.split()), len(forms))
+        return i
+
+
+def _duplicate_marks(texts: dict[str, str], window: int) -> tuple[list[str], list[int], bytearray]:
+    """The files in name order, where each file's lines start in the corpus
+    (plus its end), and a mark per corpus line: 1 inside a duplicated block.
+
+    Every normalized line becomes an int id, and the corpus one string of
+    id bytes; a window's key is the exact bytes of its ``window`` ids.  The
+    first pass counts each key's ``hash`` into saturating buckets, at least
+    eight per window; only keys whose bucket was hit twice can repeat, and
+    the second pass groups those by their exact bytes.  Collisions only add
+    candidates, so the marks never depend on the hash seed."""
+    files = sorted(texts)
+    ids = _LineIds()
+    line_ids = array("I")
+    starts = [0]
+    for f in files:
+        line_ids.extend(map(ids.__getitem__, texts[f].splitlines()))
+        starts.append(len(line_ids))
+    del ids  # from here on only the id bytes are needed
+    width = line_ids.itemsize
+    data = line_ids.tobytes()
+    del line_ids
+    span = window * width
+    # each file's window keys are data[b:b + span] for b in its range
+    ranges = [range(lo * width, (hi - window + 1) * width, width) for lo, hi in zip(starts, starts[1:])]
+    mask = (1 << (8 * sum(map(len, ranges))).bit_length()) - 1
+    count = bytearray(mask + 1)
+    for r in ranges:
+        for b in r:
+            h = hash(data[b:b + span]) & mask
+            if count[h] < 2:
+                count[h] += 1
+    first: dict[bytes, int] = {}  # candidate key -> its first offset
+    marks = bytearray(starts[-1])
+    run = b"\1" * window
+    for r in ranges:
+        for b in r:
+            key = data[b:b + span]
+            if count[hash(key) & mask] > 1:
+                j = first.setdefault(key, b)
+                if j != b:
+                    marks[j // width:j // width + window] = run
+                    marks[b // width:b // width + window] = run
+    return files, starts, marks
 
 
 def duplicated_line_flags(texts: dict[str, str], window: int = 6) -> dict[str, list[bool]]:
     """Per file, which physical lines sit inside a duplicated block: a run
     of ``window`` consecutive whitespace-normalized lines occurring at two
     or more distinct positions in the corpus."""
-    files = sorted(texts)
-    # every normalized line becomes an int id, and the files one id array;
-    # a window's key is the exact bytes of its ids
-    ids: dict[str, int] = {}
-    line_ids = array("I")
-    starts = [0]
-    for f in files:
-        line_ids.extend(ids.setdefault(_normalize(l), len(ids)) for l in texts[f].splitlines())
-        starts.append(len(line_ids))
-    data = line_ids.tobytes()
-    width = line_ids.itemsize
-    span = window * width
-    first: dict[bytes, int] = {}  # window key -> its first position
-    marks = bytearray(len(line_ids))
-    run = b"\1" * window
-    for lo, hi in zip(starts, starts[1:]):
-        for i in range(lo, hi - window + 1):
-            key = data[i * width:i * width + span]
-            j = first.setdefault(key, i)
-            if j != i:
-                marks[j:j + window] = run
-                marks[i:i + window] = run
+    files, starts, marks = _duplicate_marks(texts, window)
     return {f: list(map(bool, marks[lo:hi])) for f, lo, hi in zip(files, starts, starts[1:])}
 
 
 def duplication_percent(texts: dict[str, str], window: int = 6) -> float:
     """Percent of all physical lines lying in duplicated blocks."""
-    flags = duplicated_line_flags(texts, window)
-    total = sum(len(v) for v in flags.values())
-    if total == 0:
+    marks = _duplicate_marks(texts, window)[2]
+    if not marks:
         return 0.0
-    duplicated = sum(sum(v) for v in flags.values())
-    return 100.0 * duplicated / total
+    return 100.0 * marks.count(1) / len(marks)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from . import cohesion, qmood
 from .ck import KIVIAT_ORDER, cbo, dit, logiscope_mnemonics, mpc, rfc
@@ -179,11 +180,20 @@ def _system_mi(model: SystemModel, counts: HalsteadCounts | None) -> dict | None
     }
 
 
+#: encoder chunks joined at a time; listing them all at once (as
+#: ``json.dumps`` does) costs several times the output
+SERIALIZE_BATCH = 8192
+
+
 def serialize_report(report: dict) -> str:
     """A JSON document as the CLI writes it: sorted keys, two-space indent,
-    one final newline.  The report, the facts file ``analyze --out`` writes,
-    ``evolve`` and ``compare`` share it."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    one final newline, the bytes of ``json.dumps(report, indent=2,
+    sort_keys=True) + "\\n"``.  The report, the facts file ``analyze --out``
+    writes, ``evolve`` and ``compare`` share it."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    batches = list(iter(lambda: "".join(islice(chunks, SERIALIZE_BATCH)), ""))  # "" once they run out
+    batches.append("\n")
+    return "".join(batches)
 
 
 def report_text_summary(report: dict) -> str:

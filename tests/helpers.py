@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import random
 import re
+import tracemalloc
+from array import array
 from pathlib import Path
 from typing import NamedTuple
 
@@ -900,3 +902,65 @@ def oracle_iv(g: ControlFlowGraph) -> int:
     if not calls:
         return 1
     return reduce_graph(ReductionGraph(g, calls), sequences=False).cyclomatic()
+
+
+def peak_bytes(fn, *args) -> int:
+    """The tracemalloc peak while ``fn(*args)`` runs: the bytes it holds at
+    its highest, its result included, over what was live before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# The duplicate-window index in its two earlier forms: oracles for
+# maintain.duplicated_line_flags
+# ---------------------------------------------------------------------------
+
+
+def flags_oracle(texts: dict[str, str], window: int) -> dict[str, list[bool]]:
+    """The window index as first written: every window's line tuple mapped
+    to all of its (file, line) positions."""
+    files = sorted(texts)
+    norm = {f: ["".join(l.split()) for l in texts[f].splitlines()] for f in files}
+    positions = {}
+    for f in files:
+        lines = norm[f]
+        for i in range(len(lines) - window + 1):
+            positions.setdefault(tuple(lines[i:i + window]), []).append((f, i))
+    flags = {f: [False] * len(norm[f]) for f in files}
+    for occ in positions.values():
+        if len(occ) > 1:
+            for f, i in occ:
+                for j in range(i, i + window):
+                    flags[f][j] = True
+    return flags
+
+
+def flags_table_oracle(texts: dict[str, str], window: int) -> dict[str, list[bool]]:
+    """The one-pass index that came next: every distinct window's id bytes
+    mapped to its first position, so it holds one key per distinct window."""
+    files = sorted(texts)
+    ids: dict[str, int] = {}
+    line_ids = array("I")
+    starts = [0]
+    for f in files:
+        line_ids.extend(ids.setdefault("".join(l.split()), len(ids)) for l in texts[f].splitlines())
+        starts.append(len(line_ids))
+    data = line_ids.tobytes()
+    width = line_ids.itemsize
+    span = window * width
+    first: dict[bytes, int] = {}  # window key -> its first position
+    marks = bytearray(len(line_ids))
+    run = b"\1" * window
+    for lo, hi in zip(starts, starts[1:]):
+        for i in range(lo, hi - window + 1):
+            key = data[i * width:i * width + span]
+            j = first.setdefault(key, i)
+            if j != i:
+                marks[j:j + window] = run
+                marks[i:i + window] = run
+    return {f: list(map(bool, marks[lo:hi])) for f, lo, hi in zip(files, starts, starts[1:])}

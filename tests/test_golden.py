@@ -61,7 +61,9 @@ CASES: dict[str, tuple[list[str], tuple[str, ...]]] = {
     "analyze_literal_source": (["analyze", "literal_source"], ()),
 }
 
-SUBPROCESS_CASE = "analyze_multiple_inheritance"
+# run again under another hash seed: a facts case, and a source case whose
+# duplication pass hashes its windows
+HASH_SEED_CASES = ("analyze_multiple_inheritance", "analyze_fixture_source")
 
 # the cases that parse source files
 SOURCE_CASES = sorted(
@@ -258,12 +260,13 @@ def test_source_case_matches_golden_digest_in_any_worker_count(name, workers, in
     assert run_case(name) == golden[name]
 
 
-def test_golden_digest_holds_under_another_hash_seed(inputs, golden):
-    argv, _ = CASES[SUBPROCESS_CASE]
+@pytest.mark.parametrize("name", HASH_SEED_CASES)
+def test_golden_digest_holds_under_another_hash_seed(name, inputs, golden):
+    argv, _ = CASES[name]
     env = dict(os.environ, PYTHONHASHSEED="4242", PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "oometrics.cli", *argv], cwd=inputs, env=env,
                           capture_output=True, text=True, timeout=60)
-    assert digest(proc.returncode, proc.stdout, proc.stderr, {}) == golden[SUBPROCESS_CASE]
+    assert digest(proc.returncode, proc.stdout, proc.stderr, {}) == golden[name]
 
 
 def test_literal_source_parses_every_file(inputs, monkeypatch, capsys):

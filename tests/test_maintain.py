@@ -5,7 +5,10 @@ import random
 
 import pytest
 
-from helpers import class_rec, method_rec, cfg_with_v
+from helpers import (
+    cfg_with_v, class_rec, flags_oracle, flags_table_oracle, method_rec, peak_bytes, random_class_source,
+)
+from oometrics import maintain
 from oometrics.errors import DomainError, EmptyModel
 from oometrics.javasrc import parse_source
 from oometrics.maintain import (
@@ -164,27 +167,8 @@ def test_no_duplication_below_window():
     assert duplication_percent({"f.java": short + "x();\n" + short}) == 0.0
 
 
-def _flags_oracle(texts, window):
-    """The window index as first written: every window's line tuple mapped
-    to all of its (file, line) positions."""
-    files = sorted(texts)
-    norm = {f: ["".join(l.split()) for l in texts[f].splitlines()] for f in files}
-    positions = {}
-    for f in files:
-        lines = norm[f]
-        for i in range(len(lines) - window + 1):
-            positions.setdefault(tuple(lines[i:i + window]), []).append((f, i))
-    flags = {f: [False] * len(norm[f]) for f in files}
-    for occ in positions.values():
-        if len(occ) > 1:
-            for f, i in occ:
-                for j in range(i, i + window):
-                    flags[f][j] = True
-    return flags
-
-
 @pytest.mark.parametrize("seed", range(40))
-def test_duplicated_line_flags_match_the_tuple_index(seed):
+def test_duplicated_line_flags_match_the_tuple_index(seed, monkeypatch):
     rng = random.Random(seed)
     window = rng.randint(1, 8)
     # few distinct lines, so that windows repeat, overlap inside one file
@@ -195,4 +179,47 @@ def test_duplicated_line_flags_match_the_tuple_index(seed):
         n = rng.choice([0, 1, window - 1, window, rng.randint(0, 40)])
         texts[f"f{k}.java"] = "\n".join(rng.choice(vocab) for _ in range(n))
     texts["rep.java"] = "a();\n" * (window + rng.randint(0, 3))  # overlapping repeats of one run
-    assert duplicated_line_flags(texts, window) == _flags_oracle(texts, window)
+    _assert_flags_match_the_oracles(texts, window, monkeypatch)
+
+
+def _assert_flags_match_the_oracles(texts, window, monkeypatch):
+    """The flags equal both oracles' with the real hash, and with every
+    window forced into one bucket, where the exact grouping does it all."""
+    want = flags_oracle(texts, window)
+    assert flags_table_oracle(texts, window) == want
+    assert duplicated_line_flags(texts, window) == want
+    monkeypatch.setattr(maintain, "hash", lambda key: 0, raising=False)
+    assert duplicated_line_flags(texts, window) == want
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_duplicated_line_flags_when_no_window_repeats(seed, monkeypatch):
+    rng = random.Random(seed)
+    window = rng.randint(1, 8)
+    lines = iter(range(10_000))
+    texts = {f"f{k}.java": "\n".join(f"u{next(lines)}();" for _ in range(rng.randint(0, 40))) for k in range(4)}
+    _assert_flags_match_the_oracles(texts, window, monkeypatch)
+    assert duplication_percent(texts, window) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_duplicated_line_flags_when_every_window_repeats(seed, monkeypatch):
+    rng = random.Random(seed)
+    window = rng.randint(1, 8)
+    vocab = [f"s{k}();" for k in range(rng.randint(1, 6))]
+    texts = {}
+    for k in range(rng.randint(1, 3)):
+        text = "\n".join(rng.choice(vocab) for _ in range(rng.randint(window, 40)))
+        texts[f"a{k}.java"] = texts[f"b{k}.java"] = text  # each window at least twice
+    _assert_flags_match_the_oracles(texts, window, monkeypatch)
+    assert duplication_percent(texts, window) == 100.0
+
+
+def test_duplicated_line_flags_hold_under_half_the_memory_of_the_table():
+    rng = random.Random(7)
+    texts = {}
+    while sum(t.count("\n") for t in texts.values()) < 50_000:
+        texts[f"Gen{len(texts)}.java"] = random_class_source(rng, name=f"Gen{len(texts)}", n_methods=9)[0]
+    assert duplicated_line_flags(texts, 6) == flags_table_oracle(texts, 6)
+    # about a third: the table keeps a bytes key per distinct window
+    assert peak_bytes(duplicated_line_flags, texts, 6) <= peak_bytes(flags_table_oracle, texts, 6) / 2

@@ -1,6 +1,7 @@
 """Report assembly, chart emission, and the CLI surface."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import attr_rec, class_rec, lexical_analyzer_model, method_rec, cfg_with_v, random_model, write_facts
+from helpers import (
+    attr_rec, cfg_with_v, class_rec, lexical_analyzer_model, method_rec, peak_bytes, random_model, write_facts,
+)
 from oometrics import cli, cohesion, complexity, qmood, quality, report
 from oometrics.cfg import ControlFlowGraph
 from oometrics.ck import KIVIAT_ORDER
@@ -131,6 +134,66 @@ def test_every_class_record_has_the_same_keys():
             assert set(compute_class_record(model, name)) == RECORD_KEYS, name
         for section in compute_report(model)["classes"]:
             assert set(section["metrics"]) == RECORD_KEYS, section["name"]
+
+
+# ---------------------------------------------------------------------------
+# serialization
+# ---------------------------------------------------------------------------
+
+
+def _ints_in_chunks(n_chunks):
+    """A list of ints the encoder yields in exactly ``n_chunks`` chunks: one
+    per item, then the closing indent and bracket."""
+    doc = list(range(n_chunks - 2))
+    assert sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)) == n_chunks
+    return doc
+
+
+SERIALIZE_DOCS = {
+    "empty dict": {},
+    "empty list": [],
+    "nested empties": {"a": {}, "b": [], "c": [{}, [], [[]], {"": {}}], "": {"": []}},
+    "scalars": ["", 0, -0.0, 0.1, 1e-7, 1e300, None, True, False, {"z": 1, "a": 2, "M": [3]}],
+    "top-level string": "naïve \x00",
+    "non-ascii and control": {"naïve": "日本語 \u2028 😀 \x00\x1f\t\n\"\\ \x7f", "é": ["\ud800", "\b\f\r"]},
+    "non-finite": [math.nan, math.inf, -math.inf, {"x": math.nan, "y": [-math.inf]}],
+    "big ints": [2**63, -2**63 - 1, 2**64 + 1, 10**40, {"n": 2**100}],
+    "one chunk below a batch": _ints_in_chunks(report.SERIALIZE_BATCH - 1),
+    "one batch": _ints_in_chunks(report.SERIALIZE_BATCH),
+    "one chunk above a batch": _ints_in_chunks(report.SERIALIZE_BATCH + 1),
+}
+
+
+@pytest.mark.parametrize("name", SERIALIZE_DOCS)
+def test_serialize_report_writes_the_bytes_of_json_dumps(name):
+    doc = SERIALIZE_DOCS[name]
+    assert serialize_report(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_serialize_report_holds_at_most_three_times_its_output():
+    doc = {"classes": [
+        {"name": f"p.C{i}", "metrics": {f"m{k}": i * k / 1000 for k in range(20)},
+         "methods": [{"name": f"m{j}", "v": j, "ev": 1, "tags": ["a", None, True]} for j in range(5)]}
+        for i in range(1000)
+    ]}
+    out = serialize_report(doc)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # about 2x: the batches and their join; listing every chunk took about 7x
+    assert peak_bytes(serialize_report, doc) <= 3 * len(out)
+
+
+def test_analyze_drops_the_class_records_once_the_model_is_built(monkeypatch, capsys):
+    loads, computed = [], []
+    load, compute = cli._load_input, report.compute_report
+    monkeypatch.setattr(cli, "_load_input", lambda *args: loads.append(load(*args)) or loads[-1])
+
+    def spy(*args, **kwargs):
+        computed.append((list(loads[0].class_records), list(loads[0].sources)))
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(report, "compute_report", spy)
+    assert main(["analyze", str(FIXTURES / "metric_test")]) == 0
+    assert computed == [([], [])]
 
 
 # ---------------------------------------------------------------------------
