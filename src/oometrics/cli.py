@@ -162,7 +162,9 @@ def _load_input(paths: list[str], facts_path: str | None) -> _LoadedInput:
             counts.append(facts.halstead)
     if counts:
         loaded.halstead = merge_counts(counts)
-    if not loaded.class_records and not loaded.parse_errors:
+    if loaded.parse_errors and not loaded.class_records:
+        raise NoInput("no class loaded; parse errors:\n" + "\n".join(f"  {e}" for e in loaded.parse_errors))
+    if not loaded.class_records:
         raise NoInput("no source files or facts found in: " + ", ".join(paths or ["<none>"]))
     return loaded
 
@@ -259,13 +261,13 @@ def cmd_kiviat(args) -> int:
 def cmd_scatter(args) -> int:
     loaded = _load_input(args.paths, args.facts)
     model = _build_model(loaded)
-    result = emit_scatter(scatter_rows_from_model(model))
+    csv, counts = emit_scatter(scatter_rows_from_model(model))
     if args.out:
-        _write_text(Path(args.out), result.csv)
+        _write_text(Path(args.out), csv)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(result.csv)
-    summary = " ".join(f"{q}={n}" for q, n in sorted(result.counts.items()))
+        sys.stdout.write(csv)
+    summary = " ".join(f"{q}={n}" for q, n in sorted(counts.items()))
     print(f"quadrants: {summary}", file=sys.stderr)
     return 0
 

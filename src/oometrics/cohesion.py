@@ -28,23 +28,6 @@ def method_attribute_sets(info: ClassInfo) -> list[tuple[str, frozenset[str]]]:
     return out
 
 
-def _call_pairs(info: ClassInfo) -> set[tuple[int, int]]:
-    """Index pairs (i, j) of regular methods where one invokes the other."""
-    methods = info.regular_methods
-    index_by_name: dict[str, list[int]] = {}
-    for i, m in enumerate(methods):
-        index_by_name.setdefault(m.name, []).append(i)
-    pairs: set[tuple[int, int]] = set()
-    for i, m in enumerate(methods):
-        for inv in m.invocations:
-            if inv.target_class != info.name:
-                continue
-            for j in index_by_name.get(inv.method_name, ()):
-                if i != j:
-                    pairs.add((min(i, j), max(i, j)))
-    return pairs
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -93,8 +76,23 @@ def class_cohesion(info: ClassInfo) -> dict[str, int | float | UndefinedMetric]:
     sizes = Counter(uf.find(i) for i in range(m))
     lh = len(sizes)
     connected = sum(n * (n - 1) // 2 for n in sizes.values())
-    for i, j in _call_pairs(info):
-        uf.union(i, j)
+    # a call from i to this class's name N joins i to every method named N:
+    # N's group is joined the first time N is called, so each call then
+    # needs one union with the group's first member (a no-op when that is i)
+    by_name: dict[str, list[int]] = {}
+    for i, meth in enumerate(info.regular_methods):
+        by_name.setdefault(meth.name, []).append(i)
+    joined: set[str] = set()
+    for i, meth in enumerate(info.regular_methods):
+        for inv in meth.invocations:
+            group = by_name.get(inv.method_name) if inv.target_class == info.name else None
+            if not group:
+                continue
+            if inv.method_name not in joined:
+                joined.add(inv.method_name)
+                for j in group[1:]:
+                    uf.union(group[0], j)
+            uf.union(i, group[0])
     usage = sum(len(touched) for touched in sets)  # each own attribute's access count, summed
 
     out: dict[str, int | float | UndefinedMetric] = {}

@@ -31,20 +31,6 @@ class ComplexityTriple:
             raise ValueError(f"inconsistent complexity triple {self}")
 
 
-@dataclass(frozen=True)
-class Quadrant:
-    label: str  # I | II | III | IV
-    meaning: str
-
-
-_QUADRANTS = {
-    "I": Quadrant("I", "Unreliable/Unmaintainable"),
-    "II": Quadrant("II", "Reliable/Unmaintainable"),
-    "III": Quadrant("III", "Reliable/Maintainable"),
-    "IV": Quadrant("IV", "Unreliable/Maintainable"),
-}
-
-
 def cyclomatic(g: ControlFlowGraph) -> int:
     return g.edge_count - g.node_count + 2
 
@@ -184,17 +170,17 @@ def class_wmc(c: ClassInfo) -> int:
     return total
 
 
-def quadrant(v: int, ev: int) -> Quadrant:
-    """Reliability/maintainability verdict from (v, ev) against (10, 4);
-    boundary values are in-threshold."""
+def quadrant(v: int, ev: int) -> str:
+    """McCabe IQ quadrant label of (v, ev) against (10, 4); boundary values
+    are in-threshold."""
     if v < 1 or ev < 1:
         raise ValueError("complexities start at 1")
     high_v = v > CYCLOMATIC_THRESHOLD
     high_ev = ev > ESSENTIAL_THRESHOLD
     if high_v and high_ev:
-        return _QUADRANTS["I"]
+        return "I"
     if high_ev:
-        return _QUADRANTS["II"]
+        return "II"
     if high_v:
-        return _QUADRANTS["IV"]
-    return _QUADRANTS["III"]
+        return "IV"
+    return "III"

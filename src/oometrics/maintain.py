@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
 
 from .complexity import cyclomatic
 from .errors import ConfigError, DomainError, EmptyModel
@@ -84,26 +83,6 @@ DEFAULT_BANDS: dict = {
     # window length for duplicated blocks
     "duplicationWindow": 6,
 }
-
-
-@dataclass(frozen=True)
-class SigRating:
-    volume: str
-    complexity_per_unit: str
-    duplication: str  # rating or not-assessed
-    unit_size: str  # rating or not-assessed
-    unit_testing: str  # always not-assessed (needs execution data)
-    overall: str
-
-    def as_dict(self) -> dict[str, str]:
-        return {
-            "volume": self.volume,
-            "complexityPerUnit": self.complexity_per_unit,
-            "duplication": self.duplication,
-            "unitSize": self.unit_size,
-            "unitTesting": self.unit_testing,
-            "overall": self.overall,
-        }
 
 
 def check_bands(overrides) -> None:
@@ -177,10 +156,12 @@ def sig_rating(
     model: SystemModel,
     source_texts: dict[str, str] | None = None,
     bands: dict | None = None,
-) -> SigRating:
-    """Rate the model; duplication needs the raw texts and reports
-    not-assessed without them.  Unit size falls back to statement-node
-    counts when a method carries no line count."""
+) -> dict[str, str]:
+    """The model's ``system.sig`` ratings, keyed as the report prints them.
+    Unit testing is always not-assessed: it needs execution data.
+    Duplication needs the raw texts and reports not-assessed without them.
+    Unit size falls back to statement-node counts when a method carries no
+    line count."""
     cfg = _merge_bands(bands)
     classes = model.internal_classes
     if not classes:
@@ -229,14 +210,14 @@ def sig_rating(
     rated = [r for r in (volume, complexity, duplication, unit_size) if r != NOT_ASSESSED]
     mean = sum(_RATING_VALUE[r] for r in rated) / len(rated)
     overall = _VALUE_RATING[_round_half_away(mean)]
-    return SigRating(
-        volume=volume,
-        complexity_per_unit=complexity,
-        duplication=duplication,
-        unit_size=unit_size,
-        unit_testing=NOT_ASSESSED,
-        overall=overall,
-    )
+    return {
+        "volume": volume,
+        "complexityPerUnit": complexity,
+        "duplication": duplication,
+        "unitSize": unit_size,
+        "unitTesting": NOT_ASSESSED,
+        "overall": overall,
+    }
 
 
 def _round_half_away(x: float) -> int:

@@ -11,29 +11,9 @@ declares an overridable method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ck import coupling_factor
 from .errors import DegenerateSystem
 from .model import SystemModel
-
-
-@dataclass(frozen=True)
-class MoodFactors:
-    mhf: float
-    ahf: float
-    mif: float
-    aif: float
-    cf: float | None
-    pf: float | None  # None: system without inheritance
-
-    def as_percentages(self) -> dict[str, float | None]:
-        """Table-style rendering: x100, one decimal."""
-        out = {}
-        for name in ("mhf", "ahf", "mif", "aif", "cf", "pf"):
-            v = getattr(self, name)
-            out[name.upper()] = round(v * 100, 1) if v is not None else None
-        return out
 
 
 def _hidden_fraction(visibility: str, tc: int, descendant_count: int) -> float:
@@ -44,7 +24,10 @@ def _hidden_fraction(visibility: str, tc: int, descendant_count: int) -> float:
     return 0.0  # public and package-default are fully visible
 
 
-def mood(model: SystemModel) -> MoodFactors:
+def mood(model: SystemModel) -> dict[str, float | None]:
+    """The six factors as fractions, keyed ``MHF``, ``AHF``, ``MIF``,
+    ``AIF``, ``CF`` and ``PF``; CF is None where the coupling factor is
+    undefined, PF where nothing can be overridden."""
     names = model.internal_class_names
     tc = len(names)
     if tc < 2:
@@ -87,4 +70,4 @@ def mood(model: SystemModel) -> MoodFactors:
     except DegenerateSystem:
         cf = None
     pf = overrides / override_capacity if override_capacity > 0 else None
-    return MoodFactors(mhf=mhf, ahf=ahf, mif=mif, aif=aif, cf=cf, pf=pf)
+    return {"MHF": mhf, "AHF": ahf, "MIF": mif, "AIF": aif, "CF": cf, "PF": pf}

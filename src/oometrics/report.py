@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 from . import cohesion, qmood
@@ -52,7 +51,7 @@ def compute_class_record(model: SystemModel, name: str) -> dict:
             t = complexity_triple(m.cfg)
             rows.append((m.signature, t.v, t.ev, t.iv))
     rec["methods"] = [
-        {"signature": s, "v": v, "ev": ev, "iv": iv, "quadrant": quadrant(v, ev).label}
+        {"signature": s, "v": v, "ev": ev, "iv": iv, "quadrant": quadrant(v, ev)}
         for s, v, ev, iv in sorted(rows)
     ]
     return rec
@@ -111,12 +110,15 @@ def compute_report(
             }
         )
 
+    # mood() reaches the coupling factor too, and fails only where it does
+    system: dict = {"couplingFactor": None, "mood": None}
     try:
         factors = mood(model)
     except DegenerateSystem:
-        factors = None
-    # mood() reaches the coupling factor too, and fails only where it does
-    system: dict = {"couplingFactor": factors.cf if factors else None}
+        pass
+    else:  # the report prints MOOD as percentages, one decimal
+        system["couplingFactor"] = factors["CF"]
+        system["mood"] = {k: None if v is None else round(v * 100, 1) for k, v in factors.items()}
 
     dsc, noh, ana = qmood.qmood_system_metrics(model)
     system["qmood"] = {"DSC": dsc, "NOH": noh, "ANA": ana}
@@ -133,9 +135,7 @@ def compute_report(
         system["qmood"]["indices"] = None
         system["qmood"]["indicesError"] = str(exc)
 
-    system["mood"] = factors.as_percentages() if factors else None
-
-    system["sig"] = sig_rating(model, source_texts=source_texts, bands=config.sig_bands).as_dict()
+    system["sig"] = sig_rating(model, source_texts=source_texts, bands=config.sig_bands)
     system["mi"] = _system_mi(model, halstead)
 
     report = {
@@ -327,21 +327,15 @@ def _esc(s: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScatterResult:
-    csv: str
-    counts: dict[str, int]
-
-
-def emit_scatter(method_rows: list[tuple[str, str, int, int]]) -> ScatterResult:
-    """Rows (class, method, v, ev) -> CSV plus per-quadrant counts."""
+def emit_scatter(method_rows: list[tuple[str, str, int, int]]) -> tuple[str, dict[str, int]]:
+    """Rows (class, method, v, ev) -> the CSV and the methods in each quadrant."""
     lines = ["method,class,v,ev,quadrant"]
     counts = {"I": 0, "II": 0, "III": 0, "IV": 0}
     for cls, method, v, ev in sorted(method_rows):
-        q = quadrant(v, ev).label
+        q = quadrant(v, ev)
         counts[q] += 1
         lines.append(f"{_csv(method)},{_csv(cls)},{v},{ev},{q}")
-    return ScatterResult(csv="\n".join(lines) + "\n", counts=counts)
+    return "\n".join(lines) + "\n", counts
 
 
 def _csv(s: str) -> str:

@@ -624,6 +624,24 @@ def similarity_cohesion(info: ClassInfo) -> float:
     return _defined(class_cohesion(info), "sim_cohesion")
 
 
+def call_pairs(info: ClassInfo) -> set[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of regular methods where one invokes the
+    other by name in its own class: every pair a call joins for LCOM-HM."""
+    methods = info.regular_methods
+    index_by_name: dict[str, list[int]] = {}
+    for i, m in enumerate(methods):
+        index_by_name.setdefault(m.name, []).append(i)
+    pairs: set[tuple[int, int]] = set()
+    for i, m in enumerate(methods):
+        for inv in m.invocations:
+            if inv.target_class != info.name:
+                continue
+            for j in index_by_name.get(inv.method_name, ()):
+                if i != j:
+                    pairs.add((min(i, j), max(i, j)))
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Inheritance and uses, walked from each class's own facts: oracles for the
 # model's hierarchy and coupling tables, which they never read

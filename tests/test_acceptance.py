@@ -181,7 +181,7 @@ def test_criterion_6_complexity_invariants():
         assert v == 1 + decisions
         assert essential(g) == 1
         assert 1 <= module_design(g) <= v
-    assert quadrant(10, 4).label == "III"
+    assert quadrant(10, 4) == "III"
     _passed(6, "1000-method corpus: v, ev, iv")
 
 

@@ -608,20 +608,19 @@ def test_ev_le_v_everywhere():
 
 
 def test_quadrant_table():
-    assert quadrant(1, 1).label == "III"
-    assert quadrant(11, 5).label == "I"
-    assert quadrant(11, 5).meaning == "Unreliable/Unmaintainable"
-    assert quadrant(5, 5).label == "II"
-    assert quadrant(12, 2).label == "IV"
-    assert quadrant(10, 4).label == "III"  # boundary is in-threshold
-    assert quadrant(10, 5).label == "II"
-    assert quadrant(11, 4).label == "IV"
+    assert quadrant(1, 1) == "III"
+    assert quadrant(11, 5) == "I"
+    assert quadrant(5, 5) == "II"
+    assert quadrant(12, 2) == "IV"
+    assert quadrant(10, 4) == "III"  # boundary is in-threshold
+    assert quadrant(10, 5) == "II"
+    assert quadrant(11, 4) == "IV"
 
 
 def test_quadrant_partition_total_and_exclusive():
     for v in range(1, 25):
         for ev in range(1, min(v, 12) + 1):
-            labels = [quadrant(v, ev).label]
+            labels = [quadrant(v, ev)]
             assert len(labels) == 1 and labels[0] in ("I", "II", "III", "IV")
 
 

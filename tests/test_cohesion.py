@@ -4,10 +4,13 @@ import random
 
 import pytest
 
-from helpers import attr_rec, class_rec, coh, lcom, method_rec, random_cohesion_class, similarity_cohesion, tcc_lcc
+from helpers import (
+    attr_rec, call_pairs, class_rec, coh, lcom, method_rec, random_cohesion_class, random_model, similarity_cohesion,
+    tcc_lcc,
+)
 from oometrics import cohesion
 from oometrics.errors import UndefinedMetric
-from oometrics.model import build_system_model
+from oometrics.model import build_system_model, model_to_facts
 
 
 def _cls(attr_names, method_accesses, calls=()):
@@ -154,18 +157,7 @@ def _oracle_all(info):
 
     out["LH"] = components()
 
-    methods = info.regular_methods
-    call_pairs = set()
-    by_name = {}
-    for i, mm in enumerate(methods):
-        by_name.setdefault(mm.name, []).append(i)
-    for i, mm in enumerate(methods):
-        for inv in mm.invocations:
-            if inv.target_class == info.name:
-                for j in by_name.get(inv.method_name, ()):
-                    if i != j:
-                        call_pairs.add((i, j))
-    out["HM"] = components(call_pairs)
+    out["HM"] = components(call_pairs(info))
 
     if m >= 2 and a >= 1:
         usage = sum(
@@ -234,3 +226,79 @@ def test_renaming_invariance():
     info2 = _cls(["zz", "qq"], [{"zz"}, {"zz", "qq"}, {"qq"}])
     assert coh(info1) == coh(info2)
     assert similarity_cohesion(info1) == similarity_cohesion(info2)
+
+
+# ---------------------------------------------------------------------------
+# LCOM-HM call edges: joined once per called name, against the pairwise oracle
+# ---------------------------------------------------------------------------
+
+
+def _overloads_by_name(model, rng):
+    """The model's records with about half of each class's methods renamed
+    to ``m0``, each kept apart by a parameter list of its own length: calls
+    to ``m0`` then reach a group of overloads."""
+    records = model_to_facts(model)["classes"]
+    for rec in records:
+        for k, meth in enumerate(rec["methods"]):
+            if rng.random() < 0.5:
+                meth["name"] = "m0"
+                meth["paramTypes"] += ["int"] * (3 * k + 3)  # 3k+3 to 3k+5 parameters: no clash
+    return build_system_model(records)
+
+
+def test_hm_call_edges_match_pairwise_oracle_on_random_models():
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        if seed % 2:
+            model = _overloads_by_name(model, rng)
+        for name in model.internal_class_names:
+            info = model.get(name)
+            assert lcom(info, "HM") == _oracle_all(info)["HM"], (seed, name)
+            checked += 1
+    assert checked >= 400
+
+
+def _class_x(methods, others=()):
+    model = build_system_model([class_rec("X", attributes=[attr_rec("a")], methods=methods), *others])
+    return model.get("X")
+
+
+@pytest.mark.parametrize("methods, others, hm", [
+    pytest.param([], (), None, id="no-methods"),
+    pytest.param([method_rec("m", invokes=[("X.m", 1)]), method_rec("n")], (), 2, id="lone-self-call"),
+    pytest.param([method_rec("m", params=["int"] * k, invokes=[("X.m", 1)]) for k in range(5)] + [method_rec("n")],
+                 (), 2, id="overloads-each-call-m"),
+    pytest.param([method_rec("a", invokes=[("X.m", 1)]), method_rec("m", params=["int"]),
+                  method_rec("m", params=["String"]), method_rec("z")], (), 2, id="caller-outside-the-group"),
+    pytest.param([method_rec("a", invokes=[("X.zz", 1)]), method_rec("b")], (), 2, id="undeclared-name"),
+    pytest.param([method_rec("a", invokes=[("Y.b", 1)]), method_rec("b")],
+                 [class_rec("Y", methods=[method_rec("b")])], 2, id="same-name-in-another-class"),
+])
+def test_hm_call_edge_shapes(methods, others, hm):
+    info = _class_x(methods, others)
+    if hm is None:
+        with pytest.raises(UndefinedMetric):
+            lcom(info, "HM")
+    else:
+        assert lcom(info, "HM") == hm == _oracle_all(info)["HM"]
+
+
+def test_hm_joins_overloads_in_linear_unions(monkeypatch):
+    """200 overloads that each call their own name and touch no attribute:
+    one union per overload after the first and one per call, where the
+    pairwise edges would take 200 * 199 / 2 = 19,900."""
+    unions = 0
+    union = cohesion._UnionFind.union
+
+    def counting(self, a, b):
+        nonlocal unions
+        unions += 1
+        union(self, a, b)
+
+    monkeypatch.setattr(cohesion._UnionFind, "union", counting)
+    info = _class_x([method_rec("m", params=["int"] * k, invokes=[("X.m", 1)]) for k in range(200)])
+    assert lcom(info, "HM") == 1
+    assert len(call_pairs(info)) == 19_900
+    assert unions <= 400

@@ -91,12 +91,12 @@ class Tidy {
 
 def test_sig_best_bands_for_simple_system():
     rating = sig_rating(_simple_system())
-    assert rating.volume == "++"
-    assert rating.complexity_per_unit == "++"
-    assert rating.unit_size == "++"
-    assert rating.duplication == "not-assessed"
-    assert rating.unit_testing == "not-assessed"
-    assert rating.overall == "++"
+    assert rating["volume"] == "++"
+    assert rating["complexityPerUnit"] == "++"
+    assert rating["unitSize"] == "++"
+    assert rating["duplication"] == "not-assessed"
+    assert rating["unitTesting"] == "not-assessed"
+    assert rating["overall"] == "++"
 
 
 def test_sig_empty_model():
@@ -109,11 +109,11 @@ def test_sig_complexity_band_monotone_under_bad_method():
     good = [class_rec("A", lines=40, methods=[
         method_rec(f"m{i}", cfg=cfg_with_v(1), lines=5) for i in range(6)
     ])]
-    before = sig_rating(build_system_model(good)).complexity_per_unit
+    before = sig_rating(build_system_model(good))["complexityPerUnit"]
     bad = [class_rec("A", lines=400, methods=[
         method_rec(f"m{i}", cfg=cfg_with_v(1), lines=5) for i in range(6)
     ] + [method_rec("huge", cfg=cfg_with_v(60), lines=300)])]
-    after = sig_rating(build_system_model(bad)).complexity_per_unit
+    after = sig_rating(build_system_model(bad))["complexityPerUnit"]
     assert order.index(after) <= order.index(before)
 
 
@@ -122,9 +122,9 @@ def test_sig_overall_between_best_and_worst():
     texts = {"a.java": ("x = 1;\n" * 40)}
     model = _simple_system()
     rating = sig_rating(model, source_texts=texts)
-    rated = [rating.volume, rating.complexity_per_unit, rating.duplication, rating.unit_size]
+    rated = [rating["volume"], rating["complexityPerUnit"], rating["duplication"], rating["unitSize"]]
     idx = [order.index(r) for r in rated if r in order]
-    assert min(idx) <= order.index(rating.overall) <= max(idx)
+    assert min(idx) <= order.index(rating["overall"]) <= max(idx)
 
 
 # ---------------------------------------------------------------------------

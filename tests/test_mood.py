@@ -21,6 +21,7 @@ from oometrics import ck, qmood
 from oometrics.errors import DegenerateSystem
 from oometrics.model import build_system_model
 from oometrics.mood import mood
+from oometrics.report import compute_report
 
 
 def test_all_private_attributes_ahf_100():
@@ -29,8 +30,8 @@ def test_all_private_attributes_ahf_100():
         class_rec("B", attributes=[attr_rec("y", visibility="private")]),
     ])
     factors = mood(m)
-    assert factors.ahf == 1.0
-    assert factors.as_percentages()["AHF"] == 100.0
+    assert factors["AHF"] == 1.0
+    assert compute_report(m)["system"]["mood"]["AHF"] == 100.0
 
 
 def test_no_inheritance_mif_aif_zero_pf_undefined():
@@ -39,9 +40,9 @@ def test_no_inheritance_mif_aif_zero_pf_undefined():
         class_rec("B", methods=[method_rec("n")]),
     ])
     factors = mood(m)
-    assert factors.mif == 0.0
-    assert factors.aif == 0.0
-    assert factors.pf is None
+    assert factors["MIF"] == 0.0
+    assert factors["AIF"] == 0.0
+    assert factors["PF"] is None
 
 
 def test_degenerate_single_class():
@@ -57,7 +58,7 @@ def test_protected_hiding_fraction():
         class_rec("C"),
         class_rec("D"),
     ])
-    assert mood(m).mhf == pytest.approx(2 / 3)
+    assert mood(m)["MHF"] == pytest.approx(2 / 3)
 
 
 def test_pf_simple_override():
@@ -67,7 +68,7 @@ def test_pf_simple_override():
     ])
     factors = mood(m)
     # Base declares 1 new method with 1 descendant -> capacity 1; Kid overrides it
-    assert factors.pf == 1.0
+    assert factors["PF"] == 1.0
 
 
 def test_pf_defined_iff_new_method_with_descendants():
@@ -75,12 +76,12 @@ def test_pf_defined_iff_new_method_with_descendants():
         class_rec("A", methods=[method_rec("m", visibility="public")]),
         class_rec("B"),
     ])
-    assert mood(no_descendants).pf is None
+    assert mood(no_descendants)["PF"] is None
     with_desc = build_system_model([
         class_rec("A", methods=[method_rec("m", visibility="public")]),
         class_rec("B", extends=["A"]),
     ])
-    assert mood(with_desc).pf == 0.0
+    assert mood(with_desc)["PF"] == 0.0
 
 
 def _oracle(m):
@@ -182,7 +183,7 @@ def test_table_metrics_equal_the_walk_formulas():
         if len(m.internal_class_names) < 2:
             continue
         got, want = mood(m), _oracle(m)
-        assert (got.mhf, got.ahf, got.mif, got.aif, got.pf, got.cf) == (
+        assert (got["MHF"], got["AHF"], got["MIF"], got["AIF"], got["PF"], got["CF"]) == (
             want["mhf"], want["ahf"], want["mif"], want["aif"], want["pf"], cf
         )
 
@@ -193,15 +194,15 @@ def test_factors_match_enumeration_oracle_on_random_systems():
         m = random_model(rng, n_classes=8)
         got = mood(m)
         want = _oracle(m)
-        assert got.mhf == pytest.approx(want["mhf"])
-        assert got.ahf == pytest.approx(want["ahf"])
-        assert got.mif == pytest.approx(want["mif"])
-        assert got.aif == pytest.approx(want["aif"])
+        assert got["MHF"] == pytest.approx(want["mhf"])
+        assert got["AHF"] == pytest.approx(want["ahf"])
+        assert got["MIF"] == pytest.approx(want["mif"])
+        assert got["AIF"] == pytest.approx(want["aif"])
         if want["pf"] is None:
-            assert got.pf is None
+            assert got["PF"] is None
         else:
-            assert got.pf == pytest.approx(want["pf"])
-        for v in (got.mhf, got.ahf, got.mif, got.aif):
+            assert got["PF"] == pytest.approx(want["pf"])
+        for v in (got["MHF"], got["AHF"], got["MIF"], got["AIF"]):
             assert 0.0 <= v <= 1.0
 
 
@@ -210,9 +211,9 @@ def test_privatizing_a_method_never_decreases_mhf():
         class_rec("A", methods=[method_rec("m", visibility="public"), method_rec("n", visibility="public")]),
         class_rec("B", methods=[method_rec("o", visibility="public")]),
     ]
-    before = mood(build_system_model(records)).mhf
+    before = mood(build_system_model(records))["MHF"]
     records[0]["methods"][0]["visibility"] = "private"
-    after = mood(build_system_model(records)).mhf
+    after = mood(build_system_model(records))["MHF"]
     assert after >= before
 
 
@@ -226,11 +227,11 @@ def test_mif_normalization_small_vs_large_system():
         return recs
 
     def delta(recs):
-        without = mood(build_system_model(recs)).mif
+        without = mood(build_system_model(recs))["MIF"]
         extended = [dict(r) for r in recs]
         extended[0] = dict(extended[0])
         extended[0]["methods"] = extended[0]["methods"] + [method_rec("extra", visibility="public")]
-        with_extra = mood(build_system_model(extended)).mif
+        with_extra = mood(build_system_model(extended))["MIF"]
         return with_extra - without
 
     assert delta(system(1)) > delta(system(8))

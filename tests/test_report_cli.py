@@ -235,8 +235,8 @@ def test_kiviat_axis_count_enforced():
 
 def test_scatter_all_low_is_quadrant_three():
     rows = [("C", f"m{i}()", 1, 1) for i in range(5)]
-    result = emit_scatter(rows)
-    assert result.counts == {"I": 0, "II": 0, "III": 5, "IV": 0}
+    _, counts = emit_scatter(rows)
+    assert counts == {"I": 0, "II": 0, "III": 5, "IV": 0}
 
 
 def test_scatter_mixed_quadrants_and_partition():
@@ -246,11 +246,11 @@ def test_scatter_mixed_quadrants_and_partition():
         ("C", "c()", 12, 2),
         ("C", "d()", 2, 6),
     ]
-    result = emit_scatter(rows)
-    assert result.counts == {"I": 1, "II": 1, "III": 1, "IV": 1}
-    assert sum(result.counts.values()) == len(rows)
-    assert "b(),C,12,6,I" in result.csv
-    assert result.csv.splitlines()[0] == "method,class,v,ev,quadrant"
+    csv, counts = emit_scatter(rows)
+    assert counts == {"I": 1, "II": 1, "III": 1, "IV": 1}
+    assert sum(counts.values()) == len(rows)
+    assert "b(),C,12,6,I" in csv
+    assert csv.splitlines()[0] == "method,class,v,ev,quadrant"
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +297,21 @@ def test_cli_analyze_parse_error_partial_exit_2(tmp_path, capsys):
     doc = json.loads(captured.out)
     assert doc["partial"] is True
     assert any("Bad.java" in e for e in doc["parseErrors"])
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["scatter"], ["kiviat", "--class-name", "A"]])
+def test_cli_no_class_loaded_names_every_parse_error(tmp_path, capsys, command):
+    (tmp_path / "Bad.java").write_text("class {\n")
+    (tmp_path / "Worse.java").write_text("class W {\n  void m( {\n")
+    (tmp_path / "Empty.java").write_text("// no class here\n")
+    rc = main([command[0], str(tmp_path), *command[1:]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: no class loaded; parse errors:\n")
+    assert f"{tmp_path / 'Bad.java'}: line 1: " in captured.err
+    assert f"{tmp_path / 'Worse.java'}: line 2: " in captured.err
+    assert "Empty.java" not in captured.err
 
 
 def test_cli_analyze_out_dir(tmp_path, capsys):
