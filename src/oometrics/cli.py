@@ -23,7 +23,7 @@ from . import report as rpt
 from .ck import logiscope_mnemonics
 from .errors import EncodingError, MetricsError, NoInput, SourceSyntaxError
 from .evolution import (
-    HistoryTimeline,
+    History,
     churn_compare,
     fit_churn_baseline,
     score_build,
@@ -46,8 +46,8 @@ def _collect_sources(paths: list[str]) -> list[Path]:
     seen: set[Path] = set()
     for p in paths:
         path = Path(p)
-        if path.is_dir():
-            found = sorted(path.rglob("*" + SOURCE_SUFFIXES[0]))
+        if path.is_dir():  # a directory named like a source file is descended into, not read
+            found = sorted(f for f in path.rglob("*" + SOURCE_SUFFIXES[0]) if not f.is_dir())
         elif path.is_file():
             found = [path]
         elif not path.exists():
@@ -179,18 +179,18 @@ def _build_model(loaded: _LoadedInput) -> SystemModel:
     return model
 
 
-def _load_history(history_dir: str) -> HistoryTimeline:
+def _load_history(history_dir: str) -> History:
     files = sorted(Path(history_dir).glob("*.json"))
     if len(files) < 2:
         raise NoInput(f"history needs at least 2 facts files, found {len(files)} in {history_dir}")
-    versions = []
+    history = {}
     for f in files:  # each version is checked as a whole model, then only its method counts are kept
         model = build_system_model(load_facts(f), f)
-        versions.append((f.stem, {c.name: len(c.regular_methods) for c in model.internal_classes}))
-    return HistoryTimeline(tuple(versions))
+        history[f.stem] = {c.name: len(c.regular_methods) for c in model.internal_classes}
+    return history
 
 
-def _evolution_section(history: HistoryTimeline) -> dict:
+def _evolution_section(history: History) -> dict:
     n = len(history)
     per_class = []
     for name, lenom, enom_total in yw_rank(history):
@@ -202,7 +202,7 @@ def _evolution_section(history: HistoryTimeline) -> dict:
                 "eenom": weighted_enom(history, name, 1, n, "EARLIEST"),
             }
         )
-    return {"versions": list(history.version_ids), "classes": per_class}
+    return {"versions": list(history), "classes": per_class}
 
 
 def cmd_analyze(args) -> int:

@@ -11,24 +11,11 @@ iv(G) - module design complexity: v(G) after removing decision structure
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cfg import ControlFlowGraph
 from .model import ClassInfo
 
 CYCLOMATIC_THRESHOLD = 10
 ESSENTIAL_THRESHOLD = 4
-
-
-@dataclass(frozen=True)
-class ComplexityTriple:
-    v: int
-    ev: int
-    iv: int
-
-    def __post_init__(self):
-        if not (1 <= self.ev <= self.v and 1 <= self.iv <= self.v):
-            raise ValueError(f"inconsistent complexity triple {self}")
 
 
 def cyclomatic(g: ControlFlowGraph) -> int:
@@ -136,27 +123,27 @@ def _reduce(g: ControlFlowGraph, frozen: set[int], sequences: bool) -> int:
     return edges - nodes + 2
 
 
+def _checked(g: ControlFlowGraph, residue: int) -> int:
+    """``residue`` once it is known to lie in 1..v(g), as every reduction's must."""
+    if not 1 <= residue <= cyclomatic(g):
+        raise ValueError(f"reduced complexity {residue} outside 1..v(G) = {cyclomatic(g)}")
+    return residue
+
+
 def essential(g: ControlFlowGraph) -> int:
     """Collapse structured primes to fixpoint, return v of the residue.
     Nodes of kind ``return`` are never contracted, so a mid-method return
-    survives as unstructured."""
-    return _reduce(g, {i for i, kind in enumerate(g.kinds) if kind == "return"}, sequences=True)
+    survives as unstructured.  Read it as ``g.ev``, which keeps it."""
+    return _checked(g, _reduce(g, {i for i, kind in enumerate(g.kinds) if kind == "return"}, sequences=True))
 
 
 def module_design(g: ControlFlowGraph) -> int:
     """Reduce away decision structure with no call-bearing node on any
-    branch, return v of the residue."""
+    branch, return v of the residue.  Read it as ``g.iv``, which keeps it."""
     calls = g.call_nodes
     if not calls:
         return 1
-    return _reduce(g, set(calls), sequences=False)
-
-
-def complexity_triple(g: ControlFlowGraph) -> ComplexityTriple:
-    """v, ev and iv of ``g``; ev and iv are reduced once per graph object
-    (see ``ControlFlowGraph.ev``/``iv``), so a graph a model shares between
-    methods is reduced once."""
-    return ComplexityTriple(cyclomatic(g), g.ev, g.iv)
+    return _checked(g, _reduce(g, set(calls), sequences=False))
 
 
 def class_wmc(c: ClassInfo) -> int:

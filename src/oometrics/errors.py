@@ -74,12 +74,6 @@ class EmptyModel(MetricsError):
     pass
 
 
-class UnknownMnemonic(MetricsError):
-    def __init__(self, mnemonic: str):
-        super().__init__(f"unknown metric mnemonic: {mnemonic}")
-        self.mnemonic = mnemonic
-
-
 class MissingProperty(MetricsError):
     def __init__(self, prop: str, index: str):
         super().__init__(f"property {prop} is undefined; cannot compute {index}")

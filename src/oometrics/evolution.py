@@ -26,30 +26,14 @@ from dataclasses import dataclass
 from .errors import BadRange, BaselineMismatch, DegenerateBaseline
 
 
-@dataclass(frozen=True)
-class HistoryTimeline:
-    """Ordered (version id, {class: declared method count}) snapshots;
-    classes matched by name."""
+#: version id -> {class: regular-method count}, in version order; classes
+#: matched by name
+History = dict[str, dict[str, int]]
 
-    versions: tuple[tuple[str, dict[str, int]], ...]
 
-    def __post_init__(self):
-        if len({v for v, _ in self.versions}) != len(self.versions):
-            raise ValueError("duplicate version ids")
-
-    def __len__(self) -> int:
-        return len(self.versions)
-
-    @property
-    def version_ids(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.versions)
-
-    def nom_series(self, class_name: str) -> list[int]:
-        """Declared method count per version; absent class counts 0."""
-        return [counts.get(class_name, 0) for _, counts in self.versions]
-
-    def all_class_names(self) -> tuple[str, ...]:
-        return tuple(sorted({name for _, counts in self.versions for name in counts}))
+def _nom_series(h: History, class_name: str) -> list[int]:
+    """Declared method count per version; absent class counts 0."""
+    return [counts.get(class_name, 0) for counts in h.values()]
 
 
 def _check_window(n: int, j: int, k: int) -> None:
@@ -57,31 +41,32 @@ def _check_window(n: int, j: int, k: int) -> None:
         raise BadRange(j, k)
 
 
-def enom(h: HistoryTimeline, class_name: str, j: int, k: int) -> int:
+def enom(h: History, class_name: str, j: int, k: int) -> int:
     """Sum of |NOM_i - NOM_{i-1}| over versions j+1..k (1-based)."""
     _check_window(len(h), j, k)
-    series = h.nom_series(class_name)
+    series = _nom_series(h, class_name)
     return sum(abs(series[i] - series[i - 1]) for i in range(j, k))
 
 
-def weighted_enom(h: HistoryTimeline, class_name: str, j: int, k: int, mode: str = "LATEST") -> float:
+def weighted_enom(h: History, class_name: str, j: int, k: int, mode: str = "LATEST") -> float:
     """LATEST: weight 2^(i-k); EARLIEST: weight 2^(k-i+1)."""
     _check_window(len(h), j, k)
-    series = h.nom_series(class_name)
+    series = _nom_series(h, class_name)
     if mode not in ("LATEST", "EARLIEST"):
         raise ValueError(f"unknown mode: {mode}")
     exponent = (lambda i: i - k) if mode == "LATEST" else (lambda i: k - i + 1)
     return sum(abs(series[i - 1] - series[i - 2]) * 2.0 ** exponent(i) for i in range(j + 1, k + 1))
 
 
-def yw_rank(h: HistoryTimeline, window: tuple[int, int] | None = None) -> list[tuple[str, float, int]]:
+def yw_rank(h: History, window: tuple[int, int] | None = None) -> list[tuple[str, float, int]]:
     """Classes ordered by descending LENOM (ties: ENOM, then name).
     Returns (name, lenom, enom) rows."""
     if len(h) < 2:
         raise BadRange(1, len(h))
     j, k = window if window is not None else (1, len(h))
     _check_window(len(h), j, k)
-    rows = [(name, weighted_enom(h, name, j, k, "LATEST"), enom(h, name, j, k)) for name in h.all_class_names()]
+    names = {name for counts in h.values() for name in counts}
+    rows = [(name, weighted_enom(h, name, j, k, "LATEST"), enom(h, name, j, k)) for name in names]
     rows.sort(key=lambda r: (-r[1], -r[2], r[0]))
     return rows
 

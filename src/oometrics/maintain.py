@@ -121,13 +121,6 @@ def _fits(value, default) -> bool:
     return isinstance(value, int) or (isinstance(default, float) and isinstance(value, float))
 
 
-def _merge_bands(overrides: dict | None) -> dict:
-    bands = {k: v for k, v in DEFAULT_BANDS.items()}
-    if overrides:
-        bands.update(overrides)
-    return bands
-
-
 def _band_rating(value: float, table: list) -> str:
     for limit, rating in table:
         if value <= limit:
@@ -155,20 +148,19 @@ def _risk_band(value: float, risk: dict) -> str:
 def sig_rating(
     model: SystemModel,
     source_texts: dict[str, str] | None = None,
-    bands: dict | None = None,
+    bands: dict = DEFAULT_BANDS,
 ) -> dict[str, str]:
     """The model's ``system.sig`` ratings, keyed as the report prints them.
     Unit testing is always not-assessed: it needs execution data.
     Duplication needs the raw texts and reports not-assessed without them.
     Unit size falls back to statement-node counts when a method carries no
-    line count."""
-    cfg = _merge_bands(bands)
+    line count.  ``bands`` is a complete table, as ``ToolConfig.sig_bands``."""
     classes = model.internal_classes
     if not classes:
         raise EmptyModel("no classes to rate")
 
     total_loc = sum(c.line_count for c in classes)
-    volume = _band_rating(float(total_loc), cfg["volume"])
+    volume = _band_rating(float(total_loc), bands["volume"])
 
     # complexity and unit-size profiles, weighted by unit size
     risk_loc = {"low": 0.0, "moderate": 0.0, "high": 0.0, "veryHigh": 0.0}
@@ -181,18 +173,18 @@ def sig_rating(
             any_units = True
             size = float(m.line_count if m.line_count else m.cfg.statement_node_count)
             v = cyclomatic(m.cfg)
-            risk_loc[_risk_band(v, cfg["complexityRisk"])] += size
-            size_loc[_risk_band(size, cfg["unitSizeRisk"])] += size
+            risk_loc[_risk_band(v, bands["complexityRisk"])] += size
+            size_loc[_risk_band(size, bands["unitSizeRisk"])] += size
     if any_units and sum(risk_loc.values()) > 0:
         total = sum(risk_loc.values())
         complexity = _profile_rating(
-            cfg["complexityProfile"],
+            bands["complexityProfile"],
             100.0 * risk_loc["moderate"] / total,
             100.0 * risk_loc["high"] / total,
             100.0 * risk_loc["veryHigh"] / total,
         )
         unit_size = _profile_rating(
-            cfg["unitSizeProfile"],
+            bands["unitSizeProfile"],
             100.0 * size_loc["moderate"] / total,
             100.0 * size_loc["high"] / total,
             100.0 * size_loc["veryHigh"] / total,
@@ -202,8 +194,8 @@ def sig_rating(
         unit_size = NOT_ASSESSED
 
     if source_texts:
-        pct = duplication_percent(source_texts, window=cfg["duplicationWindow"])
-        duplication = _band_rating(pct, cfg["duplication"])
+        pct = duplication_percent(source_texts, window=bands["duplicationWindow"])
+        duplication = _band_rating(pct, bands["duplication"])
     else:
         duplication = NOT_ASSESSED
 

@@ -18,8 +18,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .ck import KIVIAT_ORDER
-from .errors import ConfigError, UnknownMnemonic
-from .maintain import check_bands
+from .errors import ConfigError
+from .maintain import DEFAULT_BANDS, check_bands
 
 INF = math.inf
 
@@ -52,40 +52,28 @@ CATEGORIES = ("EXCELLENT", "GOOD", "FAIR", "POOR")
 _CATEGORY_POINTS = {"EXCELLENT": 3, "GOOD": 2, "FAIR": 1, "POOR": 0}
 
 
-@dataclass(frozen=True)
-class RangeTable:
-    ranges: dict[str, tuple[float, float]] = field(default_factory=lambda: dict(DEFAULT_RANGES))
-
-    def __post_init__(self):
-        for mnemonic, (lo, hi) in self.ranges.items():
-            if lo > hi:
-                raise ConfigError(f"{mnemonic}: min {lo} exceeds max {hi}")
-
-    def bounds(self, mnemonic: str) -> tuple[float, float]:
-        try:
-            return self.ranges[mnemonic]
-        except KeyError:
-            raise UnknownMnemonic(mnemonic) from None
-
-    @classmethod
-    def from_config(cls, entries: dict) -> "RangeTable":
-        """Entries: class mnemonic -> {"min": x, "max": y}; "inf"/"-inf"
-        accepted literally.  Unlisted mnemonics keep their defaults; any
-        other mnemonic or bound key is a ConfigError, as it would change
-        nothing."""
-        if not isinstance(entries, dict):
-            raise ConfigError("ranges must be an object of class mnemonics")
-        merged = dict(DEFAULT_RANGES)
-        for mnemonic, spec in entries.items():
-            if mnemonic not in KIVIAT_ORDER:
-                raise ConfigError(f"ranges: not a class mnemonic: {mnemonic!r} (known: {', '.join(KIVIAT_ORDER)})")
-            if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
-                raise ConfigError(f"range for {mnemonic} needs min and max")
-            extra = [k for k in spec if k not in ("min", "max")]
-            if extra:
-                raise ConfigError(f"range for {mnemonic}: unknown key {extra[0]!r} (known: min, max)")
-            merged[mnemonic] = (_bound(mnemonic, spec["min"]), _bound(mnemonic, spec["max"]))
-        return cls(merged)
+def ranges_from_config(entries) -> dict[str, tuple[float, float]]:
+    """DEFAULT_RANGES with the config's ``ranges`` entries merged in.
+    Entries: class mnemonic -> {"min": x, "max": y}; "inf"/"-inf" accepted
+    literally.  Unlisted mnemonics keep their defaults; any other mnemonic
+    or bound key is a ConfigError, as it would change nothing, and so is a
+    min above its max, checked over the merged table in its default order."""
+    if not isinstance(entries, dict):
+        raise ConfigError("ranges must be an object of class mnemonics")
+    merged = dict(DEFAULT_RANGES)
+    for mnemonic, spec in entries.items():
+        if mnemonic not in KIVIAT_ORDER:
+            raise ConfigError(f"ranges: not a class mnemonic: {mnemonic!r} (known: {', '.join(KIVIAT_ORDER)})")
+        if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
+            raise ConfigError(f"range for {mnemonic} needs min and max")
+        extra = [k for k in spec if k not in ("min", "max")]
+        if extra:
+            raise ConfigError(f"range for {mnemonic}: unknown key {extra[0]!r} (known: min, max)")
+        merged[mnemonic] = (_bound(mnemonic, spec["min"]), _bound(mnemonic, spec["max"]))
+    for mnemonic, (lo, hi) in merged.items():
+        if lo > hi:
+            raise ConfigError(f"{mnemonic}: min {lo} exceeds max {hi}")
+    return merged
 
 
 def _bound(mnemonic: str, v) -> float:
@@ -110,11 +98,11 @@ class KiviatRow:
     side: str  # IN range, or the violated side: LOW | HIGH
 
 
-def metric_status(ranges: RangeTable, mnemonic: str, value) -> str:
+def metric_status(ranges: dict[str, tuple[float, float]], mnemonic: str, value) -> str:
     """IN when min <= value <= max, else the violated side, LOW or HIGH.
     An undefined value (None) flags LOW: degenerate input is never quietly
     in range."""
-    lo, hi = ranges.bounds(mnemonic)
+    lo, hi = ranges[mnemonic]
     if value is None or value < lo:
         return "LOW"
     if value > hi:
@@ -122,14 +110,14 @@ def metric_status(ranges: RangeTable, mnemonic: str, value) -> str:
     return "IN"
 
 
-def kiviat_rows(ranges: RangeTable, metrics: Mapping[str, float | int | None]) -> list[KiviatRow]:
+def kiviat_rows(ranges: dict[str, tuple[float, float]], metrics: Mapping[str, float | int | None]) -> list[KiviatRow]:
     """The thirteen mnemonic rows in canonical order, read from a class's
     ``metrics``: the one place a class's mnemonics are checked against
     their ranges."""
     rows = []
     for m in KIVIAT_ORDER:
         value = metrics[m]
-        lo, hi = ranges.bounds(m)
+        lo, hi = ranges[m]
         rows.append(KiviatRow(mnemonic=m, value=value, min=lo, max=hi, side=metric_status(ranges, m, value)))
     return rows
 
@@ -198,8 +186,11 @@ DEFAULT_CHURN_METRICS = ("cl_stat", "cl_wmc", "cl_func", "cl_data", "cu_cdused")
 
 @dataclass(frozen=True)
 class ToolConfig:
-    ranges: RangeTable = field(default_factory=RangeTable)
-    sig_bands: dict = field(default_factory=dict)  # maintain.DEFAULT_BANDS overrides
+    """A checked config.  ``ranges`` and ``sig_bands`` are the complete
+    tables, the defaults merged with the file's entries once."""
+
+    ranges: dict[str, tuple[float, float]] = field(default_factory=lambda: dict(DEFAULT_RANGES))
+    sig_bands: dict = field(default_factory=lambda: dict(DEFAULT_BANDS))
     churn_metrics: tuple[str, ...] = DEFAULT_CHURN_METRICS
     qmood_baseline: str | None = None  # facts file path
     raw: dict = field(default_factory=dict)
@@ -223,7 +214,7 @@ class ToolConfig:
         for key in doc:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r} (known: {', '.join(known)})")
-        ranges = RangeTable.from_config(doc.get("ranges", {}))
+        ranges = ranges_from_config(doc.get("ranges", {}))
         churn = doc.get("churnMetrics", list(DEFAULT_CHURN_METRICS))
         if not isinstance(churn, list) or not churn:
             raise ConfigError("churnMetrics must be a non-empty list of class mnemonics")
@@ -242,7 +233,7 @@ class ToolConfig:
             raise ConfigError(f"qmoodBaseline must be the path of a facts file, got {json.dumps(baseline)}")
         return cls(
             ranges=ranges,
-            sig_bands=sig_bands,
+            sig_bands=DEFAULT_BANDS | sig_bands,
             churn_metrics=tuple(churn),
             qmood_baseline=baseline,
             raw=doc,

@@ -15,7 +15,7 @@ from itertools import islice
 
 from . import cohesion, qmood
 from .ck import KIVIAT_ORDER, cbo, dit, logiscope_mnemonics, mpc, rfc
-from .complexity import complexity_triple, cyclomatic, quadrant
+from .complexity import cyclomatic, quadrant
 from .errors import DegenerateSystem, EmptyModel, MetricsError, UndefinedMetric, WrongAxisCount
 from .halstead import HalsteadCounts
 from .maintain import maintainability_index, sig_rating
@@ -47,9 +47,8 @@ def compute_class_record(model: SystemModel, name: str) -> dict:
 
     rows = []
     for m in info.member_functions:
-        if m.cfg is not None:
-            t = complexity_triple(m.cfg)
-            rows.append((m.signature, t.v, t.ev, t.iv))
+        if (g := m.cfg) is not None:
+            rows.append((m.signature, cyclomatic(g), g.ev, g.iv))
     rec["methods"] = [
         {"signature": s, "v": v, "ev": ev, "iv": iv, "quadrant": quadrant(v, ev)}
         for s, v, ev, iv in sorted(rows)

@@ -36,7 +36,7 @@ from oometrics.qmood import (
     qmood_system_metrics,
     quality_indices,
 )
-from oometrics.quality import RangeTable, metric_status
+from oometrics.quality import DEFAULT_RANGES, metric_status
 from oometrics.report import compute_report, serialize_report
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -88,7 +88,7 @@ def test_criterion_1_fixture_exactness():
 
 
 def test_criterion_2_logiscope_status_replication():
-    ranges = RangeTable()
+    ranges = DEFAULT_RANGES
     table_values = {
         "LexicalAnalyzer": (
             {"cl_comf": 0.19, "cl_comm": 147, "cl_data": 3, "cl_data_publ": 0,
@@ -263,7 +263,7 @@ def test_criterion_7_cohesion_oracle_equivalence():
 
 
 def test_criterion_8_evolution_closed_forms():
-    from oometrics.evolution import HistoryTimeline, enom, weighted_enom
+    from oometrics.evolution import enom, weighted_enom
 
     def version(nom):
         return {"C": nom}
@@ -272,11 +272,11 @@ def test_criterion_8_evolution_closed_forms():
     for _ in range(100):
         n = rng.randrange(4, 9)
         series = [rng.randrange(0, 10) for _ in range(n)]
-        h = HistoryTimeline(tuple((f"v{i}", version(s)) for i, s in enumerate(series)))
+        h = {f"v{i}": version(s) for i, s in enumerate(series)}
         mid = rng.randrange(2, n)
         assert enom(h, "C", 1, n) == enom(h, "C", 1, mid) + enom(h, "C", mid, n)
 
-    h = HistoryTimeline(tuple((f"v{i}", version(s)) for i, s in enumerate([5, 7, 6, 6])))
+    h = {f"v{i}": version(s) for i, s in enumerate([5, 7, 6, 6])}
     assert weighted_enom(h, "C", 1, 4, "EARLIEST") == 20.0
 
     metric_names = ("x", "y", "z")

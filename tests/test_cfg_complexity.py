@@ -24,7 +24,6 @@ from oometrics.cfg import ControlFlowGraph
 from oometrics.cli import main
 from oometrics.complexity import (
     class_wmc,
-    complexity_triple,
     cyclomatic,
     essential,
     module_design,
@@ -33,6 +32,7 @@ from oometrics.complexity import (
 from oometrics.errors import MalformedGraph
 from oometrics.javasrc import parse_source
 from oometrics.model import build_system_model
+from oometrics.report import compute_class_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -752,12 +752,24 @@ def test_cached_ev_iv_equal_a_fresh_reduction(monkeypatch):
         graphs = [m.cfg for c in model.internal_classes for m in c.methods if m.cfg is not None]
         assert len({id(g) for g in graphs}) == len({(g.kinds, g.edges) for g in graphs})
         for g in graphs:
-            t = complexity_triple(g)
             fresh = ControlFlowGraph.from_facts(g.to_facts())
-            assert (t.ev, t.iv) == (real_essential(fresh), module_design(fresh))
+            assert (g.ev, g.iv) == (real_essential(fresh), module_design(fresh))
     assert set(reduced.values()) == {1}
     corpus = [m.cfg for c in models[0].internal_classes for m in c.methods]
     assert len(corpus) == 2000 and len({id(g) for g in corpus}) < 1000
+
+
+def test_a_reduction_outside_one_to_v_is_caught_by_every_reader(monkeypatch, capsys):
+    # the range check lives where ev and iv are made, so the report's rows
+    # and scatter, which once printed ev 1000000 with exit 0, both see it
+    monkeypatch.setattr(complexity, "_reduce", lambda g, frozen, sequences: 10**6)
+    (rec,) = parse_source("class W { int m(int x) { if (x > 0) { return g(x); } return x; } }", "W.java").classes
+    model = build_system_model([rec])
+    with pytest.raises(ValueError, match="1000000"):
+        compute_class_record(model, "W")
+    with pytest.raises(ValueError, match="1000000"):
+        main(["scatter", str(FIXTURES / "metric_test")])
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from oometrics import evolution
 from oometrics.errors import BadRange, BaselineMismatch, DegenerateBaseline
 from oometrics.evolution import (
     ChurnBuildRecord,
-    HistoryTimeline,
     churn_compare,
     enom,
     fit_churn_baseline,
@@ -26,9 +25,7 @@ from oometrics.evolution import (
 
 def _history(series_by_class):
     n = len(next(iter(series_by_class.values())))
-    return HistoryTimeline(tuple(
-        (f"v{i + 1}", {c: s[i] for c, s in series_by_class.items()}) for i in range(n)
-    ))
+    return {f"v{i + 1}": {c: s[i] for c, s in series_by_class.items()} for i in range(n)}
 
 
 def test_enom_hand_case():

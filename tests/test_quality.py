@@ -7,15 +7,16 @@ import pytest
 
 from helpers import lexical_analyzer_model, neural_network_model
 from oometrics.ck import KIVIAT_ORDER
-from oometrics.errors import ConfigError, UnknownMnemonic
+from oometrics.errors import ConfigError
 from oometrics.quality import (
     CRITERIA,
-    RangeTable,
+    DEFAULT_RANGES,
     ToolConfig,
     criteria_categories,
     kiviat_rows,
     maintainability,
     metric_status,
+    ranges_from_config,
     recommendations,
 )
 from oometrics.report import compute_class_record
@@ -25,8 +26,8 @@ def _record(**overrides) -> dict:
     return dict.fromkeys(KIVIAT_ORDER, 0) | {"cl_comf": 0.5, "cl_line": 100, "cl_comm": 50} | overrides
 
 
-def _criteria(rec: dict, ranges: RangeTable | None = None) -> dict[str, str]:
-    return criteria_categories(kiviat_rows(ranges or RangeTable(), rec))
+def _criteria(rec: dict, ranges: dict | None = None) -> dict[str, str]:
+    return criteria_categories(kiviat_rows(ranges or DEFAULT_RANGES, rec))
 
 
 # ---------------------------------------------------------------------------
@@ -35,26 +36,26 @@ def _criteria(rec: dict, ranges: RangeTable | None = None) -> dict[str, str]:
 
 
 def test_status_low_comment_rate():
-    assert metric_status(RangeTable(), "cl_comf", 0.19) == "LOW"
+    assert metric_status(DEFAULT_RANGES, "cl_comf", 0.19) == "LOW"
 
 
 def test_status_boundary_inclusive():
-    ranges = RangeTable()
+    ranges = DEFAULT_RANGES
     assert metric_status(ranges, "cl_wmc", 60) == "IN"
     assert metric_status(ranges, "cl_wmc", 61) != "IN"
 
 
 def test_status_high_used_classes():
-    assert metric_status(RangeTable(), "cu_cdused", 33) == "HIGH"
+    assert metric_status(DEFAULT_RANGES, "cu_cdused", 33) == "HIGH"
 
 
 def test_status_unknown_mnemonic():
-    with pytest.raises(UnknownMnemonic):
-        metric_status(RangeTable(), "nope", 1)
+    with pytest.raises(KeyError):
+        metric_status(DEFAULT_RANGES, "nope", 1)
 
 
 def test_status_undefined_value_flags_low():
-    assert metric_status(RangeTable(), "cl_comf", None) == "LOW"
+    assert metric_status(DEFAULT_RANGES, "cl_comf", None) == "LOW"
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ def test_all_in_range_record_excellent():
 
 def test_criterion_counts_constituents():
     rec = _record(cl_wmc=100, cu_cdused=99)  # two of four out
-    rows = kiviat_rows(RangeTable(), rec)
+    rows = kiviat_rows(DEFAULT_RANGES, rec)
     assert criteria_categories(rows)["Analyzability"] == "FAIR"
     assert sum(r.side == "IN" for r in rows if r.mnemonic in CRITERIA["Analyzability"]) == 2
 
@@ -129,32 +130,32 @@ def test_category_monotone_when_fixing_constituent():
 def test_kiviat_rows_canonical_order_and_flags():
     model, name = lexical_analyzer_model()
     rec = compute_class_record(model, name)
-    rows = kiviat_rows(RangeTable(), rec)
+    rows = kiviat_rows(DEFAULT_RANGES, rec)
     assert [r.mnemonic for r in rows] == list(KIVIAT_ORDER)
     flagged = [r.mnemonic for r in rows if r.side != "IN"]
     assert flagged == ["cl_comf", "cl_stat", "cl_wmc", "cu_cdused"]
 
     model2, name2 = neural_network_model()
-    rows2 = kiviat_rows(RangeTable(), compute_class_record(model2, name2))
+    rows2 = kiviat_rows(DEFAULT_RANGES, compute_class_record(model2, name2))
     assert sum(1 for r in rows2 if r.side != "IN") == 8
 
 
 def test_kiviat_statuses_consistent_with_metric_status():
     model, name = neural_network_model()
     rec = compute_class_record(model, name)
-    ranges = RangeTable()
+    ranges = DEFAULT_RANGES
     for row in kiviat_rows(ranges, rec):
         assert row.side == metric_status(ranges, row.mnemonic, row.value)
 
 
 def test_all_zero_record_flags_only_comment_rate():
     rec = dict.fromkeys(KIVIAT_ORDER, 0) | {"cl_comf": 0.0}
-    rows = kiviat_rows(RangeTable(), rec)
+    rows = kiviat_rows(DEFAULT_RANGES, rec)
     flagged = [r.mnemonic for r in rows if r.side != "IN"]
     assert flagged == ["cl_comf"]
     # undefined comf (zero-line class) flags the same way
     rec2 = dict.fromkeys(KIVIAT_ORDER, 0) | {"cl_comf": None}
-    flagged2 = [r.mnemonic for r in kiviat_rows(RangeTable(), rec2) if r.side != "IN"]
+    flagged2 = [r.mnemonic for r in kiviat_rows(DEFAULT_RANGES, rec2) if r.side != "IN"]
     assert flagged2 == ["cl_comf"]
 
 
@@ -165,7 +166,7 @@ def test_all_zero_record_flags_only_comment_rate():
 
 def test_low_comment_rate_advice_mentions_comments():
     rec = _record(cl_comf=0.01)
-    rows = kiviat_rows(RangeTable(), rec)
+    rows = kiviat_rows(DEFAULT_RANGES, rec)
     advice = recommendations(rows)
     assert len(advice) == 1
     assert "Comment" in advice[0]
@@ -173,12 +174,12 @@ def test_low_comment_rate_advice_mentions_comments():
 
 def test_no_violations_no_advice():
     rec = _record()
-    assert recommendations(kiviat_rows(RangeTable(), rec)) == []
+    assert recommendations(kiviat_rows(DEFAULT_RANGES, rec)) == []
 
 
 def test_advice_without_a_phrase_names_the_direction():
     # no phrase is written for too few attributes: the fallback line
-    ranges = RangeTable.from_config({"cl_data": {"min": 3, "max": 7}})
+    ranges = ranges_from_config({"cl_data": {"min": 3, "max": 7}})
     rows = kiviat_rows(ranges, _record(cl_data=0))
     assert recommendations(rows) == ["cl_data: Increase cl_data to enter the acceptable range"]
 
@@ -186,7 +187,7 @@ def test_advice_without_a_phrase_names_the_direction():
 def test_reference_class_advice_per_violation():
     model, name = neural_network_model()
     rec = compute_class_record(model, name)
-    rows = kiviat_rows(RangeTable(), rec)
+    rows = kiviat_rows(DEFAULT_RANGES, rec)
     advice = recommendations(rows)
     assert len(advice) == 8
     assert any("Directly Used Classes" in a for a in advice)
@@ -198,33 +199,33 @@ def test_reference_class_advice_per_violation():
 
 
 def test_range_table_from_config_literal_infinities():
-    table = RangeTable.from_config({
+    table = ranges_from_config({
         "cl_wmc": {"min": 0, "max": 50},
         "cl_comf": {"min": 0.1, "max": "inf"},
         "cl_line": {"min": "-inf", "max": 3},
     })
-    assert table.bounds("cl_wmc") == (0, 50)
-    assert table.bounds("cl_comf")[1] == float("inf")
-    assert table.bounds("cl_line") == (float("-inf"), 3)
+    assert table["cl_wmc"] == (0, 50)
+    assert table["cl_comf"][1] == float("inf")
+    assert table["cl_line"] == (float("-inf"), 3)
     # untouched defaults survive
-    assert table.bounds("cl_stat") == (0, 100)
+    assert table["cl_stat"] == (0, 100)
 
 
 def test_bad_config_rejected():
     with pytest.raises(ConfigError):
-        RangeTable.from_config({"cl_wmc": {"min": 10, "max": 1}})
+        ranges_from_config({"cl_wmc": {"min": 10, "max": 1}})
     with pytest.raises(ConfigError):
-        RangeTable.from_config({"cl_wmc": {"min": "huge", "max": 1}})
+        ranges_from_config({"cl_wmc": {"min": "huge", "max": 1}})
     with pytest.raises(ConfigError):
-        RangeTable.from_config({"cl_wmc": [0, 1]})
+        ranges_from_config({"cl_wmc": [0, 1]})
     with pytest.raises(ConfigError):
-        RangeTable.from_config([["cl_wmc", 0, 1]])
+        ranges_from_config([["cl_wmc", 0, 1]])
 
 
 @pytest.mark.parametrize("key", ["v", "ev", "iv", "CBO", "WMC", "custom"])
 def test_range_for_anything_but_a_class_mnemonic_is_rejected(key):
     with pytest.raises(ConfigError, match=key):
-        RangeTable.from_config({key: {"min": 1, "max": 2}})
+        ranges_from_config({key: {"min": 1, "max": 2}})
 
 
 def test_tool_config_load(tmp_path):
@@ -234,7 +235,7 @@ def test_tool_config_load(tmp_path):
         "churnMetrics": ["cl_stat", "cl_wmc"],
     }))
     cfg = ToolConfig.load(p)
-    assert cfg.ranges.bounds("cl_wmc") == (0, 99)
+    assert cfg.ranges["cl_wmc"] == (0, 99)
     assert cfg.churn_metrics == ("cl_stat", "cl_wmc")
 
 

@@ -21,7 +21,7 @@ from oometrics.cfg import ControlFlowGraph
 from oometrics.ck import KIVIAT_ORDER
 from oometrics.cli import main
 from oometrics.model import build_system_model, facts_to_model, model_to_facts
-from oometrics.quality import RangeTable, ToolConfig
+from oometrics.quality import DEFAULT_RANGES, ToolConfig
 from oometrics.report import (
     compute_class_record,
     compute_report,
@@ -95,9 +95,16 @@ def test_compute_report_derives_each_fact_once(monkeypatch):
     count(cohesion, "method_attribute_sets")
     count(quality, "metric_status")
     count(report, "logiscope_mnemonics")
+    count(complexity, "essential")
+    count(complexity, "module_design")
     compute_report(model)
     n = len(model.internal_class_names)
+    # ev and iv are reduced, and range-checked, once per distinct graph
+    graphs = len({id(m.cfg) for c in model.internal_classes for m in c.member_functions if m.cfg is not None})
+    assert graphs > 1
     assert calls == {
+        "essential": graphs,
+        "module_design": graphs,
         "qmood_class_metrics": n,
         "method_attribute_sets": n,
         # each of the 13 mnemonics is checked against its range once per class
@@ -203,7 +210,7 @@ def test_analyze_drops_the_class_records_once_the_model_is_built(monkeypatch, ca
 
 def test_kiviat_reference_class_marks_four_vertices():
     model, name = lexical_analyzer_model()
-    rows = kiviat_rows(RangeTable(), compute_class_record(model, name))
+    rows = kiviat_rows(DEFAULT_RANGES, compute_class_record(model, name))
     svg = emit_kiviat_svg(rows, name)
     assert svg.count('class="violation"') == 4
     assert svg.count("<text") == 14  # 13 axis labels + title line
@@ -212,14 +219,14 @@ def test_kiviat_reference_class_marks_four_vertices():
 def test_kiviat_all_in_range_no_marks():
     rec = compute_class_record(_fixture_model(), _fixture_model().internal_class_names[0])
     rec["cl_comf"] = 0.5  # lift the only violation
-    rows = kiviat_rows(RangeTable(), rec)
+    rows = kiviat_rows(DEFAULT_RANGES, rec)
     svg = emit_kiviat_svg(rows, "clean")
     assert 'class="violation"' not in svg
 
 
 def test_kiviat_byte_identical_across_runs():
     model, name = lexical_analyzer_model()
-    rows = kiviat_rows(RangeTable(), compute_class_record(model, name))
+    rows = kiviat_rows(DEFAULT_RANGES, compute_class_record(model, name))
     assert emit_kiviat_svg(rows, name) == emit_kiviat_svg(rows, name)
 
 
@@ -591,6 +598,8 @@ def test_cli_rejects_a_range_for_a_method_threshold(tmp_path, capsys):
     ({"churnMetrics": ["cl_stat", "cl_stat"]}, "'cl_stat'"),
     # once loaded with exit 0, the bound key ignored
     ({"ranges": {"cl_comf": {"min": 0.1, "max": 1, "mx": 3}}}, "'mx'"),
+    # no value can lie in an empty range
+    ({"ranges": {"cl_wmc": {"min": 10, "max": 1}}}, "cl_wmc"),
 ])
 def test_cli_rejects_a_config_value_that_cannot_take_effect(doc, key, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -599,6 +608,36 @@ def test_cli_rejects_a_config_value_that_cannot_take_effect(doc, key, tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and key in captured.err
     assert captured.err.count("\n") == 1
+
+
+def _sig(leg):
+    return lambda report: report["system"]["sig"][leg]
+
+
+def _wmc_violated(report):
+    return all("cl_wmc" in c["violations"] for c in report["classes"])
+
+
+_NO_RISK = {"moderate": 0, "high": 0, "veryHigh": 0}
+_ZERO_ROW = [["--", 0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("doc, read, moved", [
+    ({"sigBands": {"volume": [[1, "--"]]}}, _sig("volume"), "--"),
+    ({"sigBands": {"complexityRisk": _NO_RISK}}, _sig("complexityPerUnit"), "--"),
+    ({"sigBands": {"complexityProfile": _ZERO_ROW}}, _sig("complexityPerUnit"), "--"),
+    ({"sigBands": {"unitSizeRisk": _NO_RISK}}, _sig("unitSize"), "--"),
+    ({"sigBands": {"unitSizeProfile": _ZERO_ROW}}, _sig("unitSize"), "--"),
+    ({"sigBands": {"duplication": [[100.0, "++"]]}}, _sig("duplication"), "++"),
+    ({"ranges": {"cl_wmc": {"min": 0, "max": 0}}}, _wmc_violated, True),
+], ids=["volume", "complexityRisk", "complexityProfile", "unitSizeRisk", "unitSizeProfile", "duplication", "ranges"])
+def test_cli_every_config_table_takes_effect(doc, read, moved, tmp_path, capsys):
+    assert main(["analyze", str(FIXTURES / "metric_test")]) == 0
+    assert read(json.loads(capsys.readouterr().out)) != moved
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["analyze", str(FIXTURES / "metric_test"), "--config", str(config)]) == 0
+    assert read(json.loads(capsys.readouterr().out)) == moved
 
 
 def test_cli_takes_sig_bands_of_the_default_shape(tmp_path, capsys):

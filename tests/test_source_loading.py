@@ -74,6 +74,15 @@ def test_a_missing_source_path_is_an_input_error(tmp_path, capsys):
     assert err == f"error: no such file or directory: {missing}\n"
 
 
+def test_a_directory_named_like_a_source_file_is_descended_into(tmp_path, capsys):
+    (tmp_path / "A.java").write_text(GOOD.format(name="A"), encoding="utf-8")
+    (tmp_path / "Foo.java").mkdir()
+    (tmp_path / "Foo.java" / "B.java").write_text(GOOD.format(name="B"), encoding="utf-8")
+    rc, out, err = run(["analyze", tmp_path], capsys)
+    assert (rc, err) == (0, "")  # it was exit 1: "Foo.java: cannot read: Is a directory"
+    assert [c["name"] for c in json.loads(out)["classes"]] == ["A", "B"]
+
+
 # ---------------------------------------------------------------------------
 # the pool
 # ---------------------------------------------------------------------------
